@@ -1,6 +1,6 @@
 """Random-walk observables of mass-proportional collapse models.
 
-A small numpy/scipy library computing, in CGS units throughout:
+A small numpy library computing, in CGS units throughout:
 
 - classical Brownian diffusion of spheres and discs in gas (hydrodynamic,
   slip-corrected, free-molecular) and in thermal radiation;
@@ -11,7 +11,8 @@ A small numpy/scipy library computing, in CGS units throughout:
 - the experimental/theoretical viability map of the collapse parameters.
 
 See the demos/ directory for narrative walkthroughs and the `cslwalk` CLI
-for table and dataset reproduction.
+for table and dataset reproduction.  scipy is imported only on first use,
+by the disc rotation factor and by the width-ODE cross-check.
 """
 
 from .core import (CONSTANTS, Body, CslParams, Disc, Environment,

@@ -78,7 +78,10 @@ def _angle(text: str) -> float:
 
 
 def _csv_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"non-finite number in {text!r}")
+    return values
 
 
 def _log_grid(text: str) -> list[float]:

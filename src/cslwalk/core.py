@@ -140,8 +140,8 @@ class CslParams:
     a: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.a > 0):
-            raise ValidationError("CslParams requires lam > 0 and a > 0")
+        if not (0 < self.lam < math.inf and 0 < self.a < math.inf):
+            raise ValidationError("CslParams requires finite lam > 0 and a > 0")
 
     @classmethod
     def grw(cls) -> "CslParams":
@@ -158,8 +158,9 @@ class Sphere:
     constants: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self):
-        if not (self.radius > 0 and self.density > 0):
-            raise ValidationError("Sphere requires radius > 0 and density > 0")
+        if not (0 < self.radius < math.inf and 0 < self.density < math.inf):
+            raise ValidationError(
+                "Sphere requires finite radius > 0 and density > 0")
         if self.nucleon_count() < 1.0:
             raise ValidationError("body holds less than one nucleon")
 
@@ -191,8 +192,10 @@ class Disc:
     constants: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self):
-        if not (self.radius > 0 and self.thickness > 0 and self.density > 0):
-            raise ValidationError("Disc requires positive radius, thickness, density")
+        if not all(0 < v < math.inf
+                   for v in (self.radius, self.thickness, self.density)):
+            raise ValidationError(
+                "Disc requires finite positive radius, thickness, density")
         if self.thickness > 2.0 * self.radius:
             raise ValidationError("Disc thickness exceeds its diameter")
         if self.nucleon_count() < 1.0:

@@ -7,10 +7,15 @@ localization length a.  For rotation the analogous factor compares rotated
 copies, normalized by (M a / I)^2.
 
 Conventions: x = R/a for the sphere; for the disc alpha = L/(2a) and
-beta = b/(2a).  All quadratures target 1e-6 relative error and report their
-achieved error estimate; every factor here is cross-checkable against the
-Monte Carlo oracle in :mod:`cslwalk.oracle`, which integrates the defining
-volume integrals directly.
+beta = b/(2a).  The sphere and both disc translation factors are closed
+forms (method "analytic", est_error 0); the disc rotation factor is a
+quadrature that targets 1e-6 relative error and reports its achieved error
+estimate.  Every factor here is cross-checkable against the Monte Carlo
+oracle in :mod:`cslwalk.oracle`, which integrates the defining volume
+integrals directly.
+
+Importing this module loads numpy but not scipy: only the rotation factor
+needs scipy.special, and it imports it on its first call.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, i0e, i1e
 
 from .core import CslParams, Disc
 from .errors import ValidationError
@@ -64,8 +68,8 @@ class DiscAspect:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValidationError("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValidationError("alpha and beta must be positive and finite")
 
     @classmethod
     def from_disc(cls, disc: Disc, csl: CslParams) -> "DiscAspect":
@@ -96,24 +100,62 @@ def f_sphere(x: float) -> FactorResult:
     return FactorResult(6.0 * ix2 * ix2 * bracket, "analytic")
 
 
-def _face_kernel_i0(x, xp):
-    # x x' e^{-(x^2+x'^2)} I0(2 x x'), folded into scaled form
-    return x * xp * np.exp(-((x - xp) ** 2)) * i0e(2.0 * x * xp)
+# At the largest alpha the Poisson window below holds 2.8e5 terms; larger
+# discs are rejected rather than left to allocate without bound.  Below the
+# smallest, alpha^2 leaves the normal floating-point range.
+_MIN_ALPHA, _MAX_ALPHA = 1.0e-150, 1.0e4
 
 
-def f_disc_perp(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
+def _poisson_window(x: float) -> tuple[int, np.ndarray]:
+    """Poisson(x) probabilities p_k = e^{-x} x^k / k!, k = lo, lo + 1, ...
+
+    Returns (lo, p) over at most 28 sqrt(x) + 81 terms around the mode
+    m = floor(x); the Poisson mass outside them is below 1e-44.  The terms
+    are built in log space by the ratio recurrence p_k / p_{k-1} = x / k
+    outward from the mode and normalized by their sum, which keeps each one
+    accurate to a few ulps at any x (anchoring the mode with lgamma instead
+    loses ~1e-9 relative at x = 1e6).
+    """
+    if not _MIN_ALPHA ** 2 <= x <= _MAX_ALPHA ** 2:
+        raise ValidationError(
+            f"alpha = L/2a must lie in [{_MIN_ALPHA:g}, {_MAX_ALPHA:g}], "
+            f"got {math.sqrt(x):.6g}")
+    m = math.floor(x)
+    half = int(14.0 * math.sqrt(x)) + 40
+    lo = max(0, m - half)
+    log_ratio = np.log(x / np.arange(lo + 1, m + half + 1))
+    up = np.cumsum(log_ratio[m - lo:])
+    down = -np.cumsum(log_ratio[:m - lo][::-1])[::-1]
+    p = np.exp(np.concatenate([down, [0.0], up]))
+    return lo, p / p.sum()
+
+
+def f_disc_perp(aspect: DiscAspect) -> FactorResult:
     """Translation factor of a disc moving perpendicular to its face.
 
-    4 (2a/L)^4 (2a/b)^2 [1 - e^{-beta^2}] * double integral of
-    x x' e^{-(x^2+x'^2)} I0(2 x x') over [0, alpha]^2.
-    Limits: -> 1 when both dimensions are small; -> (2a/L)^2 for a thin
-    wide disc.
+    The defining integral 4 alpha^-4 (1 - e^{-beta^2}) / beta^2 times the
+    double integral of x x' e^{-(x^2+x'^2)} I0(2 x x') over [0, alpha]^2
+    sums, term by term in the series of I0, to the Poisson form
+
+        f = alpha^-4 sum_{k>=0} P(N >= k+1)^2 (1 - e^{-beta^2}) / beta^2,
+
+    N ~ Poisson(alpha^2).  The sum is E[min(N1, N2)] for two independent
+    copies, which gives the Bessel form
+
+        f = alpha^-2 [1 - e^{-2 alpha^2} (I0 + I1)(2 alpha^2)]
+            (1 - e^{-beta^2}) / beta^2.
+
+    The Poisson sum adds only positive terms, so unlike the Bessel form it
+    does not cancel at small alpha.  Limits: -> 1 when both dimensions are
+    small; -> (2a/L)^2 for a thin wide disc.
     """
     al, be = aspect.alpha, aspect.beta
-    q, q_err = integrate_2d(_face_kernel_i0, 0.0, al, 0.0, al,
-                            rel_tol=rel_tol, panel_hint=1.0)
-    pref = 4.0 * al ** -4 * (-math.expm1(-be * be)) / (be * be)
-    return FactorResult(pref * q, "quadrature", est_error=pref * q_err)
+    x = al * al
+    lo, p = _poisson_window(x)
+    # P(N >= k) / x for k = lo + 1, ...; every P(N >= k) with k <= lo is 1
+    tail = np.cumsum(p[::-1])[::-1][1:] / x
+    total = lo / x / x + float(tail @ tail)
+    return FactorResult(total * -math.expm1(-be * be) / (be * be), "analytic")
 
 
 def f_disc_edge(aspect: DiscAspect) -> FactorResult:
@@ -121,17 +163,16 @@ def f_disc_edge(aspect: DiscAspect) -> FactorResult:
 
     (2a/L)^2 e^{-L^2/2a^2} I1(L^2/2a^2) (2a/b)^2
       [ (b/2a) int_{-beta}^{beta} e^{-x^2} dx - 1 + e^{-beta^2} ],
-    fully closed form (erf and the scaled Bessel I1).
-    -> (4/sqrt(pi)) (a/L)^3 for a thin wide disc.
+    fully closed form: the scaled Bessel I1 is the Poisson(alpha^2) sum
+    e^{-2 alpha^2} I1(2 alpha^2) = sum_k p_k p_{k+1}, and the bracket is
+    elementary (erf).  -> (4/sqrt(pi)) (a/L)^3 for a thin wide disc.
     """
     al, be = aspect.alpha, aspect.beta
-    radial = al ** -2 * i1e(2.0 * al * al)
-    bracket = be * math.sqrt(math.pi) * erf(be) - 1.0 + math.exp(-be * be)
+    x = al * al
+    _, p = _poisson_window(x)
+    radial = float(p[:-1] @ p[1:]) / x
+    bracket = be * math.sqrt(math.pi) * math.erf(be) - 1.0 + math.exp(-be * be)
     return FactorResult(radial * bracket / (be * be), "analytic")
-
-
-def _face_kernel_i1(r, rp):
-    return r ** 2 * rp ** 2 * np.exp(-((r - rp) ** 2)) * i1e(2.0 * r * rp)
 
 
 def _edge_box_kernel(y, yp):
@@ -141,10 +182,15 @@ def _edge_box_kernel(y, yp):
 def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
     """The three surface contributions (faces, edge band, face-edge cross)
     and their quadrature error estimates, before the overall prefactor."""
+    from scipy.special import erf, i1e
+
     al, be = aspect.alpha, aspect.beta
     h = be / 2.0
 
-    f1, e1 = integrate_2d(_face_kernel_i1, 0.0, al, 0.0, al,
+    def face_kernel(r, rp):
+        return r ** 2 * rp ** 2 * np.exp(-((r - rp) ** 2)) * i1e(2.0 * r * rp)
+
+    f1, e1 = integrate_2d(face_kernel, 0.0, al, 0.0, al,
                           rel_tol=rel_tol, panel_hint=1.0)
     f1 *= -math.expm1(-be * be)
     e1 *= -math.expm1(-be * be)
@@ -182,7 +228,7 @@ def f_rot_disc(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
     if value < 0:
         # tiny negative from quadrature noise near the symmetric point only
         value = max(value, 0.0)
-    return FactorResult(value, "quadrature", est_error=err)
+    return FactorResult(float(value), "quadrature", est_error=float(err))
 
 
 def small_body_rotation_limit(aspect: DiscAspect) -> float:

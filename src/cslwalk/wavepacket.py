@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import CONSTANTS
 from .diffusion import WavepacketEquilibrium
@@ -103,6 +102,8 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
     lam_eff is the body's collapse rate lam N^2 f.  lam_eff = 0 gives free
     spreading sigma^2(t) = sigma^2(0) + i hbar t / (2M) exactly.
     """
+    from scipy.integrate import solve_ivp   # a cross-check: kept off the import path
+
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValidationError("t_grid must be strictly increasing")

@@ -156,6 +156,13 @@ def test_exit_code_flag_error():
     assert err.value.code == 2
 
 
+def test_exit_code_nonfinite_list_value(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["diffuse", "--sphere-radius", "1e-5", "--times", "nan,10"])
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_exit_code_missing_subcommand(capsys):
     assert main([]) == 2
 
@@ -201,6 +208,30 @@ def test_real_process_invocation():
          "--sphere-radius", "1e-5", "--temperature", "4.2K"],
         capture_output=True)
     assert bad.returncode == 3
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules loaded by running `code` in a fresh interpreter."""
+    probe = code + ("\nimport sys\nprint(*sorted(m for m in sys.modules"
+                    " if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_import_floor_loads_no_scipy():
+    # scipy costs most of a process's start-up; only fig1 and the rotation
+    # factor need scipy.special, and only the width-ODE cross-check needs
+    # scipy.integrate
+    assert _scipy_modules_after("import cslwalk") == []
+    cli = "from cslwalk.cli import main\nmain({argv!r})"
+    assert _scipy_modules_after(
+        cli.format(argv=["table1", "--paper-format"])) == []
+    fig1 = _scipy_modules_after(cli.format(
+        argv=["fig1", "--alphas", "0.5,1,2", "--betas", "0.25"]))
+    assert "scipy.special" in fig1
+    assert not [m for m in fig1 if m.startswith("scipy.integrate")]
 
 
 def test_exit_code_convergence(monkeypatch, capsys):

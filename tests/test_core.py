@@ -99,6 +99,17 @@ def test_invalid_bodies_rejected():
         Disc(radius=1e-5, thickness=3e-5, density=1.0)   # thicker than diameter
     with pytest.raises(ValidationError):
         Sphere(radius=1e-8, density=1e-3)                # under one nucleon
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            Sphere(radius=bad, density=1.0)
+        with pytest.raises(ValidationError):
+            Sphere(radius=1e-5, density=bad)
+        with pytest.raises(ValidationError):
+            Disc(radius=bad, thickness=1e-5, density=1.0)
+        with pytest.raises(ValidationError):
+            Disc(radius=1e-5, thickness=bad, density=1.0)
+        with pytest.raises(ValidationError):
+            Disc(radius=1e-5, thickness=1e-5, density=bad)
 
 
 def test_csl_params():
@@ -108,6 +119,11 @@ def test_csl_params():
         CslParams(lam=0.0, a=1e-5)
     with pytest.raises(ValidationError):
         CslParams(lam=1e-16, a=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            CslParams(lam=bad, a=1e-5)
+        with pytest.raises(ValidationError):
+            CslParams(lam=1e-16, a=bad)
 
 
 def test_environment_gas_state():

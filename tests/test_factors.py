@@ -68,9 +68,58 @@ def test_disc_edge_thin_wide_limit():
 
 
 def test_disc_factor_reference_point():
-    # frozen quadrature/closed-form values, cross-validated by the MC oracle
+    # frozen closed-form values, cross-validated by the MC oracle
     assert f_disc_perp(DiscAspect(1.0, 0.25)).value == pytest.approx(0.46165, rel=1e-4)
     assert f_disc_edge(DiscAspect(1.0, 0.25)).value == pytest.approx(0.21305, rel=1e-4)
+    for f in (f_disc_perp, f_disc_edge):
+        res = f(DiscAspect(1.0, 0.25))
+        assert res.method == "analytic" and res.est_error == 0.0
+
+
+def test_disc_translation_factors_match_bessel_forms():
+    # the Poisson sums against the scaled-Bessel closed forms; the perp form
+    # alpha^-2 [1 - (i0e + i1e)(2 alpha^2)] cancels below alpha ~ 0.1
+    from scipy.special import i0e, i1e
+    for alpha in np.geomspace(0.1, 1e3, 41):
+        x = float(alpha) ** 2
+        rel = 1e-12 if alpha <= 30.0 else 1e-9
+        for beta in (0.05, 1.0):
+            aspect = DiscAspect(float(alpha), beta)
+            thick = -math.expm1(-beta * beta) / (beta * beta)
+            perp = (1.0 - (i0e(2 * x) + i1e(2 * x))) / x * thick
+            assert f_disc_perp(aspect).value == pytest.approx(perp, rel=rel)
+            bracket = (beta * math.sqrt(math.pi) * math.erf(beta) - 1.0
+                       + math.exp(-beta * beta)) / (beta * beta)
+            edge = i1e(2 * x) / x * bracket
+            assert f_disc_edge(aspect).value == pytest.approx(edge, rel=rel)
+    assert f_disc_perp(DiscAspect(1e-4, 1e-4)).value == pytest.approx(1.0, abs=1e-7)
+
+
+def test_disc_translation_factors_reject_alpha_outside_window():
+    for f in (f_disc_perp, f_disc_edge):
+        assert 0.0 < f(DiscAspect(1e4, 1.0)).value < 1e-8
+        assert f(DiscAspect(1e-150, 1.0)).value == pytest.approx(
+            f(DiscAspect(1e-4, 1.0)).value, rel=1e-7)
+        for alpha in (2e4, 1e-200):
+            with pytest.raises(ValidationError, match="alpha"):
+                f(DiscAspect(alpha, 1.0))
+
+
+@pytest.mark.parametrize("alpha,beta", [(math.inf, 1.0), (1.0, math.inf),
+                                        (math.nan, 1.0), (1.0, math.nan),
+                                        (0.0, 1.0), (1.0, -1.0)])
+def test_disc_aspect_rejects_nonpositive_and_nonfinite(alpha, beta):
+    with pytest.raises(ValidationError):
+        DiscAspect(alpha, beta)
+
+
+def test_factor_values_are_plain_floats():
+    aspect = DiscAspect(1.0, 0.25)
+    for res in (f_sphere(1.0), f_sphere(0.25), f_disc_perp(aspect),
+                f_disc_edge(aspect), f_rot_disc(aspect),
+                f_mc_oracle_aspect(aspect, "rotate", n_samples=10_000, seed=1)):
+        assert type(res.value) is float, res
+        assert type(res.est_error) is float, res
 
 
 def test_disc_aspect_from_disc():
@@ -88,6 +137,17 @@ def test_f_rot_reference_point():
     assert res.value == pytest.approx(1.0 / 3.0, rel=0.15)
     assert res.value == pytest.approx(0.30194, rel=1e-3)    # frozen
     assert res.est_error < 1e-4
+
+
+def test_f_rot_bit_identical_at_readme_inputs():
+    # (value, est_error) at the README fig1 / diffuse inputs, exactly as
+    # the quadrature has always produced them: its arithmetic is frozen
+    pinned = {0.5: (0.51215279340222, 1.0250400391032846e-15),
+              1.0: (0.3019353157234081, 3.614884937942769e-16),
+              2.0: (0.05700003120766443, 3.328511075411697e-17)}
+    for alpha, expected in pinned.items():
+        res = f_rot_disc(DiscAspect(alpha, 0.25))
+        assert (res.value, res.est_error) == expected, alpha
 
 
 def test_f_rot_piece_signs():
