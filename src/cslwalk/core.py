@@ -95,7 +95,8 @@ def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
 
     Supported: Torr / pT / dyn/cm2 (pressure), day / s (time),
     du / cm (length, 1 du = 1e-5 cm), K (identity).  Conversions across
-    dimensions are rejected by name.
+    dimensions are rejected by name, and so are values that are not finite
+    before or after conversion.
     """
     src = _canonical_unit(from_unit)
     dst = _canonical_unit(to_unit)
@@ -104,7 +105,10 @@ def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
     if dim_src != dim_dst:
         raise ValidationError(
             f"cannot convert {from_unit!r} ({dim_src}) to {to_unit!r} ({dim_dst})")
-    return value * (f_src / f_dst)
+    out = value * (f_src / f_dst)
+    if not math.isfinite(out):
+        raise ValidationError(f"{value!r} {from_unit} is not a finite {to_unit} value")
+    return out
 
 
 def constants_summary(constants: PhysicalConstants = CONSTANTS) -> dict:

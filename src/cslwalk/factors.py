@@ -155,6 +155,8 @@ def f_disc_perp(aspect: DiscAspect) -> FactorResult:
     # P(N >= k) / x for k = lo + 1, ...; every P(N >= k) with k <= lo is 1
     tail = np.cumsum(p[::-1])[::-1][1:] / x
     total = lo / x / x + float(tail @ tail)
+    if be < 1.0e-8:      # (1 - e^{-beta^2}) / beta^2 rounds to 1
+        return FactorResult(total, "analytic")
     return FactorResult(total * -math.expm1(-be * be) / (be * be), "analytic")
 
 
@@ -171,6 +173,14 @@ def f_disc_edge(aspect: DiscAspect) -> FactorResult:
     x = al * al
     _, p = _poisson_window(x)
     radial = float(p[:-1] @ p[1:]) / x
+    if be < 0.1:
+        # bracket / beta^2 = sum_n (-1)^n beta^2n / ((n+1)! (2n+1)); the
+        # closed form cancels here (11% off at beta = 1e-8)
+        thick, term = 0.0, 1.0
+        for n in range(10):
+            thick += term / (2 * n + 1)
+            term *= -be * be / (n + 2)
+        return FactorResult(radial * thick, "analytic")
     bracket = be * math.sqrt(math.pi) * math.erf(be) - 1.0 + math.exp(-be * be)
     return FactorResult(radial * bracket / (be * be), "analytic")
 
@@ -221,8 +231,14 @@ def f_rot_disc(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
     small_body_rotation_limit.
     """
     al, be = aspect.alpha, aspect.beta
+    try:
+        pref = (4.0 / ((1.0 + be * be / (3.0 * al * al)) * be * al ** 4)) ** 2
+    except (ZeroDivisionError, OverflowError):
+        pref = math.inf
+    if pref == math.inf:
+        raise ValidationError(f"alpha = {al:.3g}, beta = {be:.3g}: the rotation "
+                              "prefactor leaves the floating-point range")
     (f1, f2, f3), (e1, e2, e3) = _rot_surface_pieces(aspect, rel_tol)
-    pref = (4.0 / ((1.0 + be * be / (3.0 * al * al)) * be * al ** 4)) ** 2
     value = pref * (f1 + f2 + f3)
     err = pref * (e1 + e2 + e3)
     if value < 0:

@@ -3,20 +3,18 @@
 Evaluates the defining double volume integrals directly by uniform pair
 sampling, with no shared code or algebra with the quadrature route in
 :mod:`cslwalk.factors` — the two must agree within combined errors, which
-is the central cross-check of the factor machinery.
-
-Reproducibility: samples are drawn in fixed-size blocks, block i from an
-independent generator seeded by (seed, i), so the result depends only on
-(seed, n_samples, block_size) and not on how blocks are scheduled.
+is the central cross-check of the factor machinery.  Pairs are drawn by
+:func:`cslwalk._blocks.run_blocks`, so a result depends only on (seed,
+n_samples, block_size) and not on the worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .core import Body, CslParams, Disc, Sphere
 from .errors import ValidationError
 from .factors import DiscAspect, FactorResult
@@ -70,27 +68,12 @@ def _run_oracle(geom: dict, mode: str, n_samples: int, seed: int,
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
 
-    sizes = [block_size] * (n_samples // block_size)
-    if n_samples % block_size:
-        sizes.append(n_samples % block_size)
-
-    def run_block(index_size):
-        i, size = index_size
-        rng = np.random.default_rng([seed, i])
+    def block_sums(rng, size):
         vals = _block_values(geom, mode, rng, size)
-        return float(vals.sum()), float(np.dot(vals, vals)), size
+        return vals.sum(), np.dot(vals, vals)
 
-    tasks = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, tasks))
-    else:
-        partials = [run_block(t) for t in tasks]
-
-    # fsum is exactly rounded, so the reduction is order-insensitive
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
-    n = sum(p[2] for p in partials)
+    n = n_samples
+    total, total_sq = run_blocks(n, block_size, seed, workers, block_sums)
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
     return FactorResult(mean, "monte-carlo", est_error=math.sqrt(var / n))

@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import block_rng, run_blocks
 from .core import CONSTANTS
 from .diffusion import WavepacketEquilibrium
 from .errors import ConvergenceError, ValidationError
@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _TRAJ_BLOCK = 4096   # fixed block size keeps results worker-count independent
+# Limits, each over 100x every documented call; times from a 2-vCPU Xeon VM.
+_MAX_PATH_STEPS = 4_000_000_000   # n_traj x steps: ~2 min on one core
+_MAX_COV_FLOATS = 2 ** 25         # blocks x samples^2 held for the reduction
+_MAX_PATH_LEN = 10_000_000        # single_trajectory steps: ~2 GB of states
 
 
 @dataclass(frozen=True)
@@ -154,44 +158,69 @@ class TrajectoryState:
             raise ValidationError("trajectory state must be finite")
 
 
+def _grid_steps(eq: WavepacketEquilibrium, dt: float, t_end: float,
+                method: str, seed: int) -> int:
+    """Validate a call's grid, scheme and seed; return the number of dt steps."""
+    if method not in ("euler-maruyama", "exact-b15"):
+        raise ValidationError(f"unknown method {method!r}")
+    if not 0 < dt <= t_end < math.inf:
+        raise ValidationError("need finite dt and t_end with 0 < dt <= t_end")
+    if method == "euler-maruyama" and dt > eq.tau_s / 50.0:
+        raise ValidationError(
+            f"dt = {dt:.3g} s too large for euler-maruyama; need dt <= "
+            f"tau_s/50 = {eq.tau_s / 50.0:.3g} s (or use method='exact-b15')")
+    if seed < 0:
+        raise ValidationError("seed must be a nonnegative integer")
+    if t_end / dt == math.inf:
+        raise ValidationError("t_end / dt overflows")
+    return round(t_end / dt)
+
+
+def _increments(rng, method: str, h: float, n: int):
+    """One step of length h of n paths of B under each scheme.
+
+    Returns dB and the kick that IB = int B dt gets on top of the left-point
+    B h: zero for Euler-Maruyama; for exact-b15 the part of the exact joint
+    Gaussian of (dB, int dB) that is independent of B (Kloeden & Platen
+    1992, 10.4), so the step holds for an interval of any length.
+    """
+    z1 = rng.standard_normal(n)
+    if method == "euler-maruyama":
+        return math.sqrt(h) * z1, 0.0
+    z2 = rng.standard_normal(n)
+    h32 = h ** 1.5
+    return math.sqrt(h) * z1, 0.5 * h32 * z1 + h32 / (2.0 * math.sqrt(3.0)) * z2
+
+
+def _center(eq: WavepacketEquilibrium, B, IB):
+    """The center parameters (b_R, b_I) of the state (B, IB)."""
+    s, tau = eq.s_inf, eq.tau_s
+    bI = (s / (2.0 * math.sqrt(tau))) * B
+    return (s / (2.0 * tau ** 1.5)) * IB + bI, bI
+
+
 def single_trajectory(eq: WavepacketEquilibrium, dt: float, t_end: float,
                       seed: int = 0,
                       method: str = "euler-maruyama") -> list[TrajectoryState]:
-    """Sample one packet-center path on the grid, for inspection/plotting.
+    """Sample one packet-center path at every step, for inspection/plotting.
 
-    Shares the integrators (and their preconditions) with simulate_ensemble
-    but records the full path of a single trajectory.
+    Uses the increments and preconditions of simulate_ensemble, summed
+    along the path with cumsum.  Every step is a sample here, so both
+    schemes cost one increment per step.  The path holds round(t_end/dt) + 1
+    states, at most 1e7 (about 2 GB of TrajectoryState objects).
     """
-    if not dt > 0 or not t_end >= dt:
-        raise ValidationError("need dt > 0 and t_end >= dt")
-    if method not in ("euler-maruyama", "exact-b15"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "euler-maruyama" and dt > eq.tau_s / 50.0:
-        raise ValidationError("dt too large for euler-maruyama; need "
-                              "dt <= tau_s/50 (or use method='exact-b15')")
-    steps = int(round(t_end / dt))
-    s, tau = eq.s_inf, eq.tau_s
-    rng = np.random.default_rng([seed, 0])
-    out = [TrajectoryState(0.0, 0.0, 0.0)]
-    if method == "euler-maruyama":
-        bR = bI = 0.0
-        noise = 0.5 * s / math.sqrt(tau)
-        for k in range(1, steps + 1):
-            dB = math.sqrt(dt) * float(rng.standard_normal())
-            bR += bI * (dt / tau) + noise * dB
-            bI += noise * dB
-            out.append(TrajectoryState(bR, bI, k * dt))
-    else:
-        B = IB = 0.0
-        for k in range(1, steps + 1):
-            z1 = float(rng.standard_normal())
-            z2 = float(rng.standard_normal())
-            IB += B * dt + 0.5 * dt ** 1.5 * z1 + dt ** 1.5 / (2 * math.sqrt(3)) * z2
-            B += math.sqrt(dt) * z1
-            bI = (s / (2.0 * math.sqrt(tau))) * B
-            bR = (s / (2.0 * tau ** 1.5)) * IB + (s / (2.0 * math.sqrt(tau))) * B
-            out.append(TrajectoryState(bR, bI, k * dt))
-    return out
+    steps = _grid_steps(eq, dt, t_end, method, seed)
+    if steps > _MAX_PATH_LEN:
+        raise ValidationError(
+            f"{steps} steps exceed the path limit of {_MAX_PATH_LEN}")
+    rng = block_rng(seed, 0)   # the path is block 0 of the seed's streams
+    dB, kick = _increments(rng, method, dt, steps)
+    B = np.concatenate(([0.0], np.cumsum(dB)))
+    IB = np.concatenate(([0.0], np.cumsum(B[:-1] * dt + kick)))
+    bR, bI = _center(eq, B, IB)
+    t = np.arange(steps + 1) * dt
+    return [TrajectoryState(*row)
+            for row in zip(bR.tolist(), bI.tolist(), t.tolist())]
 
 
 @dataclass(frozen=True)
@@ -218,38 +247,21 @@ class EnsembleStats:
             raise ValidationError("need at least 2 trajectories for errors")
 
 
-def _block_paths(rng, nb: int, steps: int, dt: float,
-                 eq: WavepacketEquilibrium, method: str, sample_steps,
-                 hbar: float):
-    """Simulate one block of trajectories; return snapshots of (Q, P)."""
-    s, tau = eq.s_inf, eq.tau_s
-    noise = 0.5 * s / math.sqrt(tau)
-    sq_dt = math.sqrt(dt)
-    snaps_Q = {}
-    snaps_P = {}
-    if method == "euler-maruyama":
-        bR = np.zeros(nb)
-        bI = np.zeros(nb)
-        for k in range(1, steps + 1):
-            dB = sq_dt * rng.normal(size=nb)
-            bR += bI * (dt / tau) + noise * dB
-            bI += noise * dB
-            if k in sample_steps:
-                snaps_Q[k] = bR + bI
-                snaps_P[k] = hbar * bI / s ** 2
-    else:  # exact-b15
-        B = np.zeros(nb)
-        IB = np.zeros(nb)
-        bridge = dt ** 1.5 / (2.0 * math.sqrt(3.0))
-        for k in range(1, steps + 1):
-            z1 = rng.normal(size=nb)
-            z2 = rng.normal(size=nb)
-            IB += B * dt + 0.5 * dt ** 1.5 * z1 + bridge * z2
-            B += sq_dt * z1
-            if k in sample_steps:
-                snaps_Q[k] = (s / (2.0 * tau ** 1.5)) * IB + (s / math.sqrt(tau)) * B
-                snaps_P[k] = hbar * B / (2.0 * s * math.sqrt(tau))
-    return snaps_Q, snaps_P
+def _sample_schedule(steps: int, dt: float, sample_times):
+    """Sample times on the dt grid and their step indices."""
+    if sample_times is None:
+        stride = max(1, steps // 50)
+        ks = sorted(set(range(stride, steps + 1, stride)) | {steps})
+        return [k * dt for k in ks], ks
+    times = sorted(set(map(float, sample_times)))
+    if not times:
+        raise ValidationError("sample_times must not be empty")
+    ks = [round(t / dt) if 0 < t / dt < math.inf else 0 for t in times]
+    for t, k in zip(times, ks):
+        if k < 1 or k > steps or abs(k * dt - t) > 1e-9 * max(t, dt):
+            raise ValidationError(
+                f"sample time {t} does not sit on the dt = {dt} grid")
+    return times, ks
 
 
 def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
@@ -261,84 +273,61 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
     Each trajectory integrates db = (b_I / tau) dt + (1+i)/2 (s/sqrt(tau)) dB
     with one shared real Brownian motion B per trajectory and b(0) = 0;
     the observables are <Q> = b_R + b_I and <P> = hbar b_I / s^2.
-    'exact-b15' instead samples the closed-form solution (B together with
-    its running time integral) exactly on the grid, so any dt is admissible;
-    'euler-maruyama' requires dt <= tau_s / 50.
+    'euler-maruyama' requires dt <= tau_s / 50 and steps every dt.
+    'exact-b15' samples B together with its running time integral exactly,
+    so any dt is admissible and it steps straight from one sample time to
+    the next: its cost scales with n_traj x samples, not n_traj x steps.
 
-    Results are bit-identical for fixed (seed, n_traj, dt, t_end, method)
-    for any `workers` count: trajectories are partitioned into fixed blocks
-    with per-block generators seeded by (seed, block index), and the
-    reduction uses exactly rounded summation.
+    Limits: n_traj x steps taken (samples for exact-b15) at most 4e9,
+    about two minutes on one core; blocks x samples^2 at most 2^25, the
+    256 MiB of covariance sums held until the reduction.  That allows up
+    to 5792 samples, where a block of 4096 trajectories needs about 1 GB.
+
+    Results are bit-identical for fixed (seed, n_traj, dt, t_end, method,
+    sample_times) for any `workers` count: trajectories run in blocks of
+    4096 through cslwalk._blocks.run_blocks.  exact-b15 results with given
+    sample_times do not depend on dt either.
     """
     if n_traj < 100:
         raise ValidationError("n_traj must be at least 100")
-    if not dt > 0 or not t_end >= dt:
-        raise ValidationError("need dt > 0 and t_end >= dt")
-    if method not in ("euler-maruyama", "exact-b15"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "euler-maruyama" and dt > eq.tau_s / 50.0:
+    steps = _grid_steps(eq, dt, t_end, method, seed)
+    times, ks = _sample_schedule(steps, dt, sample_times)
+    T = len(times)
+    if method == "euler-maruyama":
+        schedule = [(dt, k - k0) for k0, k in zip([0] + ks, ks)]
+    else:
+        schedule = [(t - t0, 1) for t0, t in zip([0.0] + times, times)]
+    if n_traj * sum(c for _, c in schedule) > _MAX_PATH_STEPS:
         raise ValidationError(
-            f"dt = {dt:.3g} s too large for euler-maruyama; need dt <= "
-            f"tau_s/50 = {eq.tau_s / 50.0:.3g} s (or use method='exact-b15')")
-    if seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
+            f"n_traj x steps exceeds the work limit of {_MAX_PATH_STEPS:.0e}")
+    if math.ceil(n_traj / _TRAJ_BLOCK) * T * T > _MAX_COV_FLOATS:
+        raise ValidationError(f"{T} sample times need too large a covariance "
+                              f"for {n_traj} trajectories")
+    hbar_s2 = constants.hbar / eq.s_inf ** 2
 
-    steps = int(round(t_end / dt))
-    if sample_times is None:
-        stride = max(1, steps // 50)
-        sample_steps = sorted(set(list(range(stride, steps + 1, stride)) + [steps]))
-    else:
-        sample_steps = []
-        for t in sample_times:
-            k = int(round(t / dt))
-            if k < 1 or k > steps or abs(k * dt - t) > 1e-9 * max(t, dt):
-                raise ValidationError(
-                    f"sample time {t} does not sit on the dt = {dt} grid")
-            sample_steps.append(k)
-        sample_steps = sorted(set(sample_steps))
-    times = np.array([k * dt for k in sample_steps])
-    T = len(sample_steps)
-
-    sizes = [_TRAJ_BLOCK] * (n_traj // _TRAJ_BLOCK)
-    if n_traj % _TRAJ_BLOCK:
-        sizes.append(n_traj % _TRAJ_BLOCK)
-
-    def run_block(arg):
-        i, nb = arg
-        rng = np.random.default_rng([seed, i])
-        sq, sp = _block_paths(rng, nb, steps, dt, eq, method,
-                              set(sample_steps), constants.hbar)
-        Q = np.column_stack([sq[k] for k in sample_steps])    # (nb, T)
-        P = np.column_stack([sp[k] for k in sample_steps])
+    def block_sums(rng, nb):
+        B = np.zeros(nb)
+        IB = np.zeros(nb)
+        Q = np.empty((T, nb))
+        P = np.empty((T, nb))
+        for j, (h, count) in enumerate(schedule):
+            for _ in range(count):
+                dB, kick = _increments(rng, method, h, nb)
+                IB += B * h + kick
+                B += dB
+            bR, bI = _center(eq, B, IB)
+            Q[j] = bR + bI
+            P[j] = hbar_s2 * bI
         Q2 = Q * Q
-        return {
-            "q": Q.sum(axis=0), "q2": Q2.sum(axis=0),
-            "q4": (Q2 * Q2).sum(axis=0),
-            "p2": (P * P).sum(axis=0), "p4": (P ** 4).sum(axis=0),
-            "q2outer": Q2.T @ Q2,
-        }
+        P2 = P * P
+        return np.concatenate([Q.sum(1), Q2.sum(1), (Q2 * Q2).sum(1),
+                               P2.sum(1), (P2 * P2).sum(1), (Q2 @ Q2.T).ravel()])
 
-    tasks = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, tasks))
-    else:
-        partials = [run_block(t) for t in tasks]
-
-    def reduce(key, shape):
-        stacked = np.stack([p[key] for p in partials])
-        flat = stacked.reshape(len(partials), -1)
-        out = np.array([math.fsum(flat[:, j]) for j in range(flat.shape[1])])
-        return out.reshape(shape)
+    sums = np.array(run_blocks(n_traj, _TRAJ_BLOCK, seed, workers, block_sums))
+    sum_q, sum_q2, sum_q4, sum_p2, sum_p4 = sums[:5 * T].reshape(5, T)
+    outer = sums[5 * T:].reshape(T, T)
 
     n = n_traj
-    sum_q = reduce("q", (T,))
-    sum_q2 = reduce("q2", (T,))
-    sum_q4 = reduce("q4", (T,))
-    sum_p2 = reduce("p2", (T,))
-    sum_p4 = reduce("p4", (T,))
-    outer = reduce("q2outer", (T, T))
-
     mean_q = sum_q / n
     mean_q2 = sum_q2 / n
     mean_p2 = sum_p2 / n

@@ -161,6 +161,13 @@ def test_exit_code_nonfinite_list_value(capsys):
         main(["diffuse", "--sphere-radius", "1e-5", "--times", "nan,10"])
     assert err.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+    # unit-suffixed quantities
+    for flag, value in (("--t-end", "1e400"), ("--t-end", "inf"),
+                        ("--dt", "nan"), ("--dt", "1e400s")):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--s-inf", "1e-6", "--tau-s", "1", flag, value])
+        assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_exit_code_missing_subcommand(capsys):
@@ -172,6 +179,12 @@ def test_exit_code_precondition(capsys):
                               "--temperature", "4.2K"])
     assert rc == 3
     assert "pressure" in err
+    for workers in ("0", "-2"):
+        rc, out, err = run(capsys, ["simulate", "--n-traj", "300", "--s-inf",
+                                    "1e-6", "--tau-s", "1", "--dt", "0.02",
+                                    "--t-end", "1", "--workers", workers])
+        assert rc == 3 and out == ""
+        assert "workers" in err
 
 
 def test_exit_code_body_needed(capsys):

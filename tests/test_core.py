@@ -52,6 +52,11 @@ def test_convert_unit_rejects_cross_dimension():
         convert_unit(1.0, "Torr", "s")
     with pytest.raises(ValidationError, match="furlong"):
         convert_unit(1.0, "furlong", "cm")
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            convert_unit(value, "s", "s")
+    with pytest.raises(ValidationError):
+        convert_unit(1e305, "day", "s")      # overflows in the conversion
 
 
 def test_sphere_derived_quantities():

@@ -95,6 +95,20 @@ def test_disc_translation_factors_match_bessel_forms():
     assert f_disc_perp(DiscAspect(1e-4, 1e-4)).value == pytest.approx(1.0, abs=1e-7)
 
 
+def test_disc_edge_small_beta_series():
+    # e^{-2} I1(2) [beta sqrt(pi) erf(beta) - 1 + e^{-beta^2}] / beta^2 at
+    # alpha = 1, evaluated with mpmath at 50 digits
+    mp_values = {1e-4: 0.21526928889015551113,
+                 1e-6: 0.21526928924890178094,
+                 1e-8: 0.21526928924893765557}
+    for beta, expected in mp_values.items():
+        assert f_disc_edge(DiscAspect(1.0, beta)).value == pytest.approx(
+            expected, rel=1e-12), beta
+    # the closed form keeps its bytes from beta = 0.1 up
+    assert f_disc_edge(DiscAspect(1.0, 0.25)).value == 0.21305462085713198
+    assert f_disc_edge(DiscAspect(1.0, 1.0)).value == 0.1854604571103058
+
+
 def test_disc_translation_factors_reject_alpha_outside_window():
     for f in (f_disc_perp, f_disc_edge):
         assert 0.0 < f(DiscAspect(1e4, 1.0)).value < 1e-8
@@ -103,6 +117,11 @@ def test_disc_translation_factors_reject_alpha_outside_window():
         for alpha in (2e4, 1e-200):
             with pytest.raises(ValidationError, match="alpha"):
                 f(DiscAspect(alpha, 1.0))
+        # beta^2 underflows: the thickness factor takes its beta -> 0 limit
+        assert f(DiscAspect(1.0, 1e-200)).value == f(DiscAspect(1.0, 1e-9)).value
+    # alpha^4 underflows in the rotation prefactor
+    with pytest.raises(ValidationError, match="prefactor"):
+        f_rot_disc(DiscAspect(1e-100, 1e-100))
 
 
 @pytest.mark.parametrize("alpha,beta", [(math.inf, 1.0), (1.0, math.inf),

@@ -30,6 +30,11 @@ def test_oracle_worker_count_invariance():
                              block_size=50_000, workers=4)
     assert seq.value == par.value
     assert seq.est_error == par.est_error
+    # a partial last block: 230_001 = 4 x 50_000 + 30_001
+    runs = [f_mc_oracle_aspect(aspect, "translate-edge", n_samples=230_001,
+                               seed=6, block_size=50_000, workers=w)
+            for w in (1, 2, 4)]
+    assert len({(r.value, r.est_error) for r in runs}) == 1
 
 
 def test_oracle_error_shrinks_with_samples():
@@ -51,3 +56,7 @@ def test_oracle_mode_validation():
         f_mc_oracle(sphere, grw, "spin", n_samples=1000)
     with pytest.raises(ValidationError):
         f_mc_oracle(sphere, grw, "translate", n_samples=1000, seed=-1)
+    for kw in ({"block_size": 0}, {"block_size": -5}, {"workers": 0},
+               {"workers": -2}):
+        with pytest.raises(ValidationError):
+            f_mc_oracle(sphere, grw, "translate", n_samples=1000, **kw)

@@ -103,6 +103,25 @@ def test_ensemble_validations(eq_ref):
     stats = simulate_ensemble(eq_ref, n_traj=200, dt=eq_ref.tau_s,
                               t_end=3 * eq_ref.tau_s, method="exact-b15")
     assert len(stats.times) == 3
+    tau = eq_ref.tau_s
+    ok = dict(n_traj=200, dt=tau / 50, t_end=tau)
+    bad_calls = [
+        (dict(ok, workers=0), "workers"), (dict(ok, workers=-2), "workers"),
+        (dict(ok, t_end=math.inf), "finite"), (dict(ok, t_end=math.nan), "finite"),
+        (dict(ok, dt=math.nan), "finite"), (dict(ok, dt=math.inf), "finite"),
+        (dict(ok, sample_times=[]), "empty"),
+        (dict(ok, sample_times=[math.nan]), "grid"),
+        (dict(ok, sample_times=[math.inf]), "grid"),
+        (dict(ok, dt=1e-300, t_end=1e10, method="exact-b15"), "overflows"),
+        # Euler-Maruyama work n_traj x steps: 1e12
+        (dict(ok, n_traj=1_000_000, t_end=20_000 * tau), "work limit"),
+        # 6000 sample times: a 6000 x 6000 covariance per block
+        (dict(ok, t_end=6000 * tau, method="exact-b15", dt=tau,
+              sample_times=[k * tau for k in range(1, 6001)]), "covariance"),
+    ]
+    for kw, match in bad_calls:
+        with pytest.raises(ValidationError, match=match):
+            simulate_ensemble(eq_ref, **kw)
 
 
 def test_ensemble_zero_mean_and_growth_law(eq_ref):
@@ -148,6 +167,13 @@ def test_ensemble_determinism_and_worker_invariance(eq_ref):
     assert a == c
     d = simulate_ensemble(eq_ref, n_traj=500, dt=tau / 50, t_end=2 * tau, seed=8)
     assert a != d
+    # 9000 trajectories: two full blocks of 4096 and a partial one
+    for method in ("euler-maruyama", "exact-b15"):
+        kw = dict(n_traj=9000, dt=tau / 50, t_end=tau, method=method)
+        same = simulate_ensemble(eq_ref, seed=3, **kw)
+        for w in (1, 2, 4):
+            assert simulate_ensemble(eq_ref, seed=3, workers=w, **kw) == same
+        assert simulate_ensemble(eq_ref, seed=4, **kw) != same
 
 
 def test_euler_strong_order_against_exact_paths(eq_ref):
@@ -217,6 +243,12 @@ def test_single_trajectory_paths(eq_ref):
     assert var == pytest.approx(expect, rel=0.3)
     with pytest.raises(ValidationError):
         single_trajectory(eq_ref, dt=tau, t_end=2 * tau)   # EM needs small dt
+    for kw, match in ((dict(dt=tau / 100, t_end=math.inf), "finite"),
+                      (dict(dt=math.nan, t_end=tau), "finite"),
+                      (dict(dt=tau / 100, t_end=tau, seed=-1), "seed"),
+                      (dict(dt=tau / 100, t_end=1e6 * tau), "path limit")):
+        with pytest.raises(ValidationError, match=match):
+            single_trajectory(eq_ref, **kw)
 
 
 def test_stats_csv_header(eq_ref):
@@ -225,3 +257,55 @@ def test_stats_csv_header(eq_ref):
     text = stats_to_csv(stats)
     assert text.splitlines()[0] == \
         "t_s,mean_Q,mean_sq_Q,se_mean_sq_Q,mean_sq_P,se_mean_sq_P"
+
+
+# ---------------------------------------------------------------------------
+# the shared engine: schemes, streams and limits
+
+def test_exact_ensemble_steps_between_sample_times(eq_ref):
+    # exact-b15 draws one increment per sample interval, whatever dt is
+    tau = eq_ref.tau_s
+    kw = dict(n_traj=5000, t_end=10 * tau, seed=12, method="exact-b15",
+              sample_times=[tau, 3 * tau, 10 * tau])
+    coarse = simulate_ensemble(eq_ref, dt=tau / 60, **kw)
+    fine = simulate_ensemble(eq_ref, dt=tau / 600, **kw)
+    assert coarse == fine
+
+
+def test_euler_maruyama_matches_the_reference_loop(eq_ref):
+    # the scheme as a plain loop over (b_R, b_I), on the same random stream
+    from cslwalk.wavepacket import single_trajectory
+    s, tau = eq_ref.s_inf, eq_ref.tau_s
+    dt = tau / 100
+    noise = 0.5 * s / math.sqrt(tau)
+
+    def reference(seed, n, steps):
+        rng = np.random.default_rng([seed, 0])
+        bR, bI = np.zeros(n), np.zeros(n)
+        out = [(bR.copy(), bI.copy())]
+        for _ in range(steps):
+            dB = math.sqrt(dt) * rng.standard_normal(n)
+            bR += bI * (dt / tau) + noise * dB
+            bI += noise * dB
+            out.append((bR.copy(), bI.copy()))
+        return out
+
+    path = single_trajectory(eq_ref, dt=dt, t_end=50 * tau, seed=9)
+    bR = np.array([p.b_real for p in path])
+    bI = np.array([p.b_imag for p in path])
+    assert [p.t for p in path] == [k * dt for k in range(len(path))]
+    ref = reference(9, 1, 5000)
+    scale = max(np.abs(bR).max(), np.abs(bI).max())
+    assert np.abs(bR - [r[0][0] for r in ref]).max() <= 1e-12 * scale
+    assert np.abs(bI - [r[1][0] for r in ref]).max() <= 1e-12 * scale
+    # b_R picks up b_I dt / tau plus the same kick as b_I
+    resid = np.diff(bR) - bI[:-1] * (dt / tau) - np.diff(bI)
+    assert np.abs(resid).max() <= 1e-9 * scale
+
+    # one block of 100 trajectories, sampled at 1 and 2 tau
+    stats = simulate_ensemble(eq_ref, n_traj=100, dt=dt, t_end=2 * tau, seed=5,
+                              sample_times=[tau, 2 * tau])
+    ref = reference(5, 100, 200)
+    for j, k in enumerate((100, 200)):
+        q = ref[k][0] + ref[k][1]
+        assert stats.mean_sq_Q[j] == pytest.approx(np.mean(q * q), rel=1e-12)
