@@ -268,15 +268,28 @@ def fig2_dataset(a_range, lambda_inv_range, which=DEFAULT_MAP_IDS) -> Constraint
     for cid in ids:
         if cid not in CONSTRAINT_LINES:
             raise ValidationError(f"unknown constraint id {cid!r}")
-    passed = []
-    for lga in la:
-        row = []
-        for lgl in ll:
-            res = evaluate_constraints(10.0 ** lgl, 10.0 ** lga, which=ids)
-            row.append(tuple(res[cid] for cid in ids))
-        passed.append(tuple(row))
+    # 10.0 ** v and a ** a_power are the Python pow calls evaluate_constraints
+    # makes; the product and the comparison are the same IEEE operations on
+    # the whole lattice, so every mask bit equals the per-point one.
+    a_vals = [10.0 ** v for v in la]
+    lam_vals = [10.0 ** v for v in ll]
+    if not all(v > 0 for v in a_vals + lam_vals):
+        raise ValidationError("lambda_inv and a must be positive")
+    lam = np.array(lam_vals)
+    distinct = list(dict.fromkeys(ids))
+    code = np.zeros((len(la), len(ll)), dtype=np.int64)
+    for bit, cid in enumerate(distinct):
+        line = CONSTRAINT_LINES[cid]
+        with np.errstate(over="ignore"):     # inf, as the float product gives
+            value = np.array([a ** line.a_power for a in a_vals])[:, None] * lam
+        ok = value > line.threshold if line.sense == "min" else value < line.threshold
+        code |= ok.astype(np.int64) << bit
+    # one shared tuple per pass/fail pattern instead of one per lattice point
+    patterns = [tuple(bool(c >> distinct.index(cid) & 1) for cid in ids)
+                for c in range(2 ** len(distinct))]
+    passed = tuple(tuple(map(patterns.__getitem__, row)) for row in code.tolist())
     return ConstraintMap(log10_a=tuple(la), log10_lambda_inv=tuple(ll),
-                         ids=ids, passed=tuple(passed))
+                         ids=ids, passed=passed)
 
 
 def map_to_csv(cmap: ConstraintMap, path=None) -> str:

@@ -68,6 +68,8 @@ class DiffusionCurve:
     params_used: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(math.isfinite(t) and math.isfinite(rms) for t, rms in self.samples):
+            raise ValidationError("samples must be finite")
         if any(s[1] < 0 for s in self.samples):
             raise ValidationError("rms values must be nonnegative")
         ordered = sorted(self.samples)
@@ -83,8 +85,8 @@ def csl_rms_translation(csl: CslParams, f: float, t: float,
     body's mass and density (geometry enters only through f).
     `initial_term` is the caller's <(Q + P t / M)^2>(0) contribution in cm^2.
     """
-    if t < 0 or initial_term < 0:
-        raise ValidationError("t and initial_term must be nonnegative")
+    if not (0 <= t < math.inf and 0 <= initial_term < math.inf):
+        raise ValidationError("t and initial_term must be finite and nonnegative")
     if not 0.0 <= f <= 1.0:
         raise ValidationError("translation factor f must lie in [0, 1]")
     m = constants.m_nucleon
@@ -98,10 +100,10 @@ def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
 
     sqrt(initial_term + lam (hbar / m a^2)^2 f_rot t^3 / 12).
     """
-    if t < 0 or initial_term < 0:
-        raise ValidationError("t and initial_term must be nonnegative")
-    if f_rot < 0:
-        raise ValidationError("rotation factor must be nonnegative")
+    if not (0 <= t < math.inf and 0 <= initial_term < math.inf):
+        raise ValidationError("t and initial_term must be finite and nonnegative")
+    if not 0 <= f_rot < math.inf:
+        raise ValidationError("rotation factor must be finite and nonnegative")
     scale = constants.hbar / (constants.m_nucleon * csl.a ** 2)
     growth = csl.lam * scale ** 2 * f_rot * t ** 3 / 12.0
     return math.sqrt(initial_term + growth)
@@ -132,8 +134,8 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
     xi = float(xi)
     if xi < 0:
         raise ValidationError("xi must be nonnegative")
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValidationError("t must be finite and nonnegative")
     M = body.mass()
     kT = constants.k_boltzmann * env.temperature
     if csl is None:
@@ -178,8 +180,8 @@ def qm_baseline_translation(body: Body, t: float, constants=CONSTANTS) -> float:
     """
     if not isinstance(body, Sphere):
         raise ValidationError("the translation baseline is defined for a sphere")
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValidationError("t must be finite and nonnegative")
     return constants.hbar * t / (body.mass() * 4.0 * body.radius)
 
 
@@ -191,8 +193,8 @@ def qm_baseline_rotation(body: Body, t: float, constants=CONSTANTS) -> float:
     """
     if not isinstance(body, Disc):
         raise ValidationError("the rotation baseline is defined for a disc")
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValidationError("t must be finite and nonnegative")
     return 8.0 * constants.hbar * t / (
         math.pi ** 2 * body.density * body.thickness * body.radius ** 4)
 
@@ -237,8 +239,8 @@ def equilibrium_series_rms(eq: WavepacketEquilibrium, t: float) -> float:
     carries the same coefficient as csl_rms_translation, which it must:
     s_inf^2 / (12 tau_s^3) = lam hbar^2 f / (6 m^2 a^2).
     """
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValidationError("t must be finite and nonnegative")
     x = t / eq.tau_s
     return eq.s_inf * math.sqrt(1.0 + x + x * x / 2.0 + x ** 3 / 12.0)
 
@@ -267,8 +269,8 @@ def diffusion_curve(mechanism: str, mode: str, times, *, csl=None, f=None,
                     constants=CONSTANTS) -> DiffusionCurve:
     """Evaluate one rms-vs-time curve for the requested mechanism/mode."""
     times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise ValidationError("times must be nonnegative")
+    if not all(0 <= t < math.inf for t in times):
+        raise ValidationError("times must be finite and nonnegative")
     samples = []
     for t in times:
         if mechanism == "csl" and mode == "translation":

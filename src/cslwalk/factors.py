@@ -10,9 +10,10 @@ Conventions: x = R/a for the sphere; for the disc alpha = L/(2a) and
 beta = b/(2a).  The sphere and both disc translation factors are closed
 forms (method "analytic", est_error 0); the disc rotation factor is a
 quadrature that targets 1e-6 relative error and reports its achieved error
-estimate.  Every factor here is cross-checkable against the Monte Carlo
-oracle in :mod:`cslwalk.oracle`, which integrates the defining volume
-integrals directly.
+estimate, or, for a disc small against a, its small-body limit with a bound
+on the next-order term.  Every factor here is cross-checkable against the
+Monte Carlo oracle in :mod:`cslwalk.oracle`, which integrates the defining
+volume integrals directly.
 
 Importing this module loads numpy but not scipy: only the rotation factor
 needs scipy.special, and it imports it on its first call.
@@ -220,6 +221,10 @@ def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
     return (f1, f2, f3), (e1, e2, e3)
 
 
+# alpha^2 + beta^2 at or below which f_rot_disc is the small-body limit
+_SMALL_BODY_SIZE = 1.0e-8
+
+
 def f_rot_disc(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
     """Rotation factor of a disc spinning about an in-plane diameter.
 
@@ -228,7 +233,8 @@ def f_rot_disc(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
     [4 / ((1 + beta^2/3alpha^2) beta alpha^4)]^2.  This normalization is
     pinned against the Monte Carlo oracle of the defining volume integral;
     in the small-body limit it reduces exactly to
-    small_body_rotation_limit.
+    small_body_rotation_limit, which is returned (method "analytic",
+    est_error (4/3)(alpha^2 + beta^2)) when alpha^2 + beta^2 <= 1e-8.
     """
     al, be = aspect.alpha, aspect.beta
     try:
@@ -238,6 +244,15 @@ def f_rot_disc(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
     if pref == math.inf:
         raise ValidationError(f"alpha = {al:.3g}, beta = {be:.3g}: the rotation "
                               "prefactor leaves the floating-point range")
+    size = al * al + be * be
+    if size <= _SMALL_BODY_SIZE:
+        # The quadrature cancels here; at alpha = beta = 1e-6 it does not converge.
+        # f = limit + c(beta/alpha) (alpha^2 + beta^2) + O((alpha^2 + beta^2)^2)
+        # with c(r) = -(r^2 - 3)(3r^4 + 5r^2 - 40) / (10 (r^2 + 1)(r^2 + 3)^2)
+        # from the next order of the Gaussian in the defining integral, and
+        # |c| <= 4/3 (its r -> 0 value).
+        return FactorResult(small_body_rotation_limit(aspect), "analytic",
+                            est_error=4.0 / 3.0 * size)
     (f1, f2, f3), (e1, e2, e3) = _rot_surface_pieces(aspect, rel_tol)
     value = pref * (f1 + f2 + f3)
     err = pref * (e1 + e2 + e3)

@@ -4,8 +4,11 @@ Evaluates the defining double volume integrals directly by uniform pair
 sampling, with no shared code or algebra with the quadrature route in
 :mod:`cslwalk.factors` — the two must agree within combined errors, which
 is the central cross-check of the factor machinery.  Pairs are drawn by
-:func:`cslwalk._blocks.run_blocks`, so a result depends only on (seed,
-n_samples, block_size) and not on the worker count.
+:func:`cslwalk._blocks.run_blocks`; inside each block they are drawn and
+reduced in sub-blocks of a constant 2^13 pairs, one array per coordinate,
+so memory traffic stays in cache; disc points are drawn by rejection from
+the square.  A result depends only on (seed, n_samples, block_size) and not
+on the worker count.
 """
 
 from __future__ import annotations
@@ -24,39 +27,49 @@ __all__ = ["f_mc_oracle", "f_mc_oracle_aspect"]
 _MODES = ("translate", "translate-perp", "translate-edge", "rotate")
 
 
-def _sample_sphere(rng, n: int, R: float) -> np.ndarray:
-    v = rng.normal(size=(n, 3))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    r = R * rng.uniform(0.0, 1.0, n) ** (1.0 / 3.0)
-    return v * r[:, None]
+# Pairs drawn and reduced at a time inside a block: each array is 64 KiB, so a
+# sub-block's temporaries stay in cache.  At 2^15 pairs two workers ran no
+# faster than one (2-vCPU Xeon VM); at 2^13 they ran 1.7x faster.  A constant,
+# so the random stream depends on nothing but (seed, n_samples, block_size).
+_SUB_BLOCK = 2 ** 13
 
 
-def _sample_disc(rng, n: int, L: float, b: float) -> np.ndarray:
-    # axis order: [thickness (symmetry axis), in-plane, in-plane (rotation axis)]
-    z0 = rng.uniform(-b / 2.0, b / 2.0, n)
-    s = L * np.sqrt(rng.uniform(0.0, 1.0, n))
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    return np.column_stack([z0, s * np.cos(phi), s * np.sin(phi)])
+def _sample(geom: dict, rng, n: int):
+    """Coordinates (x0, x1, x2) of n uniform points in the body.
 
-
-def _block_values(geom: dict, mode: str, rng, n: int) -> np.ndarray:
-    a2 = geom["a"] ** 2
+    Axis order for the disc: thickness (symmetry axis), in-plane, in-plane
+    (rotation axis).
+    """
     if geom["shape"] == "sphere":
-        z = _sample_sphere(rng, n, geom["R"])
-        zp = _sample_sphere(rng, n, geom["R"])
-    else:
-        z = _sample_disc(rng, n, geom["L"], geom["b"])
-        zp = _sample_disc(rng, n, geom["L"], geom["b"])
-    d = z - zp
-    phi = np.exp(-np.einsum("ij,ij->i", d, d) / (4.0 * a2))
+        x0, x1, x2 = rng.standard_normal((3, n))
+        r = geom["R"] * np.cbrt(rng.random(n)) / np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        return x0 * r, x1 * r, x2 * r
+    # in-plane points by rejection from the square, which keeps pi/4 of the
+    # draws and needs no sqrt, cos or sin
+    u = v = np.empty(0)
+    while u.size < n:
+        m = n - u.size
+        du, dv = 2.0 * rng.random((2, m + m // 3 + 16)) - 1.0
+        inside = du * du + dv * dv < 1.0
+        u, v = np.concatenate((u, du[inside])), np.concatenate((v, dv[inside]))
+    b, L = geom["b"], geom["L"]
+    return b * rng.random(n) - 0.5 * b, L * u[:n], L * v[:n]
+
+
+def _pair_values(geom: dict, mode: str, rng, n: int) -> np.ndarray:
+    a2 = geom["a"] ** 2
+    x0, x1, x2 = _sample(geom, rng, n)
+    y0, y1, y2 = _sample(geom, rng, n)
+    d0, d1, d2 = x0 - y0, x1 - y1, x2 - y2
+    phi = np.exp((d0 * d0 + d1 * d1 + d2 * d2) * (-0.25 / a2))
     if mode == "rotate":
         # components perpendicular to the rotation axis (axis index 2)
-        dot = z[:, 0] * zp[:, 0] + z[:, 1] * zp[:, 1]
-        cross = z[:, 0] * zp[:, 1] - z[:, 1] * zp[:, 0]
+        dot = x0 * y0 + x1 * y1
+        cross = x0 * y1 - x1 * y0
         pref = 2.0 * (geom["a"] * geom["m_over_i"]) ** 2
-        return pref * (dot - cross ** 2 / (2.0 * a2)) * phi
-    axis = {"translate": 0, "translate-perp": 0, "translate-edge": 1}[mode]
-    return phi * (1.0 - d[:, axis] ** 2 / (2.0 * a2))
+        return pref * (dot - cross * cross * (0.5 / a2)) * phi
+    d = d1 if mode == "translate-edge" else d0
+    return phi * (1.0 - d * d * (0.5 / a2))
 
 
 def _run_oracle(geom: dict, mode: str, n_samples: int, seed: int,
@@ -69,8 +82,12 @@ def _run_oracle(geom: dict, mode: str, n_samples: int, seed: int,
         raise ValidationError("seed must be a nonnegative integer")
 
     def block_sums(rng, size):
-        vals = _block_values(geom, mode, rng, size)
-        return vals.sum(), np.dot(vals, vals)
+        sums, sqs = [], []
+        for start in range(0, size, _SUB_BLOCK):
+            vals = _pair_values(geom, mode, rng, min(_SUB_BLOCK, size - start))
+            sums.append(vals.sum())
+            sqs.append(vals @ vals)
+        return math.fsum(sums), math.fsum(sqs)
 
     n = n_samples
     total, total_sq = run_blocks(n, block_size, seed, workers, block_sums)

@@ -43,7 +43,7 @@ _TRAJ_BLOCK = 4096   # fixed block size keeps results worker-count independent
 # Limits, each over 100x every documented call; times from a 2-vCPU Xeon VM.
 _MAX_PATH_STEPS = 4_000_000_000   # n_traj x steps: ~2 min on one core
 _MAX_COV_FLOATS = 2 ** 25         # blocks x samples^2 held for the reduction
-_MAX_PATH_LEN = 10_000_000        # single_trajectory steps: ~2 GB of states
+_MAX_PATH_LEN = 10_000_000        # single_trajectory steps: ~1.4 GB of states
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
 # ---------------------------------------------------------------------------
 # drift SDE ensemble
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryState:
     """One packet-center state along a single sample path.
 
@@ -207,7 +207,8 @@ def single_trajectory(eq: WavepacketEquilibrium, dt: float, t_end: float,
     Uses the increments and preconditions of simulate_ensemble, summed
     along the path with cumsum.  Every step is a sample here, so both
     schemes cost one increment per step.  The path holds round(t_end/dt) + 1
-    states, at most 1e7 (about 2 GB of TrajectoryState objects).
+    states, at most 1e7 (about 1.4 GB: 136 B per state, its three floats
+    and its list slot included).
     """
     steps = _grid_steps(eq, dt, t_end, method, seed)
     if steps > _MAX_PATH_LEN:

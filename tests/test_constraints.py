@@ -163,6 +163,24 @@ def test_map_grid_size_and_csv():
     assert row == ["-5,16,1,0,1,1,0"]
 
 
+def test_map_equals_the_per_point_bounds():
+    # the broadcast lattice against evaluate_constraints at every point,
+    # with a repeated id and a subset of the bounds
+    la = [-7.0, -4.25, -2.5, -1.0, 0.0]
+    ll = [0.0, 9.5, 12.0, 16.0, 22.0]
+    # at log10 a = -2.5, log10 lambda_inv = 12, rot-null reads exactly 1e2,
+    # which is not > 1e2
+    assert 10.0 ** 12.0 * (10.0 ** -2.5) ** 4 == 100.0
+    for which in (DEFAULT_MAP_IDS, tuple(CONSTRAINT_LINES),
+                  ("rot-null", "ge-radiation", "rot-null"), ()):
+        cmap = fig2_dataset(la, ll, which=which)
+        for i, lga in enumerate(la):
+            for j, lgl in enumerate(ll):
+                res = evaluate_constraints(10.0 ** lgl, 10.0 ** lga, which=which)
+                assert cmap.passed[i][j] == tuple(res[cid] for cid in which)
+    assert fig2_dataset([-2.5], [12.0], which=("rot-null",)).passed == (((False,),),)
+
+
 def test_map_rejects_bad_grids():
     with pytest.raises(ValidationError):
         fig2_dataset([], [1.0])
@@ -170,6 +188,10 @@ def test_map_rejects_bad_grids():
         fig2_dataset([-5.0, -5.0], [1.0, 2.0])
     with pytest.raises(ValidationError):
         fig2_dataset([-5.0], [1.0], which=("bogus",))
+    for grids in (([-5.0, math.nan], [1.0]), ([-5.0], [1.0, math.nan]),
+                  ([-5.0], [-400.0])):
+        with pytest.raises(ValidationError):
+            fig2_dataset(*grids)
 
 
 def test_map_boundaries_and_metadata():

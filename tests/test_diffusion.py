@@ -12,7 +12,8 @@ from cslwalk import (CONSTANTS, CslParams, Disc, Environment, Sphere,
                      thermal_rms, time_to_rotation, vacuum_diffusion_table,
                      xi_molecular, xi_slip_corrected)
 from cslwalk.brownian import SLIP_SPECULAR
-from cslwalk.diffusion import WavepacketEquilibrium, curve_to_csv, diffusion_curve
+from cslwalk.diffusion import (DiffusionCurve, WavepacketEquilibrium, curve_to_csv,
+                               diffusion_curve)
 
 from conftest import matches_1sf
 
@@ -53,6 +54,36 @@ def test_translation_rejects_bad_inputs(grw):
         csl_rms_translation(grw, 1.5, 1.0)
     with pytest.raises(ValidationError):
         csl_rms_translation(grw, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_entry_points_reject_nonfinite_inputs(grw, bad):
+    sphere, disc = Sphere(1e-5, 1.0), Disc(2e-5, 0.5e-5, 1.0)
+    eq = WavepacketEquilibrium(1e-10, 1.0)
+    calls = [lambda: csl_rms_translation(grw, 1.0, bad),
+             lambda: csl_rms_translation(grw, bad, 1.0),
+             lambda: csl_rms_translation(grw, 1.0, 1.0, initial_term=bad),
+             lambda: csl_rms_rotation(grw, 0.3, bad),
+             lambda: csl_rms_rotation(grw, bad, 1.0),
+             lambda: csl_rms_rotation(grw, 0.3, 1.0, initial_term=bad),
+             lambda: combined_rms(1e-9, sphere, Environment(temperature=T0),
+                                  grw, 0.6, bad, regime="short"),
+             lambda: qm_baseline_translation(sphere, bad),
+             lambda: qm_baseline_rotation(disc, bad),
+             lambda: equilibrium_series_rms(eq, bad),
+             lambda: diffusion_curve("csl", "translation", [1.0, bad],
+                                     csl=grw, f=1.0)]
+    for k, call in enumerate(calls):
+        with pytest.raises(ValidationError):
+            call()
+            pytest.fail(f"call {k} accepted {bad}")
+
+
+def test_diffusion_curve_rejects_nan_samples():
+    for samples in (((0.0, 0.0), (1.0, math.nan)), ((math.nan, 1.0),),
+                    ((0.0, 1.0), (1.0, math.nan), (2.0, 3.0))):
+        with pytest.raises(ValidationError, match="finite"):
+            DiffusionCurve("csl", "translation", samples)
 
 
 def test_ten_micron_sphere_day_walk(grw):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -167,6 +168,34 @@ def test_f_rot_bit_identical_at_readme_inputs():
     for alpha, expected in pinned.items():
         res = f_rot_disc(DiscAspect(alpha, 0.25))
         assert (res.value, res.est_error) == expected, alpha
+
+
+def test_f_rot_bit_identical_on_wide_discs():
+    # the largest-grid cases of the symmetric half-grid quadrature, pinned
+    # before it replaced the full tensor grid
+    pinned = {(8.0, 0.05): (0.0004192052002799384, 3.7898765448372413e-19),
+              (30.0, 1.0): (1.5003842540527616e-06, 2.017544239511405e-21)}
+    for (alpha, beta), expected in pinned.items():
+        res = f_rot_disc(DiscAspect(alpha, beta))
+        assert (res.value, res.est_error) == expected, (alpha, beta)
+
+
+def test_f_rot_small_disc_is_the_small_body_limit():
+    t0 = time.perf_counter()
+    res = f_rot_disc(DiscAspect(1e-6, 1e-6))
+    assert time.perf_counter() - t0 < 0.01
+    assert res.method == "analytic"
+    assert res.est_error == pytest.approx(4.0 / 3.0 * 2e-12, rel=1e-12)
+    assert abs(res.value - 0.25) <= res.est_error
+    # the bound (4/3)(alpha^2 + beta^2) on the next-order term covers the
+    # quadrature's departure from the limit at every shape, where the
+    # quadrature still converges
+    size = 3e-3
+    for ratio in (0.01, 0.1, 0.5, 1.0, math.sqrt(3.0), 4.0, 10.0, 100.0):
+        al = size / math.sqrt(1.0 + ratio ** 2)
+        aspect = DiscAspect(al, ratio * al)
+        dev = abs(f_rot_disc(aspect).value - small_body_rotation_limit(aspect))
+        assert dev <= 4.0 / 3.0 * size ** 2, ratio
 
 
 def test_f_rot_piece_signs():

@@ -24,6 +24,14 @@ def test_integrate_2d_separable():
                           0.0, 30.0, panel_hint=1.0)
     # int over square ~ sqrt(pi) * L - 1 for L >> 1
     assert val == pytest.approx(math.sqrt(math.pi) * 30.0 - 1.0, rel=1e-4)
+    assert integrate_2d(lambda x, y: x * y, 1.0, 1.0, 1.0, 1.0) == (0.0, 0.0)
+
+
+def test_integrate_2d_rejects_a_non_square_domain():
+    # the half-grid evaluation mirrors f(x, y) into f(y, x)
+    for box in ((0.0, 1.0, 0.0, 2.0), (0.0, 1.0, 0.5, 1.5), (0.0, 1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="square"):
+            integrate_2d(lambda x, y: x * y, *box)
 
 
 def test_integrate_1d_reports_nonconvergence():

@@ -232,6 +232,9 @@ def test_single_trajectory_paths(eq_ref):
     tau = eq_ref.tau_s
     path = single_trajectory(eq_ref, dt=tau / 60, t_end=2 * tau, seed=4)
     assert path[0] == TrajectoryState(0.0, 0.0, 0.0)
+    assert not hasattr(path[0], "__dict__")      # slotted: no per-state dict
+    with pytest.raises(ValidationError, match="finite"):
+        TrajectoryState(math.nan, 0.0, 0.0)
     assert len(path) == 121
     assert path == single_trajectory(eq_ref, dt=tau / 60, t_end=2 * tau, seed=4)
     # statistics sanity on many single paths: Var(b_I(t)) = s^2 t / (4 tau)
