@@ -190,6 +190,10 @@ def _edge_box_kernel(y, yp):
     return y * yp * np.exp(-((y - yp) ** 2))
 
 
+# beta below which the edge-band integral g takes its power series
+_THIN_EDGE_BETA = 1.0e-3
+
+
 def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
     """The three surface contributions (faces, edge band, face-edge cross)
     and their quadrature error estimates, before the overall prefactor."""
@@ -206,8 +210,16 @@ def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
     f1 *= -math.expm1(-be * be)
     e1 *= -math.expm1(-be * be)
 
-    g, e2 = integrate_2d(_edge_box_kernel, -h, h, -h, h,
-                         rel_tol=rel_tol, panel_hint=1.0)
+    if be < _THIN_EDGE_BETA:
+        # g is O(h^6) but the quadrature's terms cancel to O(eps h^4), so it
+        # cannot converge on thin discs; its even series, with the first
+        # omitted term, (256/405) h^12, as the error
+        h2 = h * h
+        g = h2 ** 3 * (8.0 / 9.0 - h2 * (16.0 / 15.0 - h2 * 32.0 / 35.0))
+        e2 = 256.0 / 405.0 * h2 ** 6
+    else:
+        g, e2 = integrate_2d(_edge_box_kernel, -h, h, -h, h,
+                             rel_tol=rel_tol, panel_hint=1.0)
     band = 0.5 * al * al * i1e(2.0 * al * al)
     f2 = band * g
     e2 *= band

@@ -41,7 +41,7 @@ __all__ = [
 
 _TRAJ_BLOCK = 4096   # fixed block size keeps results worker-count independent
 # Limits, each over 100x every documented call; times from a 2-vCPU Xeon VM.
-_MAX_PATH_STEPS = 4_000_000_000   # n_traj x steps: ~2 min on one core
+_MAX_PATH_STEPS = 4_000_000_000   # n_traj x sample intervals: ~7 min on one core
 _MAX_COV_FLOATS = 2 ** 25         # blocks x samples^2 held for the reduction
 _MAX_PATH_LEN = 10_000_000        # single_trajectory steps: ~1.4 GB of states
 
@@ -176,20 +176,26 @@ def _grid_steps(eq: WavepacketEquilibrium, dt: float, t_end: float,
     return round(t_end / dt)
 
 
-def _increments(rng, method: str, h: float, n: int):
-    """One step of length h of n paths of B under each scheme.
+def _increments(rng, h: float, m, n: int):
+    """n increments of B over an interval h made of m Euler-Maruyama steps.
 
     Returns dB and the kick that IB = int B dt gets on top of the left-point
-    B h: zero for Euler-Maruyama; for exact-b15 the part of the exact joint
-    Gaussian of (dB, int dB) that is independent of B (Kloeden & Platen
-    1992, 10.4), so the step holds for an interval of any length.
+    B h.  Over m steps of dt = h/m, the chain IB += B dt, B += sqrt(dt) z
+    moves (B, IB) by an exact two-dimensional Gaussian, sampled here from two
+    normals: dB = sqrt(h) z1 and
+    kick = h^3/2 [(1 - 1/m)/2 z1 + sqrt(1 - 1/m^2)/(2 sqrt 3) z2].
+    m = 1 is one plain Euler-Maruyama step (no kick, no second normal);
+    m = inf is exact-b15, the exact joint Gaussian of (dB, int dB) (Kloeden &
+    Platen 1992, 10.4).
     """
     z1 = rng.standard_normal(n)
-    if method == "euler-maruyama":
-        return math.sqrt(h) * z1, 0.0
+    dB = math.sqrt(h) * z1
+    if m == 1:
+        return dB, 0.0
     z2 = rng.standard_normal(n)
     h32 = h ** 1.5
-    return math.sqrt(h) * z1, 0.5 * h32 * z1 + h32 / (2.0 * math.sqrt(3.0)) * z2
+    return dB, (h32 * (1.0 - 1.0 / m) / 2.0 * z1
+                + h32 * math.sqrt(1.0 - 1.0 / m ** 2) / (2.0 * math.sqrt(3.0)) * z2)
 
 
 def _center(eq: WavepacketEquilibrium, B, IB):
@@ -215,7 +221,8 @@ def single_trajectory(eq: WavepacketEquilibrium, dt: float, t_end: float,
         raise ValidationError(
             f"{steps} steps exceed the path limit of {_MAX_PATH_LEN}")
     rng = block_rng(seed, 0)   # the path is block 0 of the seed's streams
-    dB, kick = _increments(rng, method, dt, steps)
+    m = 1 if method == "euler-maruyama" else math.inf   # dt steps per interval
+    dB, kick = _increments(rng, dt, m, steps)
     B = np.concatenate(([0.0], np.cumsum(dB)))
     IB = np.concatenate(([0.0], np.cumsum(B[:-1] * dt + kick)))
     bR, bI = _center(eq, B, IB)
@@ -274,15 +281,20 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
     Each trajectory integrates db = (b_I / tau) dt + (1+i)/2 (s/sqrt(tau)) dB
     with one shared real Brownian motion B per trajectory and b(0) = 0;
     the observables are <Q> = b_R + b_I and <P> = hbar b_I / s^2.
-    'euler-maruyama' requires dt <= tau_s / 50 and steps every dt.
-    'exact-b15' samples B together with its running time integral exactly,
-    so any dt is admissible and it steps straight from one sample time to
-    the next: its cost scales with n_traj x samples, not n_traj x steps.
+    'euler-maruyama' is the chain that steps every dt, and it keeps its
+    dt <= tau_s / 50 precondition and its O(dt) bias.  'exact-b15' samples
+    B together with its running time integral exactly, so any dt is
+    admissible.  Both schemes step straight from one sample time to the
+    next: across an interval of m dt steps (m = inf for exact-b15) the change
+    of (B, int B) is an exact two-dimensional Gaussian drawn from two
+    normals per trajectory, so Euler-Maruyama samples have exactly the
+    chain's distribution and the cost scales with n_traj x samples, not
+    n_traj x steps.
 
-    Limits: n_traj x steps taken (samples for exact-b15) at most 4e9,
-    about two minutes on one core; blocks x samples^2 at most 2^25, the
-    256 MiB of covariance sums held until the reduction.  That allows up
-    to 5792 samples, where a block of 4096 trajectories needs about 1 GB.
+    Limits: n_traj x sample intervals at most 4e9, about seven minutes on
+    one core; blocks x samples^2 at most 2^25, the 256 MiB of covariance
+    sums held until the reduction.  That allows up to 5792 samples, where a
+    block of 4096 trajectories needs about 1 GB.
 
     Results are bit-identical for fixed (seed, n_traj, dt, t_end, method,
     sample_times) for any `workers` count: trajectories run in blocks of
@@ -295,12 +307,12 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
     times, ks = _sample_schedule(steps, dt, sample_times)
     T = len(times)
     if method == "euler-maruyama":
-        schedule = [(dt, k - k0) for k0, k in zip([0] + ks, ks)]
+        schedule = [((k - k0) * dt, k - k0) for k0, k in zip([0] + ks, ks)]
     else:
-        schedule = [(t - t0, 1) for t0, t in zip([0.0] + times, times)]
-    if n_traj * sum(c for _, c in schedule) > _MAX_PATH_STEPS:
-        raise ValidationError(
-            f"n_traj x steps exceeds the work limit of {_MAX_PATH_STEPS:.0e}")
+        schedule = [(t - t0, math.inf) for t0, t in zip([0.0] + times, times)]
+    if n_traj * T > _MAX_PATH_STEPS:
+        raise ValidationError(f"n_traj x sample intervals exceeds the work "
+                              f"limit of {_MAX_PATH_STEPS:.0e}")
     if math.ceil(n_traj / _TRAJ_BLOCK) * T * T > _MAX_COV_FLOATS:
         raise ValidationError(f"{T} sample times need too large a covariance "
                               f"for {n_traj} trajectories")
@@ -311,11 +323,10 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
         IB = np.zeros(nb)
         Q = np.empty((T, nb))
         P = np.empty((T, nb))
-        for j, (h, count) in enumerate(schedule):
-            for _ in range(count):
-                dB, kick = _increments(rng, method, h, nb)
-                IB += B * h + kick
-                B += dB
+        for j, (h, m) in enumerate(schedule):
+            dB, kick = _increments(rng, h, m, nb)
+            IB += B * h + kick
+            B += dB
             bR, bI = _center(eq, B, IB)
             Q[j] = bR + bI
             P[j] = hbar_s2 * bI

@@ -71,17 +71,17 @@ def test_boundary_slopes():
 
 def test_lambda_gravitational_value():
     lam_g = lambda_gravitational(1e-5)
-    assert lam_g == pytest.approx(2e-23, rel=0.2)
+    assert lam_g == pytest.approx(2e-23, rel=0.2, abs=0)
     # scales as 1/a
-    assert lambda_gravitational(2e-5) == pytest.approx(lam_g / 2, rel=1e-12)
+    assert lambda_gravitational(2e-5) == pytest.approx(lam_g / 2, rel=1e-12, abs=0)
 
 
 def test_lambda_gravitational_extended_modes():
     lam_g = lambda_gravitational(1e-5)
     assert lambda_gravitational(1e-5, "sphere", size=1e-4) == pytest.approx(
-        lam_g * 1e-3, rel=1e-12)
+        lam_g * 1e-3, rel=1e-12, abs=0)
     assert lambda_gravitational(1e-5, "disc", size=1e-4) == pytest.approx(
-        lam_g * 1e-5, rel=1e-12)
+        lam_g * 1e-5, rel=1e-12, abs=0)
     with pytest.raises(ValidationError):
         lambda_gravitational(1e-5, "sphere")
 
@@ -122,10 +122,12 @@ def test_free_electron_emission_rate():
     # at the canonical parameters: 8.1e-38 counts/(s keV) at 1 keV,
     # falling as 1/E
     r1 = fu_radiation_rate(1.0, 1e-16, 1e-5)
-    assert r1 == pytest.approx(8.1e-38, rel=0.05)
-    assert fu_radiation_rate(2.0, 1e-16, 1e-5) == pytest.approx(r1 / 2, rel=1e-12)
+    assert r1 == pytest.approx(8.1e-38, rel=0.05, abs=0)
+    assert fu_radiation_rate(2.0, 1e-16, 1e-5) == pytest.approx(
+        r1 / 2, rel=1e-12, abs=0)
     # rate scales as lam / a^2
-    assert fu_radiation_rate(1.0, 2e-16, 1e-5) == pytest.approx(2 * r1, rel=1e-12)
+    assert fu_radiation_rate(1.0, 2e-16, 1e-5) == pytest.approx(
+        2 * r1, rel=1e-12, abs=0)
 
 
 def test_detector_rate_and_threshold():

@@ -30,7 +30,7 @@ def test_constants_reject_nonpositive():
     (300.0, "K", "K", 300.0),
 ])
 def test_convert_unit_values(value, src, dst, expected):
-    assert convert_unit(value, src, dst) == pytest.approx(expected, rel=1e-12)
+    assert convert_unit(value, src, dst) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_convert_unit_accepts_greek_mu_alias():
@@ -62,19 +62,19 @@ def test_convert_unit_rejects_cross_dimension():
 def test_sphere_derived_quantities():
     body = Sphere(radius=1e-5, density=1.0)
     d = body_derived(body)
-    assert d["V"] == pytest.approx(4.18879e-15, rel=1e-4)
-    assert d["M"] == pytest.approx(4.18879e-15, rel=1e-4)
+    assert d["V"] == pytest.approx(4.18879e-15, rel=1e-4, abs=0)
+    assert d["M"] == pytest.approx(4.18879e-15, rel=1e-4, abs=0)
     # N = (4/3) pi R^3 D / m_nucleon
     assert d["N"] == pytest.approx(2.5044e9, rel=1e-3)
-    assert d["I"] == pytest.approx(0.4 * d["M"] * 1e-10, rel=1e-12)
+    assert d["I"] == pytest.approx(0.4 * d["M"] * 1e-10, rel=1e-12, abs=0)
 
 
 def test_disc_derived_quantities():
     body = Disc(radius=2e-5, thickness=0.5e-5, density=1.0)
-    assert body.volume() == pytest.approx(math.pi * 4e-10 * 0.5e-5, rel=1e-12)
-    assert body.mass() == pytest.approx(6.2832e-15, rel=1e-4)
+    assert body.volume() == pytest.approx(math.pi * 4e-10 * 0.5e-5, rel=1e-12, abs=0)
+    assert body.mass() == pytest.approx(6.2832e-15, rel=1e-4, abs=0)
     expect_i = 0.25 * body.mass() * (2e-5) ** 2 * (1 + 0.25e-10 / (3 * 4e-10))
-    assert body.moment_of_inertia() == pytest.approx(expect_i, rel=1e-12)
+    assert body.moment_of_inertia() == pytest.approx(expect_i, rel=1e-12, abs=0)
 
 
 def test_body_scaling_properties():

@@ -46,7 +46,7 @@ def test_translation_independent_of_density(grw):
 def test_translation_initial_term(grw):
     base = csl_rms_translation(grw, 1.0, 1e3)
     with_init = csl_rms_translation(grw, 1.0, 1e3, initial_term=base ** 2)
-    assert with_init == pytest.approx(math.sqrt(2) * base, rel=1e-12)
+    assert with_init == pytest.approx(math.sqrt(2) * base, rel=1e-12, abs=0)
 
 
 def test_translation_rejects_bad_inputs(grw):
@@ -215,7 +215,7 @@ def test_combined_viscous_realm_collapse_part(grw):
         # and the combined quadrature sum is consistent with its two pieces
         brown = combined_rms(xi, body, env, None, 0.0, DAY, regime="long")
         both = combined_rms(xi, body, env, grw, f, DAY, regime="long")
-        assert both ** 2 == pytest.approx(brown ** 2 + csl_part ** 2, rel=1e-9)
+        assert both ** 2 == pytest.approx(brown ** 2 + csl_part ** 2, rel=1e-9, abs=0)
 
 
 def test_combined_viscous_realm_brownian_part():
@@ -343,7 +343,8 @@ def test_equilibrium_series_values(grw):
     eq = WavepacketEquilibrium(s_inf=4e-7, tau_s=0.7)
     assert equilibrium_series_rms(eq, 0.0) == eq.s_inf
     expect = eq.s_inf * math.sqrt(1 + 1 + 0.5 + 1 / 12)
-    assert equilibrium_series_rms(eq, eq.tau_s) == pytest.approx(expect, rel=1e-12)
+    assert equilibrium_series_rms(eq, eq.tau_s) == pytest.approx(
+        expect, rel=1e-12, abs=0)
 
 
 def test_equilibrium_series_cubic_term_matches_translation_law(grw):
@@ -354,7 +355,7 @@ def test_equilibrium_series_cubic_term_matches_translation_law(grw):
     lhs = eq.s_inf ** 2 / (12.0 * eq.tau_s ** 3)
     m = CONSTANTS.m_nucleon
     rhs = grw.lam * CONSTANTS.hbar ** 2 * f / (6.0 * m ** 2 * grw.a ** 2)
-    assert lhs == pytest.approx(rhs, rel=1e-9)
+    assert lhs == pytest.approx(rhs, rel=1e-9, abs=0)
     # so at late times the series reproduces the pure t^{3/2} walk
     # (subleading terms decay as 3 tau_s / t)
     t = 1e5 * eq.tau_s
@@ -365,13 +366,13 @@ def test_equilibrium_series_cubic_term_matches_translation_law(grw):
 def test_energy_gain_rates(grw):
     body = Sphere(1e-5, 1.0)
     rates = energy_gain_rates(grw, body, f=0.62)
-    assert rates["cm_part"] / rates["total"] == pytest.approx(0.62, rel=1e-12)
+    assert rates["cm_part"] / rates["total"] == pytest.approx(0.62, rel=1e-12, abs=0)
     full = energy_gain_rates(grw, body, f=1.0)
     assert full["cm_part"] == full["total"]
     # total = 3 lam hbar^2 N^2 / (4 M a^2): quadruples under N -> 2N at fixed M
     N, M = body.nucleon_count(), body.mass()
     manual = 3 * grw.lam * CONSTANTS.hbar ** 2 * N ** 2 / (4 * M * grw.a ** 2)
-    assert rates["total"] == pytest.approx(manual, rel=1e-12)
+    assert rates["total"] == pytest.approx(manual, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

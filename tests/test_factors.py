@@ -88,11 +88,11 @@ def test_disc_translation_factors_match_bessel_forms():
             aspect = DiscAspect(float(alpha), beta)
             thick = -math.expm1(-beta * beta) / (beta * beta)
             perp = (1.0 - (i0e(2 * x) + i1e(2 * x))) / x * thick
-            assert f_disc_perp(aspect).value == pytest.approx(perp, rel=rel)
+            assert f_disc_perp(aspect).value == pytest.approx(perp, rel=rel, abs=0)
             bracket = (beta * math.sqrt(math.pi) * math.erf(beta) - 1.0
                        + math.exp(-beta * beta)) / (beta * beta)
             edge = i1e(2 * x) / x * bracket
-            assert f_disc_edge(aspect).value == pytest.approx(edge, rel=rel)
+            assert f_disc_edge(aspect).value == pytest.approx(edge, rel=rel, abs=0)
     assert f_disc_perp(DiscAspect(1e-4, 1e-4)).value == pytest.approx(1.0, abs=1e-7)
 
 
@@ -104,7 +104,7 @@ def test_disc_edge_small_beta_series():
                  1e-8: 0.21526928924893765557}
     for beta, expected in mp_values.items():
         assert f_disc_edge(DiscAspect(1.0, beta)).value == pytest.approx(
-            expected, rel=1e-12), beta
+            expected, rel=1e-12, abs=0), beta
     # the closed form keeps its bytes from beta = 0.1 up
     assert f_disc_edge(DiscAspect(1.0, 0.25)).value == 0.21305462085713198
     assert f_disc_edge(DiscAspect(1.0, 1.0)).value == 0.1854604571103058
@@ -185,7 +185,7 @@ def test_f_rot_small_disc_is_the_small_body_limit():
     res = f_rot_disc(DiscAspect(1e-6, 1e-6))
     assert time.perf_counter() - t0 < 0.01
     assert res.method == "analytic"
-    assert res.est_error == pytest.approx(4.0 / 3.0 * 2e-12, rel=1e-12)
+    assert res.est_error == pytest.approx(4.0 / 3.0 * 2e-12, rel=1e-12, abs=0)
     assert abs(res.value - 0.25) <= res.est_error
     # the bound (4/3)(alpha^2 + beta^2) on the next-order term covers the
     # quadrature's departure from the limit at every shape, where the
@@ -196,6 +196,28 @@ def test_f_rot_small_disc_is_the_small_body_limit():
         aspect = DiscAspect(al, ratio * al)
         dev = abs(f_rot_disc(aspect).value - small_body_rotation_limit(aspect))
         assert dev <= 4.0 / 3.0 * size ** 2, ratio
+
+
+def test_f_rot_thin_disc_takes_the_edge_band_series():
+    # at beta = 1e-8 the edge-band quadrature never converged; its series
+    # continues the quadrature value at beta = 1e-5 (captured before the
+    # series existed), where the beta^2 correction is ~1e-10
+    f_rot_disc(DiscAspect(1.0, 0.25))            # scipy.special loaded
+    t0 = time.perf_counter()
+    res = f_rot_disc(DiscAspect(1.0, 1e-8))
+    assert time.perf_counter() - t0 < 0.05
+    assert res.value == pytest.approx(0.3354281312309108, rel=1e-9, abs=0)
+    assert f_rot_disc(DiscAspect(1.0, 1e-5)).value == 0.3354281312309108
+    # the edge-band series (beta < 1e-3) meets the quadrature at the switch:
+    # g / beta^6 = (1/72)(1 - (6/5) h^2 + ...) moves by < 1e-10 across it
+    from cslwalk.factors import _rot_surface_pieces
+
+    def band_over_beta6(beta):
+        (_, f2, _), _ = _rot_surface_pieces(DiscAspect(1.0, beta), 1e-6)
+        return f2 / beta ** 6
+
+    assert band_over_beta6(0.9999e-3) == pytest.approx(
+        band_over_beta6(1e-3), rel=1e-9, abs=0)
 
 
 def test_f_rot_piece_signs():

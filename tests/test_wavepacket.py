@@ -28,9 +28,9 @@ def test_equilibrium_variance_is_fixed_point(eq_ref):
     sig = equilibrium_variance(eq_ref.s_inf)
     for t in (0.1, 1.0, 25.0):
         out = sigma_closed_form(sig, eq_ref.s_inf, eq_ref.tau_s, t)
-        assert complex(out) == pytest.approx(complex(sig), rel=1e-12)
+        assert complex(out) == pytest.approx(complex(sig), rel=1e-12, abs=0)
     # physical width at equilibrium equals s_inf
-    assert packet_width_sq(sig) == pytest.approx(eq_ref.s_inf ** 2, rel=1e-12)
+    assert packet_width_sq(sig) == pytest.approx(eq_ref.s_inf ** 2, rel=1e-12, abs=0)
 
 
 def test_closed_form_relaxes_to_equilibrium(eq_ref):
@@ -38,7 +38,7 @@ def test_closed_form_relaxes_to_equilibrium(eq_ref):
     for sigma0 in (ComplexVariance(0.3 * s2), ComplexVariance(4.0 * s2 + 1j * s2)):
         out = sigma_closed_form(sigma0, eq_ref.s_inf, eq_ref.tau_s,
                                 50.0 * eq_ref.tau_s)
-        assert complex(out) == pytest.approx(s2 * (1 + 1j) / 2, rel=1e-6)
+        assert complex(out) == pytest.approx(s2 * (1 + 1j) / 2, rel=1e-6, abs=0)
 
 
 def test_closed_form_is_stable_at_huge_times(eq_ref):
@@ -46,7 +46,7 @@ def test_closed_form_is_stable_at_huge_times(eq_ref):
                             eq_ref.tau_s, 1e6 * eq_ref.tau_s)
     assert np.isfinite(complex(out).real)
     assert complex(out) == pytest.approx(
-        eq_ref.s_inf ** 2 * (1 + 1j) / 2, rel=1e-12)
+        eq_ref.s_inf ** 2 * (1 + 1j) / 2, rel=1e-12, abs=0)
 
 
 def test_ode_matches_closed_form(grw, eq_ref):
@@ -69,7 +69,7 @@ def test_ode_free_spreading_when_collapse_off():
     out = sigma_ode_integrate(sigma0, M, 0.0, 1e-5, grid)
     for t, sig in zip(grid, out):
         expect = 1e-12 + 1j * CONSTANTS.hbar * t / (2 * M)
-        assert complex(sig) == pytest.approx(expect, rel=1e-9)
+        assert complex(sig) == pytest.approx(expect, rel=1e-9, abs=0)
 
 
 def test_ode_keeps_width_positive(grw, eq_ref):
@@ -113,8 +113,9 @@ def test_ensemble_validations(eq_ref):
         (dict(ok, sample_times=[math.nan]), "grid"),
         (dict(ok, sample_times=[math.inf]), "grid"),
         (dict(ok, dt=1e-300, t_end=1e10, method="exact-b15"), "overflows"),
-        # Euler-Maruyama work n_traj x steps: 1e12
-        (dict(ok, n_traj=1_000_000, t_end=20_000 * tau), "work limit"),
+        # work n_traj x sample intervals: 5e9 (checked before the covariance)
+        (dict(ok, n_traj=1_000_000, t_end=5000 * tau,
+              sample_times=[k * tau for k in range(1, 5001)]), "work limit"),
         # 6000 sample times: a 6000 x 6000 covariance per block
         (dict(ok, t_end=6000 * tau, method="exact-b15", dt=tau,
               sample_times=[k * tau for k in range(1, 6001)]), "covariance"),
@@ -243,7 +244,7 @@ def test_single_trajectory_paths(eq_ref):
               for k in range(400)]
     var = np.var(finals)
     expect = eq_ref.s_inf ** 2 * (2 * tau) / (4 * tau)
-    assert var == pytest.approx(expect, rel=0.3)
+    assert var == pytest.approx(expect, rel=0.3, abs=0)
     with pytest.raises(ValidationError):
         single_trajectory(eq_ref, dt=tau, t_end=2 * tau)   # EM needs small dt
     for kw, match in ((dict(dt=tau / 100, t_end=math.inf), "finite"),
@@ -305,10 +306,78 @@ def test_euler_maruyama_matches_the_reference_loop(eq_ref):
     resid = np.diff(bR) - bI[:-1] * (dt / tau) - np.diff(bI)
     assert np.abs(resid).max() <= 1e-9 * scale
 
-    # one block of 100 trajectories, sampled at 1 and 2 tau
+    # one block of 100 trajectories sampled at every step (one EM step per
+    # interval), compared at 1 and 2 tau
     stats = simulate_ensemble(eq_ref, n_traj=100, dt=dt, t_end=2 * tau, seed=5,
-                              sample_times=[tau, 2 * tau])
+                              sample_times=[k * dt for k in range(1, 201)])
     ref = reference(5, 100, 200)
-    for j, k in enumerate((100, 200)):
+    for k in (100, 200):
         q = ref[k][0] + ref[k][1]
-        assert stats.mean_sq_Q[j] == pytest.approx(np.mean(q * q), rel=1e-12)
+        assert stats.mean_sq_Q[k - 1] == pytest.approx(np.mean(q * q),
+                                                       rel=1e-12, abs=0)
+
+
+class _BasisNormals:
+    """A stand-in generator whose successive normal draws are e_1, e_2, ...
+
+    The outputs of a linear sampler fed these draws are the columns of its
+    map from the normals, so their products give its covariance exactly.
+    """
+
+    def __init__(self, n):
+        self.rows = iter(np.eye(n))
+
+    def standard_normal(self, n):
+        return next(self.rows)
+
+
+def test_m_step_increment_has_the_covariance_of_m_euler_steps():
+    from cslwalk.wavepacket import _increments
+    dt = 0.25   # a power of two: the explicit-step map below is exact
+    for m in (1, 2, 3, 100, 10_000):
+        dB, kick = _increments(_BasisNormals(2), m * dt, m, 2)
+        L = np.array([dB, np.broadcast_to(kick, 2)])
+        got = L @ L.T
+        # m explicit steps IB += B dt, B += sqrt(dt) z_l, as coefficient
+        # vectors of B and IB over z_1..z_m
+        B, IB = np.zeros(m), np.zeros(m)
+        for step in range(m):
+            IB += B * dt
+            B[step] += math.sqrt(dt)
+        A = np.array([B, IB])
+        want = A @ A.T
+        assert got.ravel().tolist() == pytest.approx(want.ravel().tolist(),
+                                                     rel=1e-12, abs=0)
+    # m = inf: the exact covariance of (B(h), int_0^h B) is h, h^2/2, h^3/3
+    h = 0.7
+    dB, kick = _increments(_BasisNormals(2), h, math.inf, 2)
+    L = np.array([dB, kick])
+    assert (L @ L.T).ravel().tolist() == pytest.approx(
+        [h, h ** 2 / 2, h ** 2 / 2, h ** 3 / 3], rel=1e-12, abs=0)
+
+
+def test_pinned_exact_ensemble_and_euler_path(eq_ref):
+    # values captured before ensembles stepped between sample times: the
+    # exact-b15 ensemble and both single_trajectory schemes keep every bit
+    from cslwalk.wavepacket import EnsembleStats, TrajectoryState, single_trajectory
+    tau = eq_ref.tau_s
+    stats = simulate_ensemble(eq_ref, n_traj=300, dt=tau / 50, t_end=3 * tau,
+                              seed=13, method="exact-b15",
+                              sample_times=[tau, 3 * tau])
+    assert stats == EnsembleStats(
+        n_traj=300, times=(0.7135971251352693, 2.140791375405808),
+        mean_Q=(1.64859151606141e-08, 1.2985745181501355e-09),
+        se_mean_Q=(3.2704203146036336e-08, 7.758698456436061e-08),
+        mean_sq_Q=(3.200716915204297e-13, 1.7999039982590883e-12),
+        se_mean_sq_Q=(2.6591169545954115e-14, 1.4187596213108137e-13),
+        mean_sq_P=(1.7631604671676916e-42, 4.565152521927032e-42),
+        se_mean_sq_P=(1.4761026639767606e-43, 3.709561029738659e-43),
+        cov_mean_sq_Q=((7.070902978216774e-28, 1.928734810295426e-27),
+                       (1.928734810295426e-27, 2.0128788630620035e-26)))
+    em = single_trajectory(eq_ref, dt=tau / 60, t_end=2 * tau, seed=4)
+    assert em[-1] == TrajectoryState(-2.9753360767791234e-07,
+                                     -1.0623581222820287e-07, 1.4271942502705386)
+    ex = single_trajectory(eq_ref, dt=tau / 4, t_end=2 * tau, seed=4,
+                           method="exact-b15")
+    assert ex[-1] == TrajectoryState(-6.46416473820014e-08,
+                                     -6.623605038533978e-08, 1.4271942502705386)
