@@ -13,11 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import CONSTANTS, Body, Disc, Environment, Sphere
 from .errors import ValidationError, ValidityWarning
-from .quadrature import integrate_1d, planck_tail_integral
 
 __all__ = [
     "DragCoefficient",
@@ -267,6 +264,8 @@ def xi_mirror(area: float, T: float, constants=CONSTANTS) -> DragCoefficient:
 
 def _planck_weight(z):
     """e^z / (e^z - 1)^2 without overflow; ~1/z^2 at small z, 0 at z = 0."""
+    import numpy as np
+
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     small = (z > 0) & (z < 1.0e-6)
@@ -288,6 +287,8 @@ def spectral_xi(nu, T: float, target: str = "mirror-per-area",
     large-dielectric-constant limit,
         (2 pi)^4 (8 pi/3)^2 (nu/c)^7 (h nu / kT)(h/c) R^6 e^z/(e^z-1)^2.
     """
+    import numpy as np
+
     nu = np.asarray(nu, dtype=float)
     if T <= 0 or np.any(nu < 0):
         raise ValidationError("nu must be nonnegative and T positive")
@@ -310,6 +311,8 @@ def integrate_spectral_xi(T: float, target: str = "mirror-per-area",
                           R: float | None = None, constants=CONSTANTS,
                           z_max: float = 200.0) -> float:
     """Frequency integral of spectral_xi; equals the closed-form coefficients."""
+    from .quadrature import integrate_1d
+
     h = 2.0 * math.pi * constants.hbar
     nu_max = z_max * constants.k_boltzmann * T / h
     value, _ = integrate_1d(
@@ -320,6 +323,8 @@ def integrate_spectral_xi(T: float, target: str = "mirror-per-area",
 
 def planck_integral_identities() -> dict:
     """The two closed-form Planck-tail integrals used by the radiation drags."""
+    from .quadrature import planck_tail_integral
+
     return {
         "z4": (planck_tail_integral(4), 4.0 * math.pi ** 4 / 15.0),
         "z8": (planck_tail_integral(8), (2.0 * math.pi) ** 8 / 60.0),

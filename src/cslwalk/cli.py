@@ -20,15 +20,12 @@ import math
 import re
 import sys
 
-from . import constraints as cons
 from . import diffusion as diff
-from . import factors
 from .brownian import (check_realm, collision_stats, molecular_flux,
                        xi_molecular, xi_stokes)
 from .core import (CslParams, Disc, Environment, N2_MOLECULAR_MASS,
                    Sphere, constants_summary, convert_unit)
 from .errors import ConvergenceError, ValidationError
-from .wavepacket import simulate_ensemble, stats_to_csv
 
 SCHEMA_VERSION = 1
 
@@ -237,6 +234,8 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
+    from . import factors
+
     dataset = factors.fig1_dataset(args.alphas, args.betas)
     csv_text = factors.fig1_to_csv(dataset)
     doc = {"params": {"alphas": args.alphas, "betas": args.betas},
@@ -248,6 +247,8 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    from . import constraints as cons
+
     which = tuple(args.which.split(",")) if args.which else cons.DEFAULT_MAP_IDS
     cmap = cons.fig2_dataset(args.a_grid, args.lambda_inv_grid, which=which)
     csv_text = cons.map_to_csv(cmap)
@@ -274,6 +275,8 @@ def _cmd_fig2(args) -> int:
 
 
 def _resolve_factor(args, body, csl):
+    from . import factors
+
     if args.f is not None:
         return args.f
     if args.mode == "rotation":
@@ -335,6 +338,8 @@ def _cmd_diffuse(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .wavepacket import simulate_ensemble, stats_to_csv
+
     if args.s_inf is not None or args.tau_s is not None:
         if args.s_inf is None or args.tau_s is None:
             raise ValidationError("give both --s-inf and --tau-s or neither")

@@ -153,6 +153,20 @@ class CslParams:
         return cls(lam=1.0e-16, a=1.0e-5)
 
 
+def _check_nucleon_count(body) -> None:
+    """Reject a body with less than one nucleon, or one so large that its
+    volume, mass or nucleon count leaves the floating-point range."""
+    try:
+        n = body.nucleon_count()
+    except OverflowError:       # a power of the size in volume()
+        n = math.inf
+    if n == math.inf:
+        raise ValidationError(f"{type(body).__name__} is too large: its volume "
+                              "or mass leaves the floating-point range")
+    if n < 1.0:
+        raise ValidationError("body holds less than one nucleon")
+
+
 @dataclass(frozen=True)
 class Sphere:
     """Uniform sphere: radius (cm) and mass density (g/cm^3)."""
@@ -165,8 +179,7 @@ class Sphere:
         if not (0 < self.radius < math.inf and 0 < self.density < math.inf):
             raise ValidationError(
                 "Sphere requires finite radius > 0 and density > 0")
-        if self.nucleon_count() < 1.0:
-            raise ValidationError("body holds less than one nucleon")
+        _check_nucleon_count(self)
 
     def volume(self) -> float:
         return (4.0 / 3.0) * math.pi * self.radius ** 3
@@ -202,8 +215,7 @@ class Disc:
                 "Disc requires finite positive radius, thickness, density")
         if self.thickness > 2.0 * self.radius:
             raise ValidationError("Disc thickness exceeds its diameter")
-        if self.nucleon_count() < 1.0:
-            raise ValidationError("body holds less than one nucleon")
+        _check_nucleon_count(self)
 
     def volume(self) -> float:
         return math.pi * self.radius ** 2 * self.thickness

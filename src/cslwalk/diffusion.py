@@ -77,6 +77,19 @@ class DiffusionCurve:
             raise ValidationError("rms must be nondecreasing in time")
 
 
+def _in_float_range(what: str, formula) -> float:
+    """formula(), or a ValidationError when the inputs drive it out of the
+    floating-point range: a power overflowing, or a^2 underflowing to 0."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"the {what} leaves the floating-point range "
+                              "for these inputs")
+    return value
+
+
 def csl_rms_translation(csl: CslParams, f: float, t: float,
                         initial_term: float = 0.0, constants=CONSTANTS) -> float:
     """rms distance along one axis from collapse noise alone.
@@ -90,8 +103,9 @@ def csl_rms_translation(csl: CslParams, f: float, t: float,
     if not 0.0 <= f <= 1.0:
         raise ValidationError("translation factor f must lie in [0, 1]")
     m = constants.m_nucleon
-    growth = csl.lam * constants.hbar ** 2 * f * t ** 3 / (6.0 * m ** 2 * csl.a ** 2)
-    return math.sqrt(initial_term + growth)
+    return _in_float_range("rms translation", lambda: math.sqrt(
+        initial_term
+        + csl.lam * constants.hbar ** 2 * f * t ** 3 / (6.0 * m ** 2 * csl.a ** 2)))
 
 
 def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
@@ -104,9 +118,10 @@ def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
         raise ValidationError("t and initial_term must be finite and nonnegative")
     if not 0 <= f_rot < math.inf:
         raise ValidationError("rotation factor must be finite and nonnegative")
-    scale = constants.hbar / (constants.m_nucleon * csl.a ** 2)
-    growth = csl.lam * scale ** 2 * f_rot * t ** 3 / 12.0
-    return math.sqrt(initial_term + growth)
+    m = constants.m_nucleon
+    return _in_float_range("rms rotation", lambda: math.sqrt(
+        initial_term
+        + csl.lam * (constants.hbar / (m * csl.a ** 2)) ** 2 * f_rot * t ** 3 / 12.0))
 
 
 def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float,
@@ -114,9 +129,10 @@ def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float,
     """Time for the collapse-driven rms rotation to reach a target angle."""
     if not (target_angle > 0 and f_rot > 0):
         raise ValidationError("target angle and f_rot must be positive")
-    scale = constants.hbar / (constants.m_nucleon * csl.a ** 2)
-    t_cubed = 12.0 * target_angle ** 2 / (csl.lam * scale ** 2 * f_rot)
-    return t_cubed ** (1.0 / 3.0)
+    m = constants.m_nucleon
+    return _in_float_range("rotation time", lambda: (
+        12.0 * target_angle ** 2
+        / (csl.lam * (constants.hbar / (m * csl.a ** 2)) ** 2 * f_rot)) ** (1.0 / 3.0))
 
 
 def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
@@ -144,7 +160,9 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
         if not 0.0 <= f <= 1.0:
             raise ValidationError("translation factor f must lie in [0, 1]")
         m = constants.m_nucleon
-        csl_vel_rate = csl.lam * constants.hbar ** 2 * f / (2.0 * m ** 2 * csl.a ** 2)
+        csl_vel_rate = _in_float_range("collapse velocity diffusion", lambda:
+                                       csl.lam * constants.hbar ** 2 * f
+                                       / (2.0 * m ** 2 * csl.a ** 2))
 
     if regime == "auto":
         if xi == 0:
@@ -166,9 +184,11 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
     if regime == "long":
         if xi == 0:
             raise ValidationError("long-time regime needs xi > 0")
-        return math.sqrt((2.0 * kT / xi + (M / xi) ** 2 * csl_vel_rate) * t)
+        return _in_float_range("rms displacement", lambda: math.sqrt(
+            (2.0 * kT / xi + (M / xi) ** 2 * csl_vel_rate) * t))
     if regime == "short":
-        return math.sqrt((2.0 * kT * xi / (3.0 * M ** 2) + csl_vel_rate / 3.0) * t ** 3)
+        return _in_float_range("rms displacement", lambda: math.sqrt(
+            (2.0 * kT * xi / (3.0 * M ** 2) + csl_vel_rate / 3.0) * t ** 3))
     raise ValidationError(f"unknown regime {regime!r}")
 
 

@@ -15,8 +15,10 @@ on the next-order term.  Every factor here is cross-checkable against the
 Monte Carlo oracle in :mod:`cslwalk.oracle`, which integrates the defining
 volume integrals directly.
 
-Importing this module loads numpy but not scipy: only the rotation factor
-needs scipy.special, and it imports it on its first call.
+Importing this module loads neither numpy nor scipy, so the sphere factor
+behind the reference tables runs on the standard library alone.  The disc
+factors import numpy on their first call, and the rotation factor also
+imports scipy.special and the quadrature rules.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import CslParams, Disc
 from .errors import ValidationError
-from .quadrature import integrate_1d, integrate_2d
 
 __all__ = [
     "FactorResult",
@@ -117,6 +116,8 @@ def _poisson_window(x: float) -> tuple[int, np.ndarray]:
     accurate to a few ulps at any x (anchoring the mode with lgamma instead
     loses ~1e-9 relative at x = 1e6).
     """
+    import numpy as np
+
     if not _MIN_ALPHA ** 2 <= x <= _MAX_ALPHA ** 2:
         raise ValidationError(
             f"alpha = L/2a must lie in [{_MIN_ALPHA:g}, {_MAX_ALPHA:g}], "
@@ -150,6 +151,8 @@ def f_disc_perp(aspect: DiscAspect) -> FactorResult:
     does not cancel at small alpha.  Limits: -> 1 when both dimensions are
     small; -> (2a/L)^2 for a thin wide disc.
     """
+    import numpy as np
+
     al, be = aspect.alpha, aspect.beta
     x = al * al
     lo, p = _poisson_window(x)
@@ -186,10 +189,6 @@ def f_disc_edge(aspect: DiscAspect) -> FactorResult:
     return FactorResult(radial * bracket / (be * be), "analytic")
 
 
-def _edge_box_kernel(y, yp):
-    return y * yp * np.exp(-((y - yp) ** 2))
-
-
 # beta below which the edge-band integral g takes its power series
 _THIN_EDGE_BETA = 1.0e-3
 
@@ -197,10 +196,16 @@ _THIN_EDGE_BETA = 1.0e-3
 def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
     """The three surface contributions (faces, edge band, face-edge cross)
     and their quadrature error estimates, before the overall prefactor."""
+    import numpy as np
     from scipy.special import erf, i1e
+
+    from .quadrature import integrate_1d, integrate_2d
 
     al, be = aspect.alpha, aspect.beta
     h = be / 2.0
+
+    def edge_box_kernel(y, yp):
+        return y * yp * np.exp(-((y - yp) ** 2))
 
     def face_kernel(r, rp):
         return r ** 2 * rp ** 2 * np.exp(-((r - rp) ** 2)) * i1e(2.0 * r * rp)
@@ -218,7 +223,7 @@ def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
         g = h2 ** 3 * (8.0 / 9.0 - h2 * (16.0 / 15.0 - h2 * 32.0 / 35.0))
         e2 = 256.0 / 405.0 * h2 ** 6
     else:
-        g, e2 = integrate_2d(_edge_box_kernel, -h, h, -h, h,
+        g, e2 = integrate_2d(edge_box_kernel, -h, h, -h, h,
                              rel_tol=rel_tol, panel_hint=1.0)
     band = 0.5 * al * al * i1e(2.0 * al * al)
     f2 = band * g

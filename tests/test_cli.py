@@ -187,6 +187,32 @@ def test_exit_code_precondition(capsys):
         assert "workers" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["diffuse", "--mode", "translation", "--sphere-radius", "1e-5",
+     "--times", "1e300"],
+    ["diffuse", "--mode", "translation", "--sphere-radius", "1e-5",
+     "--times", "1", "--a", "1e-300"],
+    ["diffuse", "--mode", "rotation", "--disc-radius", "2du",
+     "--disc-thickness", ".5du", "--times", "1e300"],
+    ["diffuse", "--mode", "rotation", "--disc-radius", "2du",
+     "--disc-thickness", ".5du", "--target", "1e300"],
+    ["diffuse", "--mechanism", "brownian", "--sphere-radius", "1e-5",
+     "--pressure", "1e-10Torr", "--times", "1e300", "--regime", "short"],
+    ["diffuse", "--mechanism", "combined", "--sphere-radius", "1e-5",
+     "--pressure", "1e-10Torr", "--times", "1", "--a", "1e-300"],
+    ["collide", "--sphere-radius", "1e300", "--temperature", "4.2K",
+     "--pressure", "5e-17Torr"],
+    ["collide", "--disc-radius", "1e300", "--disc-thickness", "1e300",
+     "--temperature", "4.2K", "--pressure", "5e-17Torr"],
+])
+def test_exit_code_float_range(capsys, argv):
+    # the arithmetic overflows, or divides by an a^2 that underflows to 0
+    rc, out, err = run(capsys, argv)
+    assert rc == 3 and out == ""
+    assert "floating-point range" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_body_needed(capsys):
     rc, _, err = run(capsys, ["diffuse", "--times", "10"])
     assert rc == 3
@@ -223,28 +249,86 @@ def test_real_process_invocation():
     assert bad.returncode == 3
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules loaded by running `code` in a fresh interpreter."""
-    probe = code + ("\nimport sys\nprint(*sorted(m for m in sys.modules"
-                    " if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", probe],
+def _fresh_stdout(code: str) -> str:
+    """The last stdout line of `code` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1].split()
+    return proc.stdout.splitlines()[-1]
+
+
+def _modules_after(code: str, prefix: str) -> list[str]:
+    """The modules named `prefix` or `prefix.*` that running `code` in a
+    fresh interpreter loads."""
+    return _fresh_stdout(code + (
+        "\nimport sys\nprint(*sorted(m for m in sys.modules if m == "
+        f"{prefix!r} or m.startswith({prefix + '.'!r})))")).split()
+
+
+_CLI = "from cslwalk.cli import main\nmain({argv!r})"
+
+# the README lines whose numbers are scalar closed forms
+SCALAR_README_LINES = (
+    ["table1", "--paper-format"],
+    ["table2", "--json"],
+    ["collide", "--disc-radius", "2du", "--disc-thickness", ".5du",
+     "--temperature", "4.2K", "--pressure", "5e-17Torr"],
+    ["--constants"],
+)
+
+
+def test_import_floor_loads_no_numpy():
+    # importing numpy is most of what a scalar subcommand's process would
+    # spend; the package and the CLI resolve it only where arrays are used
+    assert _modules_after("import cslwalk", "numpy") == []
+    assert _modules_after("import cslwalk.cli", "numpy") == []
+    for argv in SCALAR_README_LINES:
+        assert _modules_after(_CLI.format(argv=argv), "numpy") == [], argv
 
 
 def test_import_floor_loads_no_scipy():
-    # scipy costs most of a process's start-up; only fig1 and the rotation
-    # factor need scipy.special, and only the width-ODE cross-check needs
-    # scipy.integrate
-    assert _scipy_modules_after("import cslwalk") == []
-    cli = "from cslwalk.cli import main\nmain({argv!r})"
-    assert _scipy_modules_after(
-        cli.format(argv=["table1", "--paper-format"])) == []
-    fig1 = _scipy_modules_after(cli.format(
-        argv=["fig1", "--alphas", "0.5,1,2", "--betas", "0.25"]))
-    assert "scipy.special" in fig1
-    assert not [m for m in fig1 if m.startswith("scipy.integrate")]
+    # only the disc rotation factor needs scipy.special, and only the
+    # width-ODE cross-check needs scipy.integrate; nothing else loads scipy
+    assert _modules_after("import cslwalk", "scipy") == []
+    for argv in (["table1", "--paper-format"],
+                 ["fig2", "--a-grid=-6:-4:3", "--lambda-inv-grid=15:17:3"],
+                 ["simulate", "--n-traj", "100", "--sphere-radius", "1e-5"]):
+        assert _modules_after(_CLI.format(argv=argv), "scipy") == [], argv
+    special = set(_modules_after("import scipy.special", "scipy"))
+    for argv in (["fig1", "--alphas", "0.5,1,2", "--betas", "0.25"],
+                 ["diffuse", "--mode", "rotation", "--disc-radius", "2du",
+                  "--disc-thickness", ".5du", "--target", "2pi"]):
+        loaded = set(_modules_after(_CLI.format(argv=argv), "scipy"))
+        assert "scipy.special" in loaded and loaded <= special, argv
+
+
+def test_public_names_resolve_to_their_home_objects():
+    import importlib
+
+    import cslwalk
+    for name in cslwalk.__all__:
+        home = importlib.import_module(f"cslwalk.{cslwalk._HOME[name]}")
+        assert getattr(cslwalk, name) is getattr(home, name), name
+
+
+def test_dir_covers_all_before_any_name_is_resolved():
+    assert _fresh_stdout(
+        "import cslwalk\n"
+        "print(sorted(set(cslwalk.__all__) - set(dir(cslwalk))))") == "[]"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    import cslwalk
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cslwalk.no_such_name
+    assert not hasattr(cslwalk, "no_such_name")
+
+
+def test_star_import_binds_all_public_names():
+    import cslwalk
+    namespace = {}
+    exec("from cslwalk import *", namespace)
+    assert set(cslwalk.__all__) <= set(namespace)
 
 
 def test_exit_code_convergence(monkeypatch, capsys):

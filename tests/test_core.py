@@ -117,6 +117,15 @@ def test_invalid_bodies_rejected():
             Disc(radius=1e-5, thickness=1e-5, density=bad)
 
 
+def test_bodies_beyond_float_range_rejected():
+    # the power in volume() overflows, or the mass product is inf
+    for make in (lambda: Sphere(radius=1e300, density=1.0),
+                 lambda: Sphere(radius=1e100, density=1e100),
+                 lambda: Disc(radius=1e300, thickness=1e300, density=1.0)):
+        with pytest.raises(ValidationError, match="floating-point range"):
+            make()
+
+
 def test_csl_params():
     grw = CslParams.grw()
     assert grw.lam == 1e-16 and grw.a == 1e-5

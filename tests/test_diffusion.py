@@ -79,6 +79,28 @@ def test_entry_points_reject_nonfinite_inputs(grw, bad):
             pytest.fail(f"call {k} accepted {bad}")
 
 
+def test_entry_points_reject_results_beyond_float_range(grw):
+    # t^3 or the target angle squared overflows, or a^2 underflows to 0
+    tiny_a = CslParams(lam=1e-16, a=1e-300)
+    sphere, env = Sphere(1e-5, 1.0), Environment(temperature=T0)
+    calls = [lambda: csl_rms_translation(grw, 1.0, 1e300),
+             lambda: csl_rms_translation(tiny_a, 1.0, 1.0),
+             lambda: csl_rms_rotation(grw, 0.3, 1e300),
+             lambda: csl_rms_rotation(tiny_a, 0.3, 1.0),
+             lambda: time_to_rotation(grw, 0.3, 1e300),
+             lambda: time_to_rotation(tiny_a, 0.3, 1.0),
+             lambda: combined_rms(1e-9, sphere, env, grw, 0.6, 1e300,
+                                  regime="short"),
+             lambda: combined_rms(1e-300, sphere, env, grw, 0.6, 1.0,
+                                  regime="long"),
+             lambda: combined_rms(1e-9, sphere, env, tiny_a, 0.6, 1.0,
+                                  regime="short")]
+    for k, call in enumerate(calls):
+        with pytest.raises(ValidationError, match="floating-point range"):
+            call()
+            pytest.fail(f"call {k} returned")
+
+
 def test_diffusion_curve_rejects_nan_samples():
     for samples in (((0.0, 0.0), (1.0, math.nan)), ((math.nan, 1.0),),
                     ((0.0, 1.0), (1.0, math.nan), (2.0, 3.0))):
