@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import CONSTANTS, Body, Disc, Environment, Sphere
-from .errors import ValidationError, ValidityWarning
+from .errors import ValidationError, ValidityWarning, _in_float_range
 
 __all__ = [
     "DragCoefficient",
@@ -105,8 +105,10 @@ def fp_moments(tau: float, beta: float, v0: float, t: float) -> BrownianMoments:
         raise ValidationError("beta and t must be nonnegative")
     x = t / tau
     mean_v = v0 * math.exp(-x)
-    var_v = (beta / tau) * (-math.expm1(-2.0 * x))
-    var_x = 2.0 * beta * tau * _var_x_bracket(x)
+    var_v = _in_float_range("velocity variance",
+                            lambda: (beta / tau) * (-math.expm1(-2.0 * x)))
+    var_x = _in_float_range("position variance",
+                            lambda: 2.0 * beta * tau * _var_x_bracket(x))
     return BrownianMoments(t=t, mean_v=mean_v, var_v=var_v, var_x=var_x,
                            tau=tau, beta=beta)
 
@@ -122,9 +124,10 @@ def thermal_rms(xi: float, inertia: float, temperature: float, t: float,
     xi = float(xi)
     kT = constants.k_boltzmann * temperature
     if regime == "long":
-        return math.sqrt(2.0 * kT * t / xi)
+        return _in_float_range("thermal rms", lambda: math.sqrt(2.0 * kT * t / xi))
     if regime == "short":
-        return math.sqrt(2.0 * kT * xi * t ** 3 / (3.0 * inertia ** 2))
+        return _in_float_range("thermal rms", lambda: math.sqrt(
+            2.0 * kT * xi * t ** 3 / (3.0 * inertia ** 2)))
     raise ValidationError(f"unknown regime {regime!r}")
 
 

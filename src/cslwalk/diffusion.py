@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .brownian import DragCoefficient
 from .core import CONSTANTS, Body, CslParams, Disc, Environment, Sphere
-from .errors import ValidationError, ValidityWarning
+from .errors import ValidationError, ValidityWarning, _in_float_range
 from .factors import f_sphere
 
 __all__ = [
@@ -75,19 +75,6 @@ class DiffusionCurve:
         ordered = sorted(self.samples)
         if any(b[1] < a[1] * (1.0 - 1e-12) for a, b in zip(ordered, ordered[1:])):
             raise ValidationError("rms must be nondecreasing in time")
-
-
-def _in_float_range(what: str, formula) -> float:
-    """formula(), or a ValidationError when the inputs drive it out of the
-    floating-point range: a power overflowing, or a^2 underflowing to 0."""
-    try:
-        value = formula()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValidationError(f"the {what} leaves the floating-point range "
-                              "for these inputs")
-    return value
 
 
 def csl_rms_translation(csl: CslParams, f: float, t: float,
@@ -262,7 +249,8 @@ def equilibrium_series_rms(eq: WavepacketEquilibrium, t: float) -> float:
     if not 0 <= t < math.inf:
         raise ValidationError("t must be finite and nonnegative")
     x = t / eq.tau_s
-    return eq.s_inf * math.sqrt(1.0 + x + x * x / 2.0 + x ** 3 / 12.0)
+    return _in_float_range("rms position spread", lambda: eq.s_inf * math.sqrt(
+        1.0 + x + x * x / 2.0 + x ** 3 / 12.0))
 
 
 def energy_gain_rates(csl: CslParams, body: Body, f: float,
@@ -277,7 +265,8 @@ def energy_gain_rates(csl: CslParams, body: Body, f: float,
         raise ValidationError("f must lie in [0, 1]")
     N = body.nucleon_count()
     M = body.mass()
-    total = 3.0 * csl.lam * constants.hbar ** 2 * N ** 2 / (4.0 * M * csl.a ** 2)
+    total = _in_float_range("heating rate", lambda: 3.0 * csl.lam
+                            * constants.hbar ** 2 * N ** 2 / (4.0 * M * csl.a ** 2))
     return {"total": total, "cm_part": total * f}
 
 

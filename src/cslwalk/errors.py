@@ -1,6 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the
+float-range guard that turns arithmetic overflow into a ValidationError."""
 
 from __future__ import annotations
+
+import math
 
 
 class CslwalkError(Exception):
@@ -29,3 +32,16 @@ class ValidityWarning(UserWarning):
     free-molecular drag when the mean free path is not large compared to the
     body, or an equilibrium packet width outside its derivation's range.
     """
+
+
+def _in_float_range(what: str, formula) -> float:
+    """formula(), or a ValidationError when the inputs drive it out of the
+    floating-point range: a power overflowing, or a^2 underflowing to 0."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"the {what} leaves the floating-point range "
+                              "for these inputs")
+    return value

@@ -18,7 +18,8 @@ volume integrals directly.
 Importing this module loads neither numpy nor scipy, so the sphere factor
 behind the reference tables runs on the standard library alone.  The disc
 factors import numpy on their first call, and the rotation factor also
-imports scipy.special and the quadrature rules.
+imports the quadrature rules and the Cephes ports of i1e and erf in
+:mod:`cslwalk._cephes`; nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
     """The three surface contributions (faces, edge band, face-edge cross)
     and their quadrature error estimates, before the overall prefactor."""
     import numpy as np
-    from scipy.special import erf, i1e
 
+    from ._cephes import erf, i1e
     from .quadrature import integrate_1d, integrate_2d
 
     al, be = aspect.alpha, aspect.beta

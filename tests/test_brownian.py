@@ -67,6 +67,18 @@ def test_fp_moments_rejects_bad_tau():
         fp_moments(tau=0.0, beta=1.0, v0=0.0, t=1.0)
 
 
+def test_fp_moments_rejects_variance_beyond_float_range():
+    # t / tau overflows to inf, and with it the position variance
+    with pytest.raises(ValidationError, match="floating-point range"):
+        fp_moments(tau=1e-300, beta=1.0, v0=0.0, t=1e300)
+
+
+def test_thermal_rms_rejects_results_beyond_float_range():
+    # t^3 overflows
+    with pytest.raises(ValidationError, match="floating-point range"):
+        thermal_rms(1e-9, 1e-15, 300.0, 1e300, "short")
+
+
 # ---------------------------------------------------------------------------
 # drag coefficients
 

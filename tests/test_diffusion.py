@@ -101,6 +101,18 @@ def test_entry_points_reject_results_beyond_float_range(grw):
             pytest.fail(f"call {k} returned")
 
 
+def test_energy_gain_rates_rejects_a_underflow():
+    # a^2 underflows to 0
+    with pytest.raises(ValidationError, match="floating-point range"):
+        energy_gain_rates(CslParams(lam=1e-16, a=1e-300), Sphere(1e-5, 1.0), 1.0)
+
+
+def test_equilibrium_series_rms_rejects_overflow():
+    # t / tau_s overflows to inf, and with it the spread
+    with pytest.raises(ValidationError, match="floating-point range"):
+        equilibrium_series_rms(WavepacketEquilibrium(1e-10, 1e-200), 1e300)
+
+
 def test_diffusion_curve_rejects_nan_samples():
     for samples in (((0.0, 0.0), (1.0, math.nan)), ((math.nan, 1.0),),
                     ((0.0, 1.0), (1.0, math.nan), (2.0, 3.0))):

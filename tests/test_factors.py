@@ -202,7 +202,7 @@ def test_f_rot_thin_disc_takes_the_edge_band_series():
     # at beta = 1e-8 the edge-band quadrature never converged; its series
     # continues the quadrature value at beta = 1e-5 (captured before the
     # series existed), where the beta^2 correction is ~1e-10
-    f_rot_disc(DiscAspect(1.0, 0.25))            # scipy.special loaded
+    f_rot_disc(DiscAspect(1.0, 0.25))            # numpy and quadrature loaded
     t0 = time.perf_counter()
     res = f_rot_disc(DiscAspect(1.0, 1e-8))
     assert time.perf_counter() - t0 < 0.05
