@@ -6,6 +6,8 @@ Every curve here is cross-checked against a Monte Carlo evaluation of the
 defining six-dimensional volume integrals.
 """
 
+from pathlib import Path
+
 from cslwalk import (CslParams, Disc, DiscAspect, Sphere, f_disc_edge,
                      f_disc_perp, f_mc_oracle, f_rot_disc, f_sphere,
                      fig1_dataset)
@@ -45,6 +47,6 @@ print(f"same oracle on a sphere (symmetry says zero): {sphere_mc.value:.1e} "
 # The full grid dataset behind the rotation-factor figure:
 data = fig1_dataset(alphas=[0.25, 0.5, 1.0, 2.0, 4.0], betas=[0.05, 0.25, 1.0])
 path = "rotation_factor_grid.csv"
-fig1_to_csv(data, path)
+Path(path).write_text(fig1_to_csv(data), newline="")
 print(f"\nwrote {len(data['rows'])} grid points to {path}")
 print("monotone decreasing along alpha per beta:", data["monotonic_in_alpha"])

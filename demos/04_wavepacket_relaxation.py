@@ -6,6 +6,8 @@ walk whose ensemble mean square grows as t + t^2/2 + t^3/12 in units of
 the relaxation time.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from cslwalk import (ComplexVariance, CslParams, Sphere, equilibrium_width,
@@ -60,5 +62,5 @@ for est, se, truth in zip(fit["coefficients"], fit["std_errors"], expected):
     print(f"  {est:.3e} +- {se:.1e}  (expected {truth:.3e}, "
           f"pull {(est - truth) / se:+.2f} sigma)")
 
-stats_to_csv(stats, "wavepacket_ensemble.csv")
+Path("wavepacket_ensemble.csv").write_text(stats_to_csv(stats), newline="")
 print("\nwrote wavepacket_ensemble.csv")

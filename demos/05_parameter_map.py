@@ -6,6 +6,8 @@ away most of the presently allowed region; a sufficiently sensitive
 translational null result would close it entirely.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from cslwalk import (evaluate_constraints, fig2_dataset, ge_detector_rate,
@@ -44,7 +46,7 @@ print(f"\nallowed wedge under {wedge} nonempty: {cmap.region_nonempty(wedge)}")
 print("adding trans-null empties it:",
       not cmap.region_nonempty(wedge + ("trans-null",)))
 
-map_to_csv(cmap, "parameter_map.csv")
+Path("parameter_map.csv").write_text(map_to_csv(cmap), newline="")
 lines = boundary_polylines(cmap)
 print(f"wrote parameter_map.csv ({len(cmap.log10_a) * len(cmap.log10_lambda_inv)}"
       f" lattice points) and {len(lines)} boundary polylines")

@@ -33,6 +33,7 @@ __all__ = [
     "xi_mirror",
     "spectral_xi",
     "integrate_spectral_xi",
+    "planck_tail_integral",
     "collision_stats",
     "molecular_flux",
     "check_realm",
@@ -52,8 +53,8 @@ class DragCoefficient:
     orientation: str    # sphere | disc-perp | disc-edge | disc-rot
 
     def __post_init__(self):
-        if self.xi < 0:
-            raise ValidationError("drag coefficient must be nonnegative")
+        if not 0 <= self.xi < math.inf:
+            raise ValidationError("drag coefficient must be finite and nonnegative")
 
     def __float__(self):
         return self.xi
@@ -99,10 +100,14 @@ def fp_moments(tau: float, beta: float, v0: float, t: float) -> BrownianMoments:
     beta/tau (equipartition when beta = kT tau / M); the position variance
     grows as (2 beta / 3 tau^2) t^3 for t << tau and as 2 beta t for t >> tau.
     """
-    if not tau > 0:
-        raise ValidationError("tau must be positive")
-    if beta < 0 or t < 0:
-        raise ValidationError("beta and t must be nonnegative")
+    if not 0 < tau < math.inf:
+        raise ValidationError(f"tau must be finite and positive, got {tau!r}")
+    for name, value in (("beta", beta), ("t", t)):
+        if not 0 <= value < math.inf:
+            raise ValidationError(
+                f"{name} must be finite and nonnegative, got {value!r}")
+    if not math.isfinite(v0):
+        raise ValidationError(f"v0 must be finite, got {v0!r}")
     x = t / tau
     mean_v = v0 * math.exp(-x)
     var_v = _in_float_range("velocity variance",
@@ -114,16 +119,26 @@ def fp_moments(tau: float, beta: float, v0: float, t: float) -> BrownianMoments:
 
 
 def thermal_rms(xi: float, inertia: float, temperature: float, t: float,
-                regime: str, constants=CONSTANTS) -> float:
+                regime: str) -> float:
     """Asymptotic thermal rms diffusion (translation or rotation).
 
     `inertia` is the mass for translation or the moment of inertia for
-    rotation.  regime 'long' gives sqrt(2 kT t / xi); 'short' gives
-    sqrt(2 kT xi t^3 / (3 inertia^2)).
+    rotation.  regime 'long' gives sqrt(2 kT t / xi) and needs xi > 0;
+    'short' gives sqrt(2 kT xi t^3 / (3 inertia^2)).
     """
     xi = float(xi)
-    kT = constants.k_boltzmann * temperature
+    for name, value in (("xi", xi), ("t", t)):
+        if not 0 <= value < math.inf:
+            raise ValidationError(
+                f"{name} must be finite and nonnegative, got {value!r}")
+    for name, value in (("temperature", temperature), ("inertia", inertia)):
+        if not 0 < value < math.inf:
+            raise ValidationError(
+                f"{name} must be finite and positive, got {value!r}")
+    kT = CONSTANTS.k_boltzmann * temperature
     if regime == "long":
+        if xi == 0:
+            raise ValidationError("the long-time regime needs xi > 0")
         return _in_float_range("thermal rms", lambda: math.sqrt(2.0 * kT * t / xi))
     if regime == "short":
         return _in_float_range("thermal rms", lambda: math.sqrt(
@@ -238,7 +253,7 @@ def xi_rotational(body: Body, env: Environment, realm: str) -> DragCoefficient:
                            "molecular", "rotation", "disc-rot")
 
 
-def xi_radiation(R: float, T: float, constants=CONSTANTS) -> DragCoefficient:
+def xi_radiation(R: float, T: float) -> DragCoefficient:
     """Drag on a dielectric sphere from Doppler-asymmetric photon scattering.
 
     xi = [4 (2 pi)^7 / 135] hbar R^6 (kT / hbar c)^8.  Representative, up to
@@ -246,21 +261,21 @@ def xi_radiation(R: float, T: float, constants=CONSTANTS) -> DragCoefficient:
     """
     if not (R > 0 and T > 0):
         raise ValidationError("R and T must be positive")
-    hbar, c = constants.hbar, constants.c
-    kT = constants.k_boltzmann * T
+    hbar, c = CONSTANTS.hbar, CONSTANTS.c
+    kT = CONSTANTS.k_boltzmann * T
     xi = (4.0 * (2.0 * math.pi) ** 7 / 135.0) * hbar * R ** 6 * (kT / (hbar * c)) ** 8
     return DragCoefficient(xi, "radiation", "translation", "sphere")
 
 
-def xi_mirror(area: float, T: float, constants=CONSTANTS) -> DragCoefficient:
+def xi_mirror(area: float, T: float) -> DragCoefficient:
     """Radiation drag on a perfect mirror of the given area.
 
     xi = (2 pi^2 / 15) hbar (kT / hbar c)^4 A.
     """
     if not (area > 0 and T > 0):
         raise ValidationError("area and T must be positive")
-    hbar, c = constants.hbar, constants.c
-    kT = constants.k_boltzmann * T
+    hbar, c = CONSTANTS.hbar, CONSTANTS.c
+    kT = CONSTANTS.k_boltzmann * T
     xi = (2.0 * math.pi ** 2 / 15.0) * hbar * (kT / (hbar * c)) ** 4 * area
     return DragCoefficient(xi, "radiation", "translation", "sphere")
 
@@ -280,7 +295,7 @@ def _planck_weight(z):
 
 
 def spectral_xi(nu, T: float, target: str = "mirror-per-area",
-                R: float | None = None, constants=CONSTANTS):
+                R: float | None = None):
     """Spectral density d(xi)/d(nu) of the radiation drag.
 
     target 'mirror-per-area': per unit mirror area,
@@ -295,9 +310,9 @@ def spectral_xi(nu, T: float, target: str = "mirror-per-area",
     nu = np.asarray(nu, dtype=float)
     if T <= 0 or np.any(nu < 0):
         raise ValidationError("nu must be nonnegative and T positive")
-    h = 2.0 * math.pi * constants.hbar
-    c = constants.c
-    kT = constants.k_boltzmann * T
+    h = 2.0 * math.pi * CONSTANTS.hbar
+    c = CONSTANTS.c
+    kT = CONSTANTS.k_boltzmann * T
     z = h * nu / kT
     weight = _planck_weight(z)
     if target == "mirror-per-area":
@@ -310,24 +325,40 @@ def spectral_xi(nu, T: float, target: str = "mirror-per-area",
     raise ValidationError(f"unknown spectral target {target!r}")
 
 
+# Upper end of the Planck integrals in z = h nu / kT; the integrands decay like
+# z^power e^{-z}, so the tail dropped is below 1e-12 of the total for power <= 8.
+_PLANCK_Z_MAX = 200.0
+
+
 def integrate_spectral_xi(T: float, target: str = "mirror-per-area",
-                          R: float | None = None, constants=CONSTANTS,
-                          z_max: float = 200.0) -> float:
+                          R: float | None = None) -> float:
     """Frequency integral of spectral_xi; equals the closed-form coefficients."""
     from .quadrature import integrate_1d
 
-    h = 2.0 * math.pi * constants.hbar
-    nu_max = z_max * constants.k_boltzmann * T / h
-    value, _ = integrate_1d(
-        lambda nu: spectral_xi(nu, T, target=target, R=R, constants=constants),
-        0.0, nu_max, rel_tol=1.0e-9)
+    h = 2.0 * math.pi * CONSTANTS.hbar
+    nu_max = _PLANCK_Z_MAX * CONSTANTS.k_boltzmann * T / h
+    value, _ = integrate_1d(lambda nu: spectral_xi(nu, T, target=target, R=R),
+                            0.0, nu_max, rel_tol=1.0e-9)
+    return value
+
+
+def planck_tail_integral(power: int, *, z_max: float = _PLANCK_Z_MAX) -> float:
+    """Integral of z^power e^z / (e^z - 1)^2 over (0, infinity).
+
+    Evaluated on [0, z_max].  Closed form for cross-checks:
+    power! * zeta(power).
+    """
+    from .quadrature import integrate_1d
+
+    if power < 2:
+        raise ValidationError("integrand is non-integrable for power < 2")
+    value, _ = integrate_1d(lambda z: z ** power * _planck_weight(z),
+                            0.0, z_max, rel_tol=1.0e-9)
     return value
 
 
 def planck_integral_identities() -> dict:
     """The two closed-form Planck-tail integrals used by the radiation drags."""
-    from .quadrature import planck_tail_integral
-
     return {
         "z4": (planck_tail_integral(4), 4.0 * math.pi ** 4 / 15.0),
         "z8": (planck_tail_integral(8), (2.0 * math.pi) ** 8 / 60.0),
@@ -339,7 +370,8 @@ def planck_integral_identities() -> dict:
 
 def molecular_flux(env: Environment) -> float:
     """One-sided molecular flux J = n u_bar / 4 (per cm^2 per s)."""
-    return env.number_density() * env.mean_speed() / 4.0
+    n, u = env.number_density(), env.mean_speed()
+    return _in_float_range("molecular flux", lambda: n * u / 4.0)
 
 
 def collision_stats(body: Body, env: Environment) -> CollisionStats:
@@ -354,11 +386,11 @@ def collision_stats(body: Body, env: Environment) -> CollisionStats:
     u = env.mean_speed()
     if isinstance(body, Sphere):
         area = 4.0 * math.pi * body.radius ** 2
-        tau_c = 1.0 / (J * area)
+        tau_c = _in_float_range("collision time", lambda: 1.0 / (J * area))
         return CollisionStats(tau_c=tau_c,
                               delta_v=u * env.gas_molecular_mass / body.mass())
     face_area = math.pi * body.radius ** 2
-    tau_c = 1.0 / (2.0 * J * face_area)
+    tau_c = _in_float_range("collision time", lambda: 1.0 / (2.0 * J * face_area))
     omega = env.gas_molecular_mass * u * body.radius / body.moment_of_inertia()
     return CollisionStats(tau_c=tau_c, omega_kick=omega)
 

@@ -74,6 +74,13 @@ def _angle(text: str) -> float:
     return float(t)
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need a count of at least 1, got {n}")
+    return n
+
+
 def _csv_floats(text: str) -> list[float]:
     values = [float(tok) for tok in text.split(",") if tok.strip()]
     if not all(map(math.isfinite, values)):
@@ -189,6 +196,8 @@ def _csl_from(args) -> CslParams:
     if args.lam is not None and args.lambda_inv is not None:
         raise ValidationError("give --lam or --lambda-inv, not both")
     if args.lambda_inv is not None:
+        if not args.lambda_inv > 0:
+            raise ValidationError("--lambda-inv must be positive")
         return CslParams(lam=1.0 / args.lambda_inv, a=args.a)
     lam = args.lam if args.lam is not None else 1.0e-16
     return CslParams(lam=lam, a=args.a)
@@ -447,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=_csv_floats, default=None,
                    help="comma list of times in s")
     p.add_argument("--t-end", type=_time, default=1.0e3)
-    p.add_argument("--n-times", type=int, default=25)
+    p.add_argument("--n-times", type=_count, default=25)
     p.add_argument("--realm", choices=("molecular", "viscous"),
                    default="molecular")
     p.add_argument("--regime", choices=("auto", "short", "long"),

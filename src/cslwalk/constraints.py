@@ -116,8 +116,7 @@ def evaluate_constraints(lambda_inv: float, a: float,
 
 
 def lambda_gravitational(a: float, mode: str = "point",
-                         size: float | None = None,
-                         constants=CONSTANTS) -> float:
+                         size: float | None = None) -> float:
     """Effective collapse rate of gravitationally based collapse proposals.
 
     All results are order-of-magnitude (numerical factors set to 1):
@@ -128,7 +127,7 @@ def lambda_gravitational(a: float, mode: str = "point",
     """
     if not a > 0:
         raise ValidationError("a must be positive")
-    lam_g = constants.G * constants.m_nucleon ** 2 / (a * constants.hbar)
+    lam_g = CONSTANTS.G * CONSTANTS.m_nucleon ** 2 / (a * CONSTANTS.hbar)
     if mode == "point":
         return lam_g
     if size is None or size <= 0:
@@ -165,17 +164,16 @@ def thermal_relation(gamma: float) -> ThermalRelation:
     return ThermalRelation(gamma=gamma)
 
 
-def thermal_bath_energies(T: float = 2.7, a: float = 1.0e-5,
-                          constants=CONSTANTS) -> dict:
-    """kT of the cosmic bath and the collapse momentum-scale energy, in eV."""
-    kT_ev = constants.k_boltzmann * T / ERG_PER_EV
-    scale_ev = constants.hbar ** 2 / (constants.m_nucleon * a ** 2) / ERG_PER_EV
+def thermal_bath_energies() -> dict:
+    """kT of the 2.7 K cosmic bath and the collapse momentum-scale energy
+    at the GRW length a = 1e-5 cm, in eV."""
+    kT_ev = CONSTANTS.k_boltzmann * 2.7 / ERG_PER_EV
+    scale_ev = CONSTANTS.hbar ** 2 / (CONSTANTS.m_nucleon * 1.0e-5 ** 2) / ERG_PER_EV
     return {"kT_eV": kT_ev, "collapse_scale_eV": scale_ev,
             "implied_gamma": kT_ev / (50.0 * scale_ev)}
 
 
-def fu_radiation_rate(E_keV: float, lam: float, a: float,
-                      constants=CONSTANTS) -> float:
+def fu_radiation_rate(E_keV: float, lam: float, a: float) -> float:
     """Photon emission rate of one collapse-shaken free electron.
 
     counts per second per keV at photon energy E; with mass-proportional
@@ -186,24 +184,22 @@ def fu_radiation_rate(E_keV: float, lam: float, a: float,
         raise ValidationError("E, lam, a must be positive")
     erg_per_kev = 1.0e3 * ERG_PER_EV
     E_erg = E_keV * erg_per_kev
-    per_erg = (lam / a ** 2) * _E_CHARGE_ESU ** 2 * constants.hbar / (
-        4.0 * math.pi ** 2 * constants.m_nucleon ** 2 * constants.c ** 3 * E_erg)
+    per_erg = (lam / a ** 2) * _E_CHARGE_ESU ** 2 * CONSTANTS.hbar / (
+        4.0 * math.pi ** 2 * CONSTANTS.m_nucleon ** 2 * CONSTANTS.c ** 3 * E_erg)
     return per_erg * erg_per_kev
 
 
-def ge_detector_rate(lam: float, a: float, E_keV: float = 11.0,
-                     constants=CONSTANTS) -> float:
-    """Detector-side emission rate in counts/(keV kg day) at energy E.
+def ge_detector_rate(lam: float, a: float) -> float:
+    """Detector-side emission rate in counts/(keV kg day) at 11 keV.
 
     Four essentially free valence electrons per germanium atom.
     """
-    per_electron = fu_radiation_rate(E_keV, lam, a, constants=constants)
+    per_electron = fu_radiation_rate(11.0, lam, a)
     return (per_electron * _GE_FREE_ELECTRONS_PER_ATOM * _GE_ATOMS_PER_KG
             * _SECONDS_PER_DAY)
 
 
-def ge_radiation_threshold(limit_counts: float = 0.05,
-                           constants=CONSTANTS) -> float:
+def ge_radiation_threshold(limit_counts: float = 0.05) -> float:
     """lambda_inv * a^2 lower bound implied by a measured count limit.
 
     The emission rate scales as lam/a^2, so the limit translates into a
@@ -212,7 +208,7 @@ def ge_radiation_threshold(limit_counts: float = 0.05,
     """
     if not limit_counts > 0:
         raise ValidationError("limit must be positive")
-    rate_ref = ge_detector_rate(1.0e-16, 1.0e-5, constants=constants)
+    rate_ref = ge_detector_rate(1.0e-16, 1.0e-5)
     max_ratio = limit_counts / rate_ref            # on (lam/a^2)/(lam/a^2)_ref
     return 1.0 / (max_ratio * (1.0e-16 / 1.0e-10))
 
@@ -292,8 +288,8 @@ def fig2_dataset(a_range, lambda_inv_range, which=DEFAULT_MAP_IDS) -> Constraint
                          ids=ids, passed=passed)
 
 
-def map_to_csv(cmap: ConstraintMap, path=None) -> str:
-    """Flatten the lattice to CSV: log10_a,log10_lambda_inv,c1..cN."""
+def map_to_csv(cmap: ConstraintMap) -> str:
+    """The lattice flattened to CSV text: log10_a,log10_lambda_inv,c1..cN."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["log10_a", "log10_lambda_inv"]
@@ -302,11 +298,7 @@ def map_to_csv(cmap: ConstraintMap, path=None) -> str:
         for j, lgl in enumerate(cmap.log10_lambda_inv):
             writer.writerow([f"{lga:.6g}", f"{lgl:.6g}"]
                             + [int(v) for v in cmap.passed[i][j]])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def boundary_polylines(cmap: ConstraintMap) -> dict:

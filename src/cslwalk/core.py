@@ -8,9 +8,9 @@ API boundaries (Torr, picoTorr, days, the 1e-5 cm length often written
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _in_float_range
 
 __all__ = [
     "PhysicalConstants",
@@ -34,6 +34,8 @@ class PhysicalConstants:
     """CODATA constants in CGS units, plus the room-temperature convention.
 
     All attributes are strictly positive and the instance is immutable.
+    Every formula in the package reads the one instance CONSTANTS, which
+    `cslwalk --constants` prints; no function takes another set.
     """
 
     hbar: float = 1.0546e-27          # erg s
@@ -111,16 +113,16 @@ def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
     return out
 
 
-def constants_summary(constants: PhysicalConstants = CONSTANTS) -> dict:
+def constants_summary() -> dict:
     """Every constant and convention in use, for diagnostics output."""
     return {
         "unit_system": "CGS (cm, g, s, K, erg)",
-        "hbar_erg_s": constants.hbar,
-        "k_boltzmann_erg_per_K": constants.k_boltzmann,
-        "m_nucleon_g": constants.m_nucleon,
-        "G_cgs": constants.G,
-        "c_cm_per_s": constants.c,
-        "room_temperature_T0_K": constants.room_temperature_T0,
+        "hbar_erg_s": CONSTANTS.hbar,
+        "k_boltzmann_erg_per_K": CONSTANTS.k_boltzmann,
+        "m_nucleon_g": CONSTANTS.m_nucleon,
+        "G_cgs": CONSTANTS.G,
+        "c_cm_per_s": CONSTANTS.c,
+        "room_temperature_T0_K": CONSTANTS.room_temperature_T0,
         "amu_g": AMU_GRAMS,
         "n2_molecular_mass_g": N2_MOLECULAR_MASS,
         "erg_per_eV": ERG_PER_EV,
@@ -173,7 +175,6 @@ class Sphere:
 
     radius: float
     density: float
-    constants: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self):
         if not (0 < self.radius < math.inf and 0 < self.density < math.inf):
@@ -188,7 +189,7 @@ class Sphere:
         return self.density * self.volume()
 
     def nucleon_count(self) -> float:
-        return self.mass() / self.constants.m_nucleon
+        return self.mass() / CONSTANTS.m_nucleon
 
     def moment_of_inertia(self) -> float:
         """About any axis through the center: (2/5) M R^2."""
@@ -206,7 +207,6 @@ class Disc:
     radius: float
     thickness: float
     density: float
-    constants: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self):
         if not all(0 < v < math.inf
@@ -224,7 +224,7 @@ class Disc:
         return self.density * self.volume()
 
     def nucleon_count(self) -> float:
-        return self.mass() / self.constants.m_nucleon
+        return self.mass() / CONSTANTS.m_nucleon
 
     def moment_of_inertia(self) -> float:
         """About an in-plane diameter axis: (M L^2 / 4)(1 + b^2 / 3 L^2)."""
@@ -260,19 +260,13 @@ class Environment:
     gas_molecular_mass: float = N2_MOLECULAR_MASS
     gas_viscosity: float | None = None
     radiation_temperature: float | None = None
-    constants: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValidationError("temperature must be positive")
-        if self.pressure is not None and not self.pressure > 0:
-            raise ValidationError("pressure must be positive when given")
-        if not self.gas_molecular_mass > 0:
-            raise ValidationError("gas molecular mass must be positive")
-        if self.gas_viscosity is not None and not self.gas_viscosity > 0:
-            raise ValidationError("gas viscosity must be positive when given")
-        if self.radiation_temperature is not None and not self.radiation_temperature > 0:
-            raise ValidationError("radiation temperature must be positive when given")
+        for name in ("temperature", "pressure", "gas_molecular_mass",
+                     "gas_viscosity", "radiation_temperature"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be finite and positive")
 
     @classmethod
     def from_torr(cls, temperature: float, pressure_torr: float, **kwargs) -> "Environment":
@@ -282,21 +276,24 @@ class Environment:
 
     @property
     def kT(self) -> float:
-        return self.constants.k_boltzmann * self.temperature
+        return CONSTANTS.k_boltzmann * self.temperature
 
     def number_density(self) -> float:
         """Gas molecules per cm^3, n = p/(kT)."""
         if self.pressure is None:
             raise ValidationError("number density needs a pressure")
-        return self.pressure / self.kT
+        return _in_float_range("gas number density",
+                               lambda: self.pressure / self.kT)
 
     def mean_speed(self) -> float:
         """Mean molecular speed, sqrt(8 kT / (pi m_g))."""
-        return math.sqrt(8.0 * self.kT / (math.pi * self.gas_molecular_mass))
+        return _in_float_range("mean molecular speed", lambda: math.sqrt(
+            8.0 * self.kT / (math.pi * self.gas_molecular_mass)))
 
     def mean_free_path(self) -> float:
         """l_m = 3 eta / (n m_g u_bar), inverted from the kinetic viscosity."""
         if self.gas_viscosity is None:
             raise ValidationError("mean free path needs a gas viscosity")
         n = self.number_density()
-        return 3.0 * self.gas_viscosity / (n * self.gas_molecular_mass * self.mean_speed())
+        return _in_float_range("mean free path", lambda: 3.0 * self.gas_viscosity
+                               / (n * self.gas_molecular_mass * self.mean_speed()))

@@ -78,7 +78,7 @@ class DiffusionCurve:
 
 
 def csl_rms_translation(csl: CslParams, f: float, t: float,
-                        initial_term: float = 0.0, constants=CONSTANTS) -> float:
+                        initial_term: float = 0.0) -> float:
     """rms distance along one axis from collapse noise alone.
 
     sqrt(initial_term + lam hbar^2 f t^3 / (6 m^2 a^2)); independent of the
@@ -89,14 +89,14 @@ def csl_rms_translation(csl: CslParams, f: float, t: float,
         raise ValidationError("t and initial_term must be finite and nonnegative")
     if not 0.0 <= f <= 1.0:
         raise ValidationError("translation factor f must lie in [0, 1]")
-    m = constants.m_nucleon
+    m = CONSTANTS.m_nucleon
     return _in_float_range("rms translation", lambda: math.sqrt(
         initial_term
-        + csl.lam * constants.hbar ** 2 * f * t ** 3 / (6.0 * m ** 2 * csl.a ** 2)))
+        + csl.lam * CONSTANTS.hbar ** 2 * f * t ** 3 / (6.0 * m ** 2 * csl.a ** 2)))
 
 
 def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
-                     initial_term: float = 0.0, constants=CONSTANTS) -> float:
+                     initial_term: float = 0.0) -> float:
     """rms rotation angle from collapse noise alone (rad).
 
     sqrt(initial_term + lam (hbar / m a^2)^2 f_rot t^3 / 12).
@@ -105,26 +105,25 @@ def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
         raise ValidationError("t and initial_term must be finite and nonnegative")
     if not 0 <= f_rot < math.inf:
         raise ValidationError("rotation factor must be finite and nonnegative")
-    m = constants.m_nucleon
+    m = CONSTANTS.m_nucleon
     return _in_float_range("rms rotation", lambda: math.sqrt(
         initial_term
-        + csl.lam * (constants.hbar / (m * csl.a ** 2)) ** 2 * f_rot * t ** 3 / 12.0))
+        + csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f_rot * t ** 3 / 12.0))
 
 
-def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float,
-                     constants=CONSTANTS) -> float:
+def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float) -> float:
     """Time for the collapse-driven rms rotation to reach a target angle."""
     if not (target_angle > 0 and f_rot > 0):
         raise ValidationError("target angle and f_rot must be positive")
-    m = constants.m_nucleon
+    m = CONSTANTS.m_nucleon
     return _in_float_range("rotation time", lambda: (
         12.0 * target_angle ** 2
-        / (csl.lam * (constants.hbar / (m * csl.a ** 2)) ** 2 * f_rot)) ** (1.0 / 3.0))
+        / (csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f_rot)) ** (1.0 / 3.0))
 
 
 def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
                  csl: CslParams | None, f: float, t: float,
-                 regime: str = "auto", constants=CONSTANTS) -> float:
+                 regime: str = "auto") -> float:
     """rms displacement with both thermal-gas and collapse noise (one axis).
 
     Long-time (t >> M/xi): sqrt([2kT/xi + (M/xi)^2 lam hbar^2 f/(2 m^2 a^2)] t).
@@ -140,15 +139,15 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
     if not 0 <= t < math.inf:
         raise ValidationError("t must be finite and nonnegative")
     M = body.mass()
-    kT = constants.k_boltzmann * env.temperature
+    kT = env.kT
     if csl is None:
         csl_vel_rate = 0.0
     else:
         if not 0.0 <= f <= 1.0:
             raise ValidationError("translation factor f must lie in [0, 1]")
-        m = constants.m_nucleon
+        m = CONSTANTS.m_nucleon
         csl_vel_rate = _in_float_range("collapse velocity diffusion", lambda:
-                                       csl.lam * constants.hbar ** 2 * f
+                                       csl.lam * CONSTANTS.hbar ** 2 * f
                                        / (2.0 * m ** 2 * csl.a ** 2))
 
     if regime == "auto":
@@ -179,7 +178,7 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
     raise ValidationError(f"unknown regime {regime!r}")
 
 
-def qm_baseline_translation(body: Body, t: float, constants=CONSTANTS) -> float:
+def qm_baseline_translation(body: Body, t: float) -> float:
     """Drift of an initially localized, unobserved sphere in standard QM.
 
     The sphere is taken localized to about its diameter at t=0, giving a
@@ -189,10 +188,10 @@ def qm_baseline_translation(body: Body, t: float, constants=CONSTANTS) -> float:
         raise ValidationError("the translation baseline is defined for a sphere")
     if not 0 <= t < math.inf:
         raise ValidationError("t must be finite and nonnegative")
-    return constants.hbar * t / (body.mass() * 4.0 * body.radius)
+    return CONSTANTS.hbar * t / (body.mass() * 4.0 * body.radius)
 
 
-def qm_baseline_rotation(body: Body, t: float, constants=CONSTANTS) -> float:
+def qm_baseline_rotation(body: Body, t: float) -> float:
     """Drift angle of an initially orientation-localized disc in standard QM.
 
     Localization to about pi/4 gives angular momentum 2 hbar / pi; with the
@@ -202,12 +201,12 @@ def qm_baseline_rotation(body: Body, t: float, constants=CONSTANTS) -> float:
         raise ValidationError("the rotation baseline is defined for a disc")
     if not 0 <= t < math.inf:
         raise ValidationError("t must be finite and nonnegative")
-    return 8.0 * constants.hbar * t / (
+    return 8.0 * CONSTANTS.hbar * t / (
         math.pi ** 2 * body.density * body.thickness * body.radius ** 4)
 
 
-def equilibrium_width(csl: CslParams, body: Body, f: float | None = None,
-                      constants=CONSTANTS) -> WavepacketEquilibrium:
+def equilibrium_width(csl: CslParams, body: Body,
+                      f: float | None = None) -> WavepacketEquilibrium:
     """Equilibrium packet width and relaxation time.
 
     s_inf^2 = (a/N) sqrt(hbar / (2 M lam f)); tau_s = N m s_inf^2 / hbar.
@@ -224,8 +223,8 @@ def equilibrium_width(csl: CslParams, body: Body, f: float | None = None,
         raise ValidationError("f must be positive")
     M = body.mass()
     N = body.nucleon_count()
-    s_sq = (csl.a / N) * math.sqrt(constants.hbar / (2.0 * M * csl.lam * f))
-    tau_s = M * s_sq / constants.hbar
+    s_sq = (csl.a / N) * math.sqrt(CONSTANTS.hbar / (2.0 * M * csl.lam * f))
+    tau_s = M * s_sq / CONSTANTS.hbar
     if N < 3.0e7:
         warnings.warn(
             f"N = {N:.3g} nucleons is below the ~3e7 needed for the "
@@ -253,8 +252,7 @@ def equilibrium_series_rms(eq: WavepacketEquilibrium, t: float) -> float:
         1.0 + x + x * x / 2.0 + x ** 3 / 12.0))
 
 
-def energy_gain_rates(csl: CslParams, body: Body, f: float,
-                      constants=CONSTANTS) -> dict:
+def energy_gain_rates(csl: CslParams, body: Body, f: float) -> dict:
     """Collapse heating rates in erg/s.
 
     total: 3 lam hbar^2 N^2 / (4 M a^2) over all internal + CM motion;
@@ -266,7 +264,7 @@ def energy_gain_rates(csl: CslParams, body: Body, f: float,
     N = body.nucleon_count()
     M = body.mass()
     total = _in_float_range("heating rate", lambda: 3.0 * csl.lam
-                            * constants.hbar ** 2 * N ** 2 / (4.0 * M * csl.a ** 2))
+                            * CONSTANTS.hbar ** 2 * N ** 2 / (4.0 * M * csl.a ** 2))
     return {"total": total, "cm_part": total * f}
 
 
@@ -274,8 +272,7 @@ def energy_gain_rates(csl: CslParams, body: Body, f: float,
 # curves and reference tables
 
 def diffusion_curve(mechanism: str, mode: str, times, *, csl=None, f=None,
-                    body=None, env=None, xi=None, regime="auto",
-                    constants=CONSTANTS) -> DiffusionCurve:
+                    body=None, env=None, xi=None, regime="auto") -> DiffusionCurve:
     """Evaluate one rms-vs-time curve for the requested mechanism/mode."""
     times = [float(t) for t in times]
     if not all(0 <= t < math.inf for t in times):
@@ -283,17 +280,16 @@ def diffusion_curve(mechanism: str, mode: str, times, *, csl=None, f=None,
     samples = []
     for t in times:
         if mechanism == "csl" and mode == "translation":
-            rms = csl_rms_translation(csl, f, t, constants=constants)
+            rms = csl_rms_translation(csl, f, t)
         elif mechanism == "csl" and mode == "rotation":
-            rms = csl_rms_rotation(csl, f, t, constants=constants)
+            rms = csl_rms_rotation(csl, f, t)
         elif mechanism == "qm-baseline" and mode == "translation":
-            rms = qm_baseline_translation(body, t, constants=constants)
+            rms = qm_baseline_translation(body, t)
         elif mechanism == "qm-baseline" and mode == "rotation":
-            rms = qm_baseline_rotation(body, t, constants=constants)
+            rms = qm_baseline_rotation(body, t)
         elif mechanism in ("brownian", "combined") and mode == "translation":
             rms = combined_rms(xi, body, env, csl if mechanism == "combined" else None,
-                               f if f is not None else 0.0, t, regime=regime,
-                               constants=constants)
+                               f if f is not None else 0.0, t, regime=regime)
         else:
             raise ValidationError(
                 f"unsupported mechanism/mode pair {mechanism!r}/{mode!r}")
@@ -319,47 +315,41 @@ def diffusion_curve(mechanism: str, mode: str, times, *, csl=None, f=None,
                           samples=tuple(samples), params_used=params)
 
 
-def curve_to_csv(curve: DiffusionCurve, path=None) -> str:
+def curve_to_csv(curve: DiffusionCurve) -> str:
+    """The curve as CSV text (t_s,rms,mechanism,mode)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t_s", "rms", "mechanism", "mode"])
     for t, rms in curve.samples:
         writer.writerow([f"{t:.6g}", f"{rms:.6g}", curve.mechanism, curve.mode])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 TABLE_RADII = (1.0e-6, 1.0e-5, 1.0e-4, 1.0e-2, 1.0)
 TABLE_TIMES = (10.0, 1.0e3, 1.0e5)
 
 
-def vacuum_diffusion_table(csl: CslParams | None = None,
-                           radii=TABLE_RADII, times=TABLE_TIMES,
-                           constants=CONSTANTS) -> list[dict]:
-    """Collapse-only rms displacement for a grid of sphere radii and times."""
-    csl = csl or CslParams.grw()
+def vacuum_diffusion_table() -> list[dict]:
+    """Collapse-only rms displacement at the GRW point, TABLE_RADII x TABLE_TIMES."""
+    csl = CslParams.grw()
     rows = []
-    for R in radii:
+    for R in TABLE_RADII:
         f = f_sphere(R / csl.a).value
         row = {"R_cm": R, "f": f}
-        for t in times:
-            row[f"dq_cm_t{t:g}"] = csl_rms_translation(csl, f, t, constants=constants)
+        for t in TABLE_TIMES:
+            row[f"dq_cm_t{t:g}"] = csl_rms_translation(csl, f, t)
         rows.append(row)
     return rows
 
 
-def equilibrium_table(csl: CslParams | None = None, radii=TABLE_RADII,
-                      density: float = 1.0, constants=CONSTANTS) -> list[dict]:
-    """Equilibrium packet width and relaxation time for a grid of radii."""
-    csl = csl or CslParams.grw()
+def equilibrium_table() -> list[dict]:
+    """Packet width and relaxation time at the GRW point, TABLE_RADII, density 1."""
+    csl = CslParams.grw()
     rows = []
-    for R in radii:
-        body = Sphere(radius=R, density=density)
+    for R in TABLE_RADII:
+        body = Sphere(radius=R, density=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            eq = equilibrium_width(csl, body, constants=constants)
+            eq = equilibrium_width(csl, body)
         rows.append({"R_cm": R, "s_inf_cm": eq.s_inf, "tau_s_s": eq.tau_s})
     return rows

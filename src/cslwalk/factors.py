@@ -192,9 +192,11 @@ def f_disc_edge(aspect: DiscAspect) -> FactorResult:
 
 # beta below which the edge-band integral g takes its power series
 _THIN_EDGE_BETA = 1.0e-3
+# tolerance of the 1-D piece, the same as integrate_2d's fixed rule
+_ROT_REL_TOL = 1.0e-6
 
 
-def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
+def _rot_surface_pieces(aspect: DiscAspect):
     """The three surface contributions (faces, edge band, face-edge cross)
     and their quadrature error estimates, before the overall prefactor."""
     import numpy as np
@@ -211,8 +213,7 @@ def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
     def face_kernel(r, rp):
         return r ** 2 * rp ** 2 * np.exp(-((r - rp) ** 2)) * i1e(2.0 * r * rp)
 
-    f1, e1 = integrate_2d(face_kernel, 0.0, al, 0.0, al,
-                          rel_tol=rel_tol, panel_hint=1.0)
+    f1, e1 = integrate_2d(face_kernel, 0.0, al, 0.0, al)
     f1 *= -math.expm1(-be * be)
     e1 *= -math.expm1(-be * be)
 
@@ -224,15 +225,14 @@ def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
         g = h2 ** 3 * (8.0 / 9.0 - h2 * (16.0 / 15.0 - h2 * 32.0 / 35.0))
         e2 = 256.0 / 405.0 * h2 ** 6
     else:
-        g, e2 = integrate_2d(edge_box_kernel, -h, h, -h, h,
-                             rel_tol=rel_tol, panel_hint=1.0)
+        g, e2 = integrate_2d(edge_box_kernel, -h, h, -h, h)
     band = 0.5 * al * al * i1e(2.0 * al * al)
     f2 = band * g
     e2 *= band
 
     rint, e3 = integrate_1d(
         lambda r: r ** 2 * np.exp(-((r - al) ** 2)) * i1e(2.0 * al * r),
-        0.0, al, rel_tol=rel_tol, initial_panels=max(4, int(al) + 1))
+        0.0, al, rel_tol=_ROT_REL_TOL, initial_panels=max(4, int(al) + 1))
     yint = h * 0.5 * math.sqrt(math.pi) * erf(2.0 * h) - 0.5 * (-math.expm1(-4.0 * h * h))
     f3 = -2.0 * al * rint * yint
     e3 *= 2.0 * al * abs(yint)
@@ -241,9 +241,12 @@ def _rot_surface_pieces(aspect: DiscAspect, rel_tol: float):
 
 # alpha^2 + beta^2 at or below which f_rot_disc is the small-body limit
 _SMALL_BODY_SIZE = 1.0e-8
+# Largest alpha and beta whose kernels the fixed 2-D rule resolves within 256
+# panels; past it convergence takes a 1.2-GB grid or fails after ~13 s.
+_MAX_ROT_SIZE = 128.0
 
 
-def f_rot_disc(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
+def f_rot_disc(aspect: DiscAspect) -> FactorResult:
     """Rotation factor of a disc spinning about an in-plane diameter.
 
     Surface decomposition with three pieces: the two faces (f1 >= 0), the
@@ -253,6 +256,8 @@ def f_rot_disc(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
     in the small-body limit it reduces exactly to
     small_body_rotation_limit, which is returned (method "analytic",
     est_error (4/3)(alpha^2 + beta^2)) when alpha^2 + beta^2 <= 1e-8.
+    alpha or beta above 128 is rejected: the fixed quadrature rule does not
+    resolve the kernels there within its panel budget.
     """
     al, be = aspect.alpha, aspect.beta
     try:
@@ -262,6 +267,9 @@ def f_rot_disc(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
     if pref == math.inf:
         raise ValidationError(f"alpha = {al:.3g}, beta = {be:.3g}: the rotation "
                               "prefactor leaves the floating-point range")
+    if max(al, be) > _MAX_ROT_SIZE:
+        raise ValidationError(f"alpha = {al:.6g}, beta = {be:.6g}: the rotation "
+                              f"factor needs both at most {_MAX_ROT_SIZE:g}")
     size = al * al + be * be
     if size <= _SMALL_BODY_SIZE:
         # The quadrature cancels here; at alpha = beta = 1e-6 it does not converge.
@@ -271,7 +279,7 @@ def f_rot_disc(aspect: DiscAspect, rel_tol: float = 1.0e-6) -> FactorResult:
         # |c| <= 4/3 (its r -> 0 value).
         return FactorResult(small_body_rotation_limit(aspect), "analytic",
                             est_error=4.0 / 3.0 * size)
-    (f1, f2, f3), (e1, e2, e3) = _rot_surface_pieces(aspect, rel_tol)
+    (f1, f2, f3), (e1, e2, e3) = _rot_surface_pieces(aspect)
     value = pref * (f1 + f2 + f3)
     err = pref * (e1 + e2 + e3)
     if value < 0:
@@ -292,7 +300,7 @@ def small_body_rotation_limit(aspect: DiscAspect) -> float:
     return ((plane - thick) / (plane + thick)) ** 2
 
 
-def fig1_dataset(alphas, betas, rel_tol: float = 1.0e-6) -> dict:
+def fig1_dataset(alphas, betas) -> dict:
     """Rotation factor on a (alpha, beta) grid, with monotonicity diagnostics.
 
     Returns {"rows": [(alpha, beta, f_rot, est_error), ...],
@@ -308,22 +316,18 @@ def fig1_dataset(alphas, betas, rel_tol: float = 1.0e-6) -> dict:
     for be in betas:
         vals = []
         for al in alphas:
-            res = f_rot_disc(DiscAspect(al, be), rel_tol=rel_tol)
+            res = f_rot_disc(DiscAspect(al, be))
             rows.append((al, be, res.value, res.est_error))
             vals.append(res.value)
         mono[be] = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     return {"rows": rows, "monotonic_in_alpha": mono}
 
 
-def fig1_to_csv(dataset: dict, path=None) -> str:
-    """Write the rotation-factor grid as CSV (alpha,beta,f_rot,est_error)."""
+def fig1_to_csv(dataset: dict) -> str:
+    """The rotation-factor grid as CSV text (alpha,beta,f_rot,est_error)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["alpha", "beta", "f_rot", "est_error"])
     for al, be, val, err in dataset["rows"]:
         writer.writerow([f"{al:.6g}", f"{be:.6g}", f"{val:.6g}", f"{err:.3g}"])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()

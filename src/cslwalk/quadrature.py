@@ -1,10 +1,11 @@
 """Adaptive Gauss-Legendre quadrature (1-D, and 2-D on a square).
 
 Panels are refined uniformly (doubling per pass) until two successive
-estimates agree to the requested relative tolerance; the last difference is
-reported as the error estimate.  The integrands used in this package are
-smooth Gaussian-type kernels, so convergence is fast; non-convergence is
-reported with the achieved error rather than silently accepted.
+estimates agree to a relative tolerance (the caller's in 1-D, a fixed 1e-6
+in 2-D); the last difference is reported as the error estimate.  The
+integrands used in this package are smooth Gaussian-type kernels, so
+convergence is fast; non-convergence is reported with the achieved error
+rather than silently accepted.
 
 The 2-D rule serves the rotation factor's kernels, which are symmetric in
 their two arguments over a square: it evaluates the upper half of the node
@@ -20,7 +21,12 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["integrate_1d", "integrate_2d", "planck_tail_integral"]
+__all__ = ["integrate_1d", "integrate_2d"]
+
+_ORDER_1D = 32         # Gauss-Legendre points per panel
+_ORDER_2D = 24         # points per panel along each axis
+_REL_TOL_2D = 1.0e-6
+_MAX_PANELS_2D = 256
 
 
 @lru_cache(maxsize=32)
@@ -41,22 +47,22 @@ def _composite_nodes(a: float, b: float, panels: int, order: int):
 
 
 def integrate_1d(f, a: float, b: float, *, rel_tol: float = 1.0e-9,
-                 order: int = 32, max_panels: int = 4096,
+                 max_panels: int = 4096,
                  initial_panels: int = 4) -> tuple[float, float]:
     """Integrate a vectorized scalar function on [a, b].
 
     Returns (value, error_estimate).  Raises ConvergenceError if doubling
-    panels up to `max_panels` never brings successive estimates within
-    rel_tol of each other.
+    panels of 32-point Gauss-Legendre up to `max_panels` never brings
+    successive estimates within rel_tol of each other.
     """
     if b <= a:
         return 0.0, 0.0
     panels = initial_panels
-    nodes, weights = _composite_nodes(a, b, panels, order)
+    nodes, weights = _composite_nodes(a, b, panels, _ORDER_1D)
     prev = float(np.dot(weights, f(nodes)))
     while panels <= max_panels:
         panels *= 2
-        nodes, weights = _composite_nodes(a, b, panels, order)
+        nodes, weights = _composite_nodes(a, b, panels, _ORDER_1D)
         cur = float(np.dot(weights, f(nodes)))
         err = abs(cur - prev)
         if err <= rel_tol * max(abs(cur), 1e-300):
@@ -67,24 +73,26 @@ def integrate_1d(f, a: float, b: float, *, rel_tol: float = 1.0e-9,
         achieved=err / max(abs(cur), 1e-300))
 
 
-def integrate_2d(f, ax: float, bx: float, ay: float, by: float, *,
-                 rel_tol: float = 1.0e-6, order: int = 24,
-                 max_panels: int = 256, panel_hint: float | None = None
+def integrate_2d(f, ax: float, bx: float, ay: float, by: float
                  ) -> tuple[float, float]:
     """Tensor-product Gauss-Legendre integral of f(x, y) on a square.
+
+    The rule is fixed: 24-point panels along each axis, starting at one
+    panel per unit width (at least 2, at most 128: the rotation kernels
+    have O(1) structure along the diagonal, so wide domains start with
+    O(width) panels instead of relying on refinement alone) and doubling
+    until two successive estimates agree to 1e-6 relative.  Returns
+    (value, error_estimate); raises ConvergenceError when they still
+    disagree once the panel count has passed 256.
 
     Precondition: the domain is a square ([ax, bx] == [ay, by]) and f is
     symmetric to the last bit, f(x, y) == f(y, x) as floats for every node
     pair; a non-square domain raises ValueError.  Only the node rows of
-    the upper triangle are evaluated, one strip of `order` rows (one panel)
+    the upper triangle are evaluated, one strip of 24 rows (one panel)
     at a time on broadcast node vectors, and each strip is mirrored into the
     lower triangle.  The weighted sum then runs over the full node matrix,
     which is the one a full evaluation gives, so the result does not depend
     on the halving.
-
-    `panel_hint` is a target panel width (the kernels here have O(1)
-    structure along the diagonal, so wide domains start with O(width)
-    panels instead of relying on refinement alone).
     """
     if (ax, bx) != (ay, by):
         raise ValueError("integrate_2d needs a square domain, got "
@@ -93,55 +101,25 @@ def integrate_2d(f, ax: float, bx: float, ay: float, by: float, *,
         return 0.0, 0.0
 
     def estimate(panels):
-        xn, xw = _composite_nodes(ax, bx, panels, order)
+        xn, xw = _composite_nodes(ax, bx, panels, _ORDER_2D)
         n = xn.size
         vals = np.empty((n, n))
-        for s in range(0, n, order):
-            strip = f(xn[s:s + order, None], xn[None, s:])
-            vals[s:s + order, s:] = strip
-            vals[s + order:, s:s + order] = strip[:, order:].T
+        for s in range(0, n, _ORDER_2D):
+            strip = f(xn[s:s + _ORDER_2D, None], xn[None, s:])
+            vals[s:s + _ORDER_2D, s:] = strip
+            vals[s + _ORDER_2D:, s:s + _ORDER_2D] = strip[:, _ORDER_2D:].T
         return float(np.einsum("i,j,ij->", xw, xw, vals))
 
-    if panel_hint is None:
-        panels = 2
-    else:
-        panels = max(2, min(max_panels // 2, math.ceil((bx - ax) / panel_hint)))
+    panels = max(2, min(_MAX_PANELS_2D // 2, math.ceil(bx - ax)))   # unit width
     prev = estimate(panels)
-    while panels <= max_panels:
+    while panels <= _MAX_PANELS_2D:
         panels *= 2
         cur = estimate(panels)
         err = abs(cur - prev)
-        if err <= rel_tol * max(abs(cur), 1e-300):
+        if err <= _REL_TOL_2D * max(abs(cur), 1e-300):
             return cur, err
         prev = cur
     raise ConvergenceError(
         "2-D quadrature did not reach requested tolerance",
         achieved=err / max(abs(cur), 1e-300))
 
-
-def planck_tail_integral(power: int, *, z_max: float = 200.0,
-                         rel_tol: float = 1.0e-9) -> float:
-    """Integral of z^power e^z / (e^z - 1)^2 over (0, infinity).
-
-    Evaluated on [0, z_max]; the integrand decays like z^power e^{-z}, so
-    with z_max = 200 the dropped tail is below 1e-12 of the total for all
-    powers used here (4 and 8).  Closed form for cross-checks:
-    power! * zeta(power).
-    """
-    if power < 2:
-        raise ValueError("integrand is non-integrable for power < 2")
-
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        small = z < 1.0e-8
-        big = ~small
-        zb = z[big]
-        # z^p e^{-z} / (1 - e^{-z})^2, written to avoid overflow at large z
-        out[big] = zb ** power * np.exp(-zb) / np.expm1(-zb) ** 2
-        zs = z[small]
-        out[small] = zs ** (power - 2)   # leading small-z behavior
-        return out
-
-    value, _ = integrate_1d(integrand, 0.0, z_max, rel_tol=rel_tol)
-    return value

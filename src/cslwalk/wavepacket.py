@@ -100,7 +100,7 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> ComplexVariance 
 
 
 def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
-                        t_grid, constants=CONSTANTS) -> list[ComplexVariance]:
+                        t_grid) -> list[ComplexVariance]:
     """Numerically integrate the width equation on a monotone time grid.
 
     lam_eff is the body's collapse rate lam N^2 f.  lam_eff = 0 gives free
@@ -114,7 +114,7 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
     if t_grid[0] < 0:
         raise ValidationError("t_grid must be nonnegative")
     s0 = _as_complex(sigma0)
-    drift = 0.5 * constants.hbar / M
+    drift = 0.5 * CONSTANTS.hbar / M
     rate = 2.0 * lam_eff / a ** 2
 
     def rhs(_t, y):
@@ -275,7 +275,7 @@ def _sample_schedule(steps: int, dt: float, sample_times):
 def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
                       t_end: float, seed: int = 0,
                       method: str = "euler-maruyama", sample_times=None,
-                      workers: int = 1, constants=CONSTANTS) -> EnsembleStats:
+                      workers: int = 1) -> EnsembleStats:
     """Ensemble simulation of the packet-center drift started at equilibrium.
 
     Each trajectory integrates db = (b_I / tau) dt + (1+i)/2 (s/sqrt(tau)) dB
@@ -316,7 +316,7 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
     if math.ceil(n_traj / _TRAJ_BLOCK) * T * T > _MAX_COV_FLOATS:
         raise ValidationError(f"{T} sample times need too large a covariance "
                               f"for {n_traj} trajectories")
-    hbar_s2 = constants.hbar / eq.s_inf ** 2
+    hbar_s2 = CONSTANTS.hbar / eq.s_inf ** 2
 
     def block_sums(rng, nb):
         B = np.zeros(nb)
@@ -388,7 +388,8 @@ def growth_coefficients(stats: EnsembleStats, pick_times) -> dict:
             "std_errors": tuple(np.sqrt(np.diag(coef_cov)))}
 
 
-def stats_to_csv(stats: EnsembleStats, path=None) -> str:
+def stats_to_csv(stats: EnsembleStats) -> str:
+    """The ensemble moments as CSV text, one row per sample time."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t_s", "mean_Q", "mean_sq_Q", "se_mean_sq_Q",
@@ -398,8 +399,4 @@ def stats_to_csv(stats: EnsembleStats, path=None) -> str:
             f"{t:.9g}", f"{stats.mean_Q[j]:.9g}", f"{stats.mean_sq_Q[j]:.9g}",
             f"{stats.se_mean_sq_Q[j]:.9g}", f"{stats.mean_sq_P[j]:.9g}",
             f"{stats.se_mean_sq_P[j]:.9g}"])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()

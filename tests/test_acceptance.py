@@ -22,9 +22,8 @@ from cslwalk import (CONSTANTS, ComplexVariance, CslParams, Disc, Sphere,
                      sigma_closed_form, sigma_ode_integrate,
                      simulate_ensemble, thermal_rms, time_to_rotation,
                      vacuum_diffusion_table, xi_molecular, xi_radiation)
-from cslwalk.brownian import integrate_spectral_xi
+from cslwalk.brownian import integrate_spectral_xi, planck_tail_integral
 from cslwalk.factors import DiscAspect
-from cslwalk.quadrature import planck_tail_integral
 
 from conftest import matches_1sf
 

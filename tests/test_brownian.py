@@ -9,8 +9,8 @@ from cslwalk import (CONSTANTS, Disc, Environment, Sphere, ValidationError,
                      xi_molecular, xi_radiation, xi_rotational,
                      xi_slip_corrected, xi_stokes, xi_viscous_disc)
 from cslwalk.brownian import (SLIP_SPECULAR, check_realm,
-                              integrate_spectral_xi, planck_integral_identities)
-from cslwalk.quadrature import planck_tail_integral
+                              integrate_spectral_xi, planck_integral_identities,
+                              planck_tail_integral)
 
 T0 = CONSTANTS.room_temperature_T0
 K = CONSTANTS.k_boltzmann
@@ -71,6 +71,22 @@ def test_fp_moments_rejects_variance_beyond_float_range():
     # t / tau overflows to inf, and with it the position variance
     with pytest.raises(ValidationError, match="floating-point range"):
         fp_moments(tau=1e-300, beta=1.0, v0=0.0, t=1e300)
+
+
+@pytest.mark.parametrize("v0", [math.inf, math.nan])
+def test_fp_moments_rejects_nonfinite_initial_velocity(v0):
+    with pytest.raises(ValidationError, match="v0"):
+        fp_moments(1.0, 1.0, v0, 1.0)
+
+
+@pytest.mark.parametrize("args,bad", [
+    ((1e-9, 1e-15, -300.0, 1.0, "short"), "temperature"),
+    ((1e-9, 1e-15, 300.0, -1.0, "short"), "t must"),
+    ((0.0, 1e-15, 300.0, 1.0, "long"), "xi"),
+])
+def test_thermal_rms_rejects_bad_inputs_by_name(args, bad):
+    with pytest.raises(ValidationError, match=bad):
+        thermal_rms(*args)
 
 
 def test_thermal_rms_rejects_results_beyond_float_range():

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cslwalk.cli import main
 from cslwalk.errors import ConvergenceError
@@ -204,6 +209,12 @@ def test_exit_code_precondition(capsys):
      "--pressure", "5e-17Torr"],
     ["collide", "--disc-radius", "1e300", "--disc-thickness", "1e300",
      "--temperature", "4.2K", "--pressure", "5e-17Torr"],
+    ["collide", "--sphere-radius", "1e-5", "--temperature", "5e-324",
+     "--pressure", "5e-17Torr"],
+    ["collide", "--sphere-radius", "1e-5", "--temperature", "4.2K",
+     "--pressure", "5e-17Torr", "--gas-mass", "5e-324"],
+    ["collide", "--sphere-radius", "1e-5", "--temperature", "4.2K",
+     "--pressure", "1e300"],
 ])
 def test_exit_code_float_range(capsys, argv):
     # the arithmetic overflows, or divides by an a^2 that underflows to 0
@@ -211,6 +222,34 @@ def test_exit_code_float_range(capsys, argv):
     assert rc == 3 and out == ""
     assert "floating-point range" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["diffuse", "--sphere-radius", "1e-5", "--lambda-inv", "0"], "lambda-inv"),
+    (["simulate", "--sphere-radius", "1e-5", "--lambda-inv", "0"], "lambda-inv"),
+    (["collide", "--sphere-radius", "1e-5", "--temperature", "4.2K",
+      "--pressure", "5e-17Torr", "--gas-mass", "1e400"], "gas_molecular_mass"),
+    (["diffuse", "--mechanism", "combined", "--sphere-radius", "1e-5",
+      "--pressure", "5e-17Torr", "--realm", "viscous", "--viscosity", "inf"],
+     "viscosity"),
+    (["diffuse", "--mode", "rotation", "--disc-radius", "2du",
+      "--disc-thickness", ".5du", "--a", "1e-30"], "at most 128"),
+])
+def test_exit_code_out_of_domain_values(capsys, argv, bad):
+    rc, out, err = run(capsys, argv)
+    assert rc == 3 and out == ""
+    assert bad in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_times", ["0", "-3"])
+def test_exit_code_n_times_below_one(capsys, n_times):
+    with pytest.raises(SystemExit) as err:
+        main(["diffuse", "--sphere-radius", "1e-5", f"--n-times={n_times}"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "n-times" in out.err and "Traceback" not in out.err
 
 
 def test_exit_code_body_needed(capsys):
@@ -344,3 +383,75 @@ def test_exit_code_convergence(monkeypatch, capsys):
     rc, _, err = run(capsys, ["fig1", "--alphas", "1.0", "--betas", "0.25"])
     assert rc == 4
     assert "stalled" in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under drawn flag values
+
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "5e-324", "1e-300", "1e-30", "1e30",
+                     "1e300", "1e400", "nan", "inf", "-inf"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(1e-6, 1e6).map("{:g}".format),
+)
+_QUANTITY = st.one_of(
+    _NUMBER,
+    st.builds("{:g}{}".format, st.floats(1e-30, 1e30),
+              st.sampled_from(["du", "cm", "Torr", "pT", "dyn/cm2", "s", "day",
+                               "K"])),
+)
+_BODY_ENV = {
+    **{flag: _QUANTITY for flag in ("--sphere-radius", "--disc-radius",
+                                    "--disc-thickness", "--temperature",
+                                    "--pressure")},
+    **{flag: _NUMBER for flag in ("--density", "--gas-mass", "--viscosity")},
+}
+_DIFFUSE = {
+    **_BODY_ENV,
+    **{flag: _QUANTITY for flag in ("--lambda-inv", "--a", "--t-end")},
+    **{flag: _NUMBER for flag in ("--lam", "--f", "--target")},
+    "--times": st.lists(_NUMBER, max_size=3).map(",".join),
+    "--n-times": st.integers(-5, 100).map(str),
+    "--mechanism": st.sampled_from(["csl", "brownian", "combined", "qm"]),
+    "--mode": st.sampled_from(["translation", "rotation"]),
+    "--orientation": st.sampled_from(["perp", "edge"]),
+    "--realm": st.sampled_from(["molecular", "viscous"]),
+    "--regime": st.sampled_from(["auto", "short", "long"]),
+}
+# valid command lines that the drawn flags then override (the last wins)
+_DISC = ["--disc-radius=2du", "--disc-thickness=.5du"]
+_GAS = ["--temperature=4.2K", "--pressure=5e-17Torr"]
+_BASES = {
+    "diffuse": [["--sphere-radius=1e-5"], ["--mode=rotation", *_DISC],
+                ["--mechanism=combined", "--sphere-radius=1e-5", *_GAS]],
+    "collide": [["--sphere-radius=1e-5", *_GAS], [*_DISC, *_GAS]],
+}
+
+
+@st.composite
+def _diffuse_or_collide_argv(draw):
+    command = draw(st.sampled_from(sorted(_BASES)))
+    base = draw(st.sampled_from(_BASES[command]))
+    pool = _DIFFUSE if command == "diffuse" else _BODY_ENV
+    names = draw(st.lists(st.sampled_from(sorted(pool)), min_size=1,
+                          max_size=3, unique=True))
+    # FLAG=VALUE, so that values such as -inf are not read as flags
+    argv = [command, *base] + [f"{name}={draw(pool[name])}" for name in names]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_diffuse_or_collide_argv())
+def test_cli_exit_code_contract_holds_for_drawn_flags(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2, 3, 4), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue()), argv
+    else:
+        assert out.getvalue() == "", argv

@@ -148,6 +148,23 @@ def test_environment_gas_state():
     assert env.mean_speed() == pytest.approx(4.708e4, rel=1e-3)
 
 
+@pytest.mark.parametrize("field", ["temperature", "pressure",
+                                   "gas_molecular_mass", "gas_viscosity",
+                                   "radiation_temperature"])
+def test_environment_rejects_infinite_values(field):
+    kwargs = {"temperature": 4.2, field: math.inf}
+    with pytest.raises(ValidationError, match="finite"):
+        Environment(**kwargs)
+
+
+def test_environment_gas_state_beyond_float_range_rejected():
+    # kT underflows to 0; the mean speed overflows
+    with pytest.raises(ValidationError, match="floating-point range"):
+        Environment(temperature=5e-324, pressure=1.0).number_density()
+    with pytest.raises(ValidationError, match="floating-point range"):
+        Environment(temperature=4.2, gas_molecular_mass=5e-324).mean_speed()
+
+
 def test_environment_mean_free_path_needs_viscosity():
     env = Environment.from_torr(293.15, 760.0)
     with pytest.raises(ValidationError):

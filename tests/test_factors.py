@@ -125,6 +125,14 @@ def test_disc_translation_factors_reject_alpha_outside_window():
         f_rot_disc(DiscAspect(1e-100, 1e-100))
 
 
+def test_rotation_factor_rejects_sizes_beyond_its_quadrature():
+    # past 128 the fixed 2-D rule needs a 512-panel grid (1.2 GB) or fails
+    # after seconds; a 1-cm disc at a = 1e-5 cm has alpha = 5e4
+    for alpha, beta in ((128.5, 0.25), (5e4, 0.25), (100.0, 200.0)):
+        with pytest.raises(ValidationError, match="at most 128"):
+            f_rot_disc(DiscAspect(alpha, beta))
+
+
 @pytest.mark.parametrize("alpha,beta", [(math.inf, 1.0), (1.0, math.inf),
                                         (math.nan, 1.0), (1.0, math.nan),
                                         (0.0, 1.0), (1.0, -1.0)])
@@ -213,7 +221,7 @@ def test_f_rot_thin_disc_takes_the_edge_band_series():
     from cslwalk.factors import _rot_surface_pieces
 
     def band_over_beta6(beta):
-        (_, f2, _), _ = _rot_surface_pieces(DiscAspect(1.0, beta), 1e-6)
+        (_, f2, _), _ = _rot_surface_pieces(DiscAspect(1.0, beta))
         return f2 / beta ** 6
 
     assert band_over_beta6(0.9999e-3) == pytest.approx(
@@ -225,7 +233,7 @@ def test_f_rot_piece_signs():
     # nonpositive, and the total stays nonnegative, at every aspect probed
     from cslwalk.factors import _rot_surface_pieces
     for al, be in [(0.25, 0.25), (1.0, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 1.0)]:
-        (f1, f2, f3), _ = _rot_surface_pieces(DiscAspect(al, be), 1e-6)
+        (f1, f2, f3), _ = _rot_surface_pieces(DiscAspect(al, be))
         assert f1 >= 0 and f2 >= 0 and f3 <= 0, (al, be, f1, f2, f3)
         assert f1 + f2 + f3 >= 0, (al, be)
         assert f_rot_disc(DiscAspect(al, be)).value >= 0

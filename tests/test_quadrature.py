@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cslwalk.errors import ConvergenceError
-from cslwalk.quadrature import integrate_1d, integrate_2d, planck_tail_integral
+from cslwalk.brownian import planck_tail_integral
+from cslwalk.quadrature import integrate_1d, integrate_2d
 
 
 def test_integrate_1d_polynomial_and_gaussian():
@@ -19,9 +20,10 @@ def test_integrate_2d_separable():
     val, err = integrate_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0)
     assert val == pytest.approx(0.25, rel=1e-10)
     assert err >= 0.0
-    # ridge kernel over a wide domain, the shape the panel hint exists for
+    # ridge kernel over a wide domain, the shape the unit starting panel
+    # width exists for
     val, _ = integrate_2d(lambda x, y: np.exp(-((x - y) ** 2)), 0.0, 30.0,
-                          0.0, 30.0, panel_hint=1.0)
+                          0.0, 30.0)
     # int over square ~ sqrt(pi) * L - 1 for L >> 1
     assert val == pytest.approx(math.sqrt(math.pi) * 30.0 - 1.0, rel=1e-4)
     assert integrate_2d(lambda x, y: x * y, 1.0, 1.0, 1.0, 1.0) == (0.0, 0.0)
