@@ -18,8 +18,8 @@ Every public name below is resolved from its submodule on first access, so
 reference tables, the sphere factor and the collision statistics never
 need numpy; the disc factors, the oracle, the wavepacket ensembles and the
 constraint map load it when first called or imported, and scipy is loaded
-only by the width-ODE cross-check (the disc rotation factor's i1e and erf
-are Cephes ports in `cslwalk._cephes`).
+only by the width-ODE cross-check (the disc rotation factor's i1e is a
+Cephes port in `cslwalk._cephes`).
 """
 
 import importlib

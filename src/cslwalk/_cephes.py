@@ -1,20 +1,17 @@
-"""The exponentially scaled Bessel function i1e and the error function erf.
+"""The exponentially scaled Bessel function i1e.
 
-Both follow Cephes (S. L. Moshier, *Methods and Programs for Mathematical
-Functions*, Prentice-Hall, 1989; `i1.c` and `ndtr.c`) operation for
-operation and with its coefficients, so on x86-64 they return the same
-bits as the Cephes builds behind ``scipy.special.i1e`` and
-``scipy.special.erf``.  They cover only what the disc rotation factor
-calls: ``i1e`` on arrays of x >= 0, ``erf`` on one float x > 0.
+It follows Cephes (S. L. Moshier, *Methods and Programs for Mathematical
+Functions*, Prentice-Hall, 1989; `i1.c`) operation for operation and with
+its coefficients, so on x86-64 it returns the same bits as the Cephes
+build behind ``scipy.special.i1e``.  It covers only what the disc rotation
+factor calls: arrays of x >= 0.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["i1e", "erf"]
+__all__ = ["i1e"]
 
 # Chebyshev coefficients of exp(-x) I1(x) / x on [0, 8]
 _A = (
@@ -42,28 +39,6 @@ _B = (
     -3.882564808877691e-06, -0.00011058893876262371, -0.009761097491361469,
     0.7785762350182801,
 )
-
-# erf(x) = x T(x^2) / U(x^2) on [0, 1]
-_T = (9.604973739870516, 90.02601972038427, 2232.005345946843,
-      7003.325141128051, 55592.30130103949)
-_U = (33.56171416475031, 521.3579497801527, 4594.323829709801,
-      22629.000061389095, 49267.39426086359)
-
-# erfc(x) = exp(-x^2) P(x) / Q(x) on [1, 8), R(x) / S(x) from 8 up
-_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699,
-      48.63719709856814, 196.5208329560771, 526.4451949954773,
-      934.5285271719576, 1027.5518868951572, 557.5353353693994)
-_Q = (13.228195115474499, 86.70721408859897, 354.9377788878199,
-      975.7085017432055, 1823.9091668790973, 2246.3376081871097,
-      1656.6630919416134, 557.5353408177277)
-_R = (0.5641895835477551, 1.275366707599781, 5.019050422511805,
-      6.160210979930536, 7.4097426995044895, 2.9788666537210022)
-_S = (2.2605286322011726, 9.396035249380015, 12.048953980809666,
-      17.08144507475659, 9.608968090632859, 3.369076451000815)
-
-# ln of the largest double: below -_MAXLOG, exp(-x^2) underflows
-_MAXLOG = 709.782712893384
-
 
 def _chbevl(x: np.ndarray, coef) -> np.ndarray:
     """Clenshaw sum of a Chebyshev series, as Cephes `chbevl`:
@@ -100,34 +75,3 @@ def i1e(x):
     large = ~small
     out[large] = _large(x[large])
     return out
-
-
-def _polevl(x: float, coef) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef) -> float:
-    """_polevl with an implied leading coefficient 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def erf(x: float) -> float:
-    """The error function for x > 0."""
-    if x <= 1.0:
-        z = x * x
-        return x * _polevl(z, _T) / _p1evl(z, _U)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 1.0
-    z = math.exp(z)
-    if x < 8.0:
-        erfc = z * _polevl(x, _P) / _p1evl(x, _Q)
-    else:
-        erfc = z * _polevl(x, _R) / _p1evl(x, _S)
-    return 1.0 - erfc

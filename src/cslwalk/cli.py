@@ -35,19 +35,12 @@ _QTY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*(.*?)\s*$")
 
 
 def _quantity(kind: str, base: str):
-    units = {
-        "pressure": ("dyn/cm2", ("Torr", "pT", "dyn/cm2")),
-        "length": ("cm", ("cm", "du")),
-        "time": ("s", ("s", "day")),
-        "temperature": ("K", ("K",)),
-    }[kind]
-
     def parse(text: str) -> float:
         m = _QTY_RE.match(text)
         if not m:
             raise argparse.ArgumentTypeError(f"cannot parse quantity {text!r}")
         value = float(m.group(1))
-        unit = m.group(2) or units[0]
+        unit = m.group(2) or base
         try:
             return convert_unit(value, unit, base)
         except ValidationError as exc:

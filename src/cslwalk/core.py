@@ -251,19 +251,17 @@ class Environment:
 
     ``pressure`` is in dyn/cm^2 (use :func:`convert_unit` or
     :meth:`from_torr` at the boundary).  ``gas_viscosity`` is optional and
-    only needed in the hydrodynamic regime.  ``radiation_temperature`` is
-    the photon-bath temperature if different from the gas temperature.
+    only needed in the hydrodynamic regime.
     """
 
     temperature: float
     pressure: float | None = None
     gas_molecular_mass: float = N2_MOLECULAR_MASS
     gas_viscosity: float | None = None
-    radiation_temperature: float | None = None
 
     def __post_init__(self):
         for name in ("temperature", "pressure", "gas_molecular_mass",
-                     "gas_viscosity", "radiation_temperature"):
+                     "gas_viscosity"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be finite and positive")

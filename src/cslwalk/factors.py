@@ -18,7 +18,7 @@ volume integrals directly.
 Importing this module loads neither numpy nor scipy, so the sphere factor
 behind the reference tables runs on the standard library alone.  The disc
 factors import numpy on their first call, and the rotation factor also
-imports the quadrature rules and the Cephes ports of i1e and erf in
+imports the quadrature rules and the Cephes port of i1e in
 :mod:`cslwalk._cephes`; nothing here loads scipy.
 """
 
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CslParams, Disc
-from .errors import ValidationError
+from .errors import ValidationError, _in_float_range
 
 __all__ = [
     "FactorResult",
@@ -201,7 +201,7 @@ def _rot_surface_pieces(aspect: DiscAspect):
     and their quadrature error estimates, before the overall prefactor."""
     import numpy as np
 
-    from ._cephes import erf, i1e
+    from ._cephes import i1e
     from .quadrature import integrate_1d, integrate_2d
 
     al, be = aspect.alpha, aspect.beta
@@ -233,7 +233,17 @@ def _rot_surface_pieces(aspect: DiscAspect):
     rint, e3 = integrate_1d(
         lambda r: r ** 2 * np.exp(-((r - al) ** 2)) * i1e(2.0 * al * r),
         0.0, al, rel_tol=_ROT_REL_TOL, initial_panels=max(4, int(al) + 1))
-    yint = h * 0.5 * math.sqrt(math.pi) * erf(2.0 * h) - 0.5 * (-math.expm1(-4.0 * h * h))
+    if be < 0.1:
+        # the closed form below is O(h^4) from O(h^2) terms and cancels
+        # (8e-10 off at beta = 1e-3); its series sum_{m>=1} (-1)^{m+1}
+        # 2^{2m+1} m h^{2m+2} / (m! (2m+1)(m+1)) = (4/3) h^4 - (32/15) h^6 ...
+        yint, term = 0.0, 8.0 * h ** 4
+        for m in range(1, 11):
+            yint += term * m / ((2 * m + 1) * (m + 1))
+            term *= -4.0 * h * h / (m + 1)
+    else:
+        yint = (h * 0.5 * math.sqrt(math.pi) * math.erf(2.0 * h)
+                - 0.5 * (-math.expm1(-4.0 * h * h)))
     f3 = -2.0 * al * rint * yint
     e3 *= 2.0 * al * abs(yint)
     return (f1, f2, f3), (e1, e2, e3)
@@ -241,8 +251,8 @@ def _rot_surface_pieces(aspect: DiscAspect):
 
 # alpha^2 + beta^2 at or below which f_rot_disc is the small-body limit
 _SMALL_BODY_SIZE = 1.0e-8
-# Largest alpha and beta whose kernels the fixed 2-D rule resolves within 256
-# panels; past it convergence takes a 1.2-GB grid or fails after ~13 s.
+# Largest alpha and beta whose kernels the fixed 2-D rule resolves within its
+# cap of 256 panels (a 300-MB grid); past it they need 512 (1.2 GB) or more.
 _MAX_ROT_SIZE = 128.0
 
 
@@ -260,13 +270,8 @@ def f_rot_disc(aspect: DiscAspect) -> FactorResult:
     resolve the kernels there within its panel budget.
     """
     al, be = aspect.alpha, aspect.beta
-    try:
-        pref = (4.0 / ((1.0 + be * be / (3.0 * al * al)) * be * al ** 4)) ** 2
-    except (ZeroDivisionError, OverflowError):
-        pref = math.inf
-    if pref == math.inf:
-        raise ValidationError(f"alpha = {al:.3g}, beta = {be:.3g}: the rotation "
-                              "prefactor leaves the floating-point range")
+    pref = _in_float_range("rotation prefactor", lambda: (
+        4.0 / ((1.0 + be * be / (3.0 * al * al)) * be * al ** 4)) ** 2)
     if max(al, be) > _MAX_ROT_SIZE:
         raise ValidationError(f"alpha = {al:.6g}, beta = {be:.6g}: the rotation "
                               f"factor needs both at most {_MAX_ROT_SIZE:g}")

@@ -1,14 +1,15 @@
 """Monte Carlo oracle for the geometric collapse factors.
 
 Evaluates the defining double volume integrals directly by uniform pair
-sampling, with no shared code or algebra with the quadrature route in
-:mod:`cslwalk.factors` — the two must agree within combined errors, which
-is the central cross-check of the factor machinery.  Pairs are drawn by
-:func:`cslwalk._blocks.run_blocks`; inside each block they are drawn and
-reduced in sub-blocks of a constant 2^13 pairs, one array per coordinate,
-so memory traffic stays in cache; disc points are drawn by rejection from
-the square.  A result depends only on (seed, n_samples, block_size) and not
-on the worker count.
+sampling, in units of the localization length a, sharing nothing with the
+quadrature route in :mod:`cslwalk.factors` but the aspect ratios of
+:class:`~cslwalk.factors.DiscAspect` — the two must agree within combined
+errors, which is the central cross-check of the factor machinery.  Pairs
+are drawn by :func:`cslwalk._blocks.run_blocks`; inside each block they are
+drawn and reduced in sub-blocks of a constant 2^13 pairs, one array per
+coordinate, so memory traffic stays in cache; disc points are drawn by
+rejection from the square.  A result depends only on (seed, n_samples,
+block_size) and not on the worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from ._blocks import run_blocks
-from .core import Body, CslParams, Disc, Sphere
+from .core import Body, CslParams, Disc
 from .errors import ValidationError
 from .factors import DiscAspect, FactorResult
 
@@ -57,19 +58,17 @@ def _sample(geom: dict, rng, n: int):
 
 
 def _pair_values(geom: dict, mode: str, rng, n: int) -> np.ndarray:
-    a2 = geom["a"] ** 2
     x0, x1, x2 = _sample(geom, rng, n)
     y0, y1, y2 = _sample(geom, rng, n)
     d0, d1, d2 = x0 - y0, x1 - y1, x2 - y2
-    phi = np.exp((d0 * d0 + d1 * d1 + d2 * d2) * (-0.25 / a2))
+    phi = np.exp((d0 * d0 + d1 * d1 + d2 * d2) * -0.25)
     if mode == "rotate":
         # components perpendicular to the rotation axis (axis index 2)
         dot = x0 * y0 + x1 * y1
         cross = x0 * y1 - x1 * y0
-        pref = 2.0 * (geom["a"] * geom["m_over_i"]) ** 2
-        return pref * (dot - cross * cross * (0.5 / a2)) * phi
+        return 2.0 * geom["m_over_i"] ** 2 * (dot - cross * cross * 0.5) * phi
     d = d1 if mode == "translate-edge" else d0
-    return phi * (1.0 - d * d * (0.5 / a2))
+    return phi * (1.0 - d * d * 0.5)
 
 
 def _run_oracle(geom: dict, mode: str, n_samples: int, seed: int,
@@ -107,17 +106,14 @@ def f_mc_oracle(body: Body, csl: CslParams, mode: str,
     gives zero within noise).  The standard error of the mean is always
     reported in est_error.
     """
-    if isinstance(body, Sphere) and mode.startswith("translate-"):
+    if isinstance(body, Disc):
+        return f_mc_oracle_aspect(DiscAspect.from_disc(body, csl), mode,
+                                  n_samples, seed, block_size, workers)
+    if mode.startswith("translate-"):
         raise ValidationError("sphere translation has no orientation; use 'translate'")
-    if isinstance(body, Disc) and mode == "translate":
-        raise ValidationError("disc translation needs 'translate-perp' or 'translate-edge'")
-    if isinstance(body, Sphere):
-        geom = {"shape": "sphere", "R": body.radius, "a": csl.a,
-                "m_over_i": body.mass() / body.moment_of_inertia()}
-    else:
-        geom = {"shape": "disc", "L": body.radius, "b": body.thickness,
-                "a": csl.a,
-                "m_over_i": body.mass() / body.moment_of_inertia()}
+    # in units of a; M/I = 1 / ((2/5) R^2)
+    R = body.radius / csl.a
+    geom = {"shape": "sphere", "R": R, "m_over_i": 2.5 / R ** 2}
     return _run_oracle(geom, mode, n_samples, seed, block_size, workers)
 
 
@@ -136,6 +132,6 @@ def f_mc_oracle_aspect(aspect: DiscAspect, mode: str,
         raise ValidationError("disc translation needs 'translate-perp' or 'translate-edge'")
     L, b = 2.0 * aspect.alpha, 2.0 * aspect.beta
     # I/M about the in-plane diameter axis: L^2/4 + b^2/12
-    geom = {"shape": "disc", "L": L, "b": b, "a": 1.0,
+    geom = {"shape": "disc", "L": L, "b": b,
             "m_over_i": 1.0 / (L ** 2 / 4.0 + b ** 2 / 12.0)}
     return _run_oracle(geom, mode, n_samples, seed, block_size, workers)

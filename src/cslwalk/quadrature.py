@@ -1,10 +1,11 @@
 """Adaptive Gauss-Legendre quadrature (1-D, and 2-D on a square).
 
-Panels are refined uniformly (doubling per pass) until two successive
-estimates agree to a relative tolerance (the caller's in 1-D, a fixed 1e-6
-in 2-D); the last difference is reported as the error estimate.  The
-integrands used in this package are smooth Gaussian-type kernels, so
-convergence is fast; non-convergence is reported with the achieved error
+One refinement loop serves both rules: panels are refined uniformly
+(doubling per pass) until two successive estimates agree to a relative
+tolerance (the caller's in 1-D, a fixed 1e-6 in 2-D), and the last
+difference is reported as the error estimate.  The integrands used in this
+package are smooth Gaussian-type kernels, so convergence is fast;
+non-convergence at the panel cap is reported with the achieved error
 rather than silently accepted.
 
 The 2-D rule serves the rotation factor's kernels, which are symmetric in
@@ -25,8 +26,9 @@ __all__ = ["integrate_1d", "integrate_2d"]
 
 _ORDER_1D = 32         # Gauss-Legendre points per panel
 _ORDER_2D = 24         # points per panel along each axis
+_MAX_PANELS_1D = 4096
+_MAX_PANELS_2D = 256   # a 6144^2 node matrix, ~300 MB
 _REL_TOL_2D = 1.0e-6
-_MAX_PANELS_2D = 256
 
 
 @lru_cache(maxsize=32)
@@ -46,31 +48,42 @@ def _composite_nodes(a: float, b: float, panels: int, order: int):
     return nodes, weights
 
 
+def _refine(estimate, panels: int, max_panels: int, rel_tol: float,
+            what: str) -> tuple[float, float]:
+    """Double `panels` until estimate(panels) agrees with the previous
+    estimate to rel_tol; (value, |last difference|), or ConvergenceError
+    when the next doubling would pass max_panels."""
+    prev = estimate(panels)
+    achieved = None
+    while panels < max_panels:
+        panels *= 2
+        cur = estimate(panels)
+        err = abs(cur - prev)
+        scale = max(abs(cur), 1e-300)
+        if err <= rel_tol * scale:
+            return cur, err
+        prev, achieved = cur, err / scale
+    raise ConvergenceError(f"{what} did not reach rel_tol={rel_tol}",
+                           achieved=achieved)
+
+
 def integrate_1d(f, a: float, b: float, *, rel_tol: float = 1.0e-9,
-                 max_panels: int = 4096,
                  initial_panels: int = 4) -> tuple[float, float]:
     """Integrate a vectorized scalar function on [a, b].
 
     Returns (value, error_estimate).  Raises ConvergenceError if doubling
-    panels of 32-point Gauss-Legendre up to `max_panels` never brings
-    successive estimates within rel_tol of each other.
+    panels of 32-point Gauss-Legendre up to 4096 never brings successive
+    estimates within rel_tol of each other.
     """
     if b <= a:
         return 0.0, 0.0
-    panels = initial_panels
-    nodes, weights = _composite_nodes(a, b, panels, _ORDER_1D)
-    prev = float(np.dot(weights, f(nodes)))
-    while panels <= max_panels:
-        panels *= 2
+
+    def estimate(panels):
         nodes, weights = _composite_nodes(a, b, panels, _ORDER_1D)
-        cur = float(np.dot(weights, f(nodes)))
-        err = abs(cur - prev)
-        if err <= rel_tol * max(abs(cur), 1e-300):
-            return cur, err
-        prev = cur
-    raise ConvergenceError(
-        f"1-D quadrature on [{a}, {b}] did not reach rel_tol={rel_tol}",
-        achieved=err / max(abs(cur), 1e-300))
+        return float(np.dot(weights, f(nodes)))
+
+    return _refine(estimate, initial_panels, _MAX_PANELS_1D, rel_tol,
+                   f"1-D quadrature on [{a}, {b}]")
 
 
 def integrate_2d(f, ax: float, bx: float, ay: float, by: float
@@ -83,7 +96,7 @@ def integrate_2d(f, ax: float, bx: float, ay: float, by: float
     O(width) panels instead of relying on refinement alone) and doubling
     until two successive estimates agree to 1e-6 relative.  Returns
     (value, error_estimate); raises ConvergenceError when they still
-    disagree once the panel count has passed 256.
+    disagree at 256 panels.
 
     Precondition: the domain is a square ([ax, bx] == [ay, by]) and f is
     symmetric to the last bit, f(x, y) == f(y, x) as floats for every node
@@ -111,15 +124,5 @@ def integrate_2d(f, ax: float, bx: float, ay: float, by: float
         return float(np.einsum("i,j,ij->", xw, xw, vals))
 
     panels = max(2, min(_MAX_PANELS_2D // 2, math.ceil(bx - ax)))   # unit width
-    prev = estimate(panels)
-    while panels <= _MAX_PANELS_2D:
-        panels *= 2
-        cur = estimate(panels)
-        err = abs(cur - prev)
-        if err <= _REL_TOL_2D * max(abs(cur), 1e-300):
-            return cur, err
-        prev = cur
-    raise ConvergenceError(
-        "2-D quadrature did not reach requested tolerance",
-        achieved=err / max(abs(cur), 1e-300))
-
+    return _refine(estimate, panels, _MAX_PANELS_2D, _REL_TOL_2D,
+                   f"2-D quadrature on [{ax}, {bx}]^2")

@@ -104,6 +104,12 @@ def test_diffuse_rotation_target(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["time_s"] == pytest.approx(70.0, rel=0.10)
+    # the README line, byte for byte
+    rc, out, _ = run(capsys, ["diffuse", "--mode", "rotation",
+                              "--disc-radius", "2du", "--disc-thickness",
+                              ".5du", "--target", "2pi"])
+    assert rc == 0
+    assert out == "target_rad,f_rot,time_s\r\n6.28319,0.301935,73.352\r\n"
 
 
 def test_diffuse_csl_curve(capsys):
@@ -142,9 +148,13 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_fig1_and_fig2_datasets(capsys):
-    rc, out, _ = run(capsys, ["fig1", "--alphas", "1.0", "--betas", "0.25"])
+    rc, out, _ = run(capsys, ["fig1", "--alphas", "0.5,1,2", "--betas", "0.25"])
     assert rc == 0
-    assert out.splitlines()[0] == "alpha,beta,f_rot,est_error"
+    # the README line, byte for byte
+    assert out == ("alpha,beta,f_rot,est_error\r\n"
+                   "0.5,0.25,0.512153,1.03e-15\r\n"
+                   "1,0.25,0.301935,3.61e-16\r\n"
+                   "2,0.25,0.057,3.33e-17\r\n")
     rc, out, _ = run(capsys, ["fig2", "--a-grid=-6:-4:3",
                               "--lambda-inv-grid=15:17:3"])
     assert rc == 0
@@ -336,7 +346,7 @@ README_LINES = SCALAR_README_LINES + (
 
 
 def test_import_floor_loads_no_scipy():
-    # the rotation factor's i1e and erf are Cephes ports, and the width-ODE
+    # the rotation factor's i1e is a Cephes port, and the width-ODE
     # cross-check (scipy.integrate), the last scipy user, is called by no
     # subcommand; so no command line loads any scipy module
     assert _modules_after("import cslwalk", "scipy") == []

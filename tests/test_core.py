@@ -149,8 +149,7 @@ def test_environment_gas_state():
 
 
 @pytest.mark.parametrize("field", ["temperature", "pressure",
-                                   "gas_molecular_mass", "gas_viscosity",
-                                   "radiation_temperature"])
+                                   "gas_molecular_mass", "gas_viscosity"])
 def test_environment_rejects_infinite_values(field):
     kwargs = {"temperature": 4.2, field: math.inf}
     with pytest.raises(ValidationError, match="finite"):

@@ -126,8 +126,8 @@ def test_disc_translation_factors_reject_alpha_outside_window():
 
 
 def test_rotation_factor_rejects_sizes_beyond_its_quadrature():
-    # past 128 the fixed 2-D rule needs a 512-panel grid (1.2 GB) or fails
-    # after seconds; a 1-cm disc at a = 1e-5 cm has alpha = 5e4
+    # past 128 the fixed 2-D rule stops unconverged at its cap of 256 panels
+    # (a 300-MB grid); a 1-cm disc at a = 1e-5 cm has alpha = 5e4
     for alpha, beta in ((128.5, 0.25), (5e4, 0.25), (100.0, 200.0)):
         with pytest.raises(ValidationError, match="at most 128"):
             f_rot_disc(DiscAspect(alpha, beta))
@@ -208,17 +208,27 @@ def test_f_rot_small_disc_is_the_small_body_limit():
 
 def test_f_rot_thin_disc_takes_the_edge_band_series():
     # at beta = 1e-8 the edge-band quadrature never converged; its series
-    # continues the quadrature value at beta = 1e-5 (captured before the
-    # series existed), where the beta^2 correction is ~1e-10
+    # continues the value at beta = 1e-5, where the beta^2 correction is ~1e-10
     f_rot_disc(DiscAspect(1.0, 0.25))            # numpy and quadrature loaded
     t0 = time.perf_counter()
     res = f_rot_disc(DiscAspect(1.0, 1e-8))
     assert time.perf_counter() - t0 < 0.05
-    assert res.value == pytest.approx(0.3354281312309108, rel=1e-9, abs=0)
-    assert f_rot_disc(DiscAspect(1.0, 1e-5)).value == 0.3354281312309108
+    assert res.value == pytest.approx(0.33542813123091064, rel=1e-9, abs=0)
+    assert f_rot_disc(DiscAspect(1.0, 1e-5)).value == 0.33542813123091064
+    # the value pinned before yint took its series, 3 ulps higher, is this
+    # one with the cancelling closed form of yint put back into f3
+    from cslwalk.factors import _rot_surface_pieces
+
+    al, be = 1.0, 1e-5
+    h = be / 2.0
+    (f1, f2, f3), _ = _rot_surface_pieces(DiscAspect(al, be))
+    closed = (h * 0.5 * math.sqrt(math.pi) * math.erf(2.0 * h)
+              - 0.5 * (-math.expm1(-4.0 * h * h)))
+    series = 4.0 / 3.0 * h ** 4 - 32.0 / 15.0 * h ** 6
+    pref = (4.0 / ((1.0 + be * be / (3.0 * al * al)) * be * al ** 4)) ** 2
+    assert float(pref * (f1 + f2 + f3 * (closed / series))) == 0.3354281312309108
     # the edge-band series (beta < 1e-3) meets the quadrature at the switch:
     # g / beta^6 = (1/72)(1 - (6/5) h^2 + ...) moves by < 1e-10 across it
-    from cslwalk.factors import _rot_surface_pieces
 
     def band_over_beta6(beta):
         (_, f2, _), _ = _rot_surface_pieces(DiscAspect(1.0, beta))
@@ -226,6 +236,21 @@ def test_f_rot_thin_disc_takes_the_edge_band_series():
 
     assert band_over_beta6(0.9999e-3) == pytest.approx(
         band_over_beta6(1e-3), rel=1e-9, abs=0)
+
+
+def test_f_rot_cross_term_is_exact_on_thin_discs():
+    # f3 = -2 alpha rint yint, and rint does not depend on beta, so
+    # f3(1, beta) / f3(1, 1) = yint(beta/2) / yint(1/2), with
+    # yint(h) = h (sqrt(pi)/2) erf(2h) - (1 - e^{-4h^2}) / 2 by mpmath at
+    # 50 digits; the closed form cancels to 3e-13 at beta = 0.05, 8e-8 at 1e-4
+    from cslwalk.factors import _rot_surface_pieces
+    mp_ratios = {1e-4: 1.4530206881211754946e-16,
+                 1e-2: 1.452962574662276522e-8,
+                 0.05: 9.0723040358746738266e-6}
+    (_, _, f3_one), _ = _rot_surface_pieces(DiscAspect(1.0, 1.0))
+    for beta, expected in mp_ratios.items():
+        (_, _, f3), _ = _rot_surface_pieces(DiscAspect(1.0, beta))
+        assert f3 / f3_one == pytest.approx(expected, rel=1e-13, abs=0), beta
 
 
 def test_f_rot_piece_signs():

@@ -37,11 +37,18 @@ def test_integrate_2d_rejects_a_non_square_domain():
 
 
 def test_integrate_1d_reports_nonconvergence():
-    # a discontinuous integrand cannot meet 1e-12 with a tiny panel budget
+    # a discontinuous integrand cannot meet 1e-12; refinement stops at the
+    # 4096-panel cap (32 nodes a panel) instead of doubling once past it
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.where(np.sin(50.0 / (x + 1e-3)) > 0, 1.0, 0.0)
+
     with pytest.raises(ConvergenceError) as err:
-        integrate_1d(lambda x: np.where(np.sin(50.0 / (x + 1e-3)) > 0, 1.0, 0.0),
-                     0.0, 1.0, rel_tol=1e-12, max_panels=8)
+        integrate_1d(f, 0.0, 1.0, rel_tol=1e-12)
     assert err.value.achieved is not None and err.value.achieved > 0
+    assert max(sizes) == 4096 * 32
 
 
 def test_planck_tail_values_and_tail_bound():
