@@ -13,13 +13,14 @@ A small numerical library computing, in CGS units throughout:
 See the demos/ directory for narrative walkthroughs and the `cslwalk` CLI
 for table and dataset reproduction.
 
-Every public name below is resolved from its submodule on first access, so
-`import cslwalk` loads neither numpy nor scipy.  The closed forms of the
-reference tables, the sphere factor and the collision statistics never
-need numpy; the disc factors, the oracle, the wavepacket ensembles and the
-constraint map load it when first called or imported, and scipy is loaded
-only by the width-ODE cross-check (the disc rotation factor's i1e is a
-Cephes port in `cslwalk._cephes`).
+numpy is the only run-time dependency.  Every public name below is
+resolved from its submodule on first access, so `import cslwalk` does not
+load it.  The closed forms of the reference tables, the sphere factor and
+the collision statistics never need numpy; the disc factors, the oracle,
+the wavepacket ensembles and the constraint map load it when first called
+or imported.  Nothing loads scipy: the disc rotation factor's i1e is a
+Cephes port in `cslwalk._cephes`, and the width-ODE cross-check steps RK4
+itself.
 """
 
 import importlib

@@ -13,6 +13,7 @@ s_inf^2 [t/tau + t^2/(2 tau^2) + t^3/(12 tau^3)].
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
@@ -23,7 +24,7 @@ import numpy as np
 from ._blocks import block_rng, run_blocks
 from .core import CONSTANTS
 from .diffusion import WavepacketEquilibrium
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _in_float_range
 
 __all__ = [
     "ComplexVariance",
@@ -44,6 +45,11 @@ _TRAJ_BLOCK = 4096   # fixed block size keeps results worker-count independent
 _MAX_PATH_STEPS = 4_000_000_000   # n_traj x sample intervals: ~7 min on one core
 _MAX_COV_FLOATS = 2 ** 25         # blocks x samples^2 held for the reduction
 _MAX_PATH_LEN = 10_000_000        # single_trajectory steps: ~1.4 GB of states
+# Width ODE: RK4 trials on one grid interval agree to _ODE_REL_TOL or stop at
+# _ODE_MAX_SUBSTEPS.  One interval of 1e4 tau_s needs 2^15 substeps; running
+# into the cap costs ~3 s of trials.
+_ODE_REL_TOL = 1.0e-10
+_ODE_MAX_SUBSTEPS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,20 @@ def packet_width_sq(sigma) -> float:
     return s.real + s.imag ** 2 / s.real
 
 
+def _positive(**values) -> None:
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValidationError(
+                f"{name} must be finite and positive, got {value!r}")
+
+
+def _start_width(sigma0) -> complex:
+    s0 = _as_complex(sigma0)
+    if not (cmath.isfinite(s0) and s0.real > 0):
+        raise ValidationError("sigma0 must be finite with Re(sigma^2) > 0")
+    return s0
+
+
 def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> ComplexVariance | list:
     """Exact relaxation of the width parameter toward equilibrium.
 
@@ -86,10 +106,14 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> ComplexVariance 
     with w = (1+i) t / tau_s (written with decaying exponentials so large t
     is exact: u -> u*).
     """
-    u0 = _as_complex(sigma0) / s_inf ** 2
+    _positive(s_inf=s_inf, tau_s=tau_s)
+    _in_float_range("s_inf^2", lambda: 1.0 / s_inf ** 2)
+    u0 = _start_width(sigma0) / s_inf ** 2
     ustar = (1.0 + 1.0j) / 2.0
     scalar = np.isscalar(t)
     tt = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(tt)):
+        raise ValidationError("t must be finite")
     if np.any(tt < 0):
         raise ValidationError("t must be nonnegative")
     em = np.exp(-(1.0 + 1.0j) * tt / tau_s)
@@ -99,40 +123,67 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> ComplexVariance 
     return out[0] if scalar else out
 
 
+def _rk4(s: complex, h: float, n: int, drift: complex, rate: float) -> complex:
+    """n classical RK4 steps of ds/dt = drift - rate s^2 over a time h."""
+    dt = h / n
+    for _ in range(n):
+        k1 = drift - rate * s * s
+        y = s + 0.5 * dt * k1
+        k2 = drift - rate * y * y
+        y = s + 0.5 * dt * k2
+        k3 = drift - rate * y * y
+        y = s + dt * k3
+        k4 = drift - rate * y * y
+        s += dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return s
+
+
 def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
                         t_grid) -> list[ComplexVariance]:
     """Numerically integrate the width equation on a monotone time grid.
 
     lam_eff is the body's collapse rate lam N^2 f.  lam_eff = 0 gives free
     spreading sigma^2(t) = sigma^2(0) + i hbar t / (2M) exactly.
-    """
-    from scipy.integrate import solve_ivp   # a cross-check: kept off the import path
 
+    Classical RK4 steps the complex scalar equation from t = 0 through each
+    grid interval in turn.  On each interval the substep count doubles from
+    1 until two successive results agree to 1e-10 relative (a non-finite
+    trial counts as disagreement), and the finer one is kept; an interval
+    that needs more than 2^20 substeps raises ConvergenceError.
+    """
+    _positive(M=M, a=a)
+    if not 0 <= lam_eff < math.inf:
+        raise ValidationError(
+            f"lam_eff must be finite and nonnegative, got {lam_eff!r}")
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
+    if t_grid.ndim != 1 or len(t_grid) < 1 or not np.all(np.isfinite(t_grid)):
+        raise ValidationError("t_grid must be a nonempty list of finite times")
+    if np.any(np.diff(t_grid) <= 0):
         raise ValidationError("t_grid must be strictly increasing")
     if t_grid[0] < 0:
         raise ValidationError("t_grid must be nonnegative")
-    s0 = _as_complex(sigma0)
-    drift = 0.5 * CONSTANTS.hbar / M
-    rate = 2.0 * lam_eff / a ** 2
-
-    def rhs(_t, y):
-        s = y[0] + 1j * y[1]
-        ds = 1j * drift - rate * s * s
-        return [ds.real, ds.imag]
-
-    scale = max(abs(s0), math.sqrt(drift / rate) if rate > 0 else abs(s0))
-    sol = solve_ivp(rhs, (0.0, float(t_grid[-1])), [s0.real, s0.imag],
-                    t_eval=t_grid, method="DOP853",
-                    rtol=1.0e-10, atol=1.0e-13 * scale, first_step=None)
-    if not sol.success:
-        raise ConvergenceError(f"width ODE integration failed: {sol.message}")
+    s = _start_width(sigma0)
+    drift = 0.5j * CONSTANTS.hbar / M
+    rate = _in_float_range("collapse rate 2 lam_eff / a^2",
+                           lambda: 2.0 * lam_eff / a ** 2)
     out = []
-    for re, im in zip(sol.y[0], sol.y[1]):
-        if re <= 0:
+    t0 = 0.0
+    for t in t_grid.tolist():
+        n, coarse = 1, _rk4(s, t - t0, 1, drift, rate)
+        while True:
+            n *= 2
+            if n > _ODE_MAX_SUBSTEPS:
+                raise ConvergenceError(
+                    f"width ODE: no RK4 agreement to {_ODE_REL_TOL:g} within "
+                    f"{_ODE_MAX_SUBSTEPS} substeps over [{t0:.6g}, {t:.6g}] s")
+            fine = _rk4(s, t - t0, n, drift, rate)
+            if cmath.isfinite(fine) and abs(fine - coarse) <= _ODE_REL_TOL * abs(fine):
+                break
+            coarse = fine
+        if fine.real <= 0:
             raise ConvergenceError("integrated width lost positivity")
-        out.append(ComplexVariance(complex(re, im)))
+        out.append(ComplexVariance(fine))
+        s, t0 = fine, t
     return out
 
 

@@ -346,9 +346,8 @@ README_LINES = SCALAR_README_LINES + (
 
 
 def test_import_floor_loads_no_scipy():
-    # the rotation factor's i1e is a Cephes port, and the width-ODE
-    # cross-check (scipy.integrate), the last scipy user, is called by no
-    # subcommand; so no command line loads any scipy module
+    # the README command lines start without scipy; test_demos.py runs the
+    # demos and the width-ODE cross-check with scipy refused outright
     assert _modules_after("import cslwalk", "scipy") == []
     for argv in README_LINES:
         assert _modules_after(_CLI.format(argv=argv), "scipy") == [], argv

@@ -1,12 +1,15 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from cslwalk import (CONSTANTS, ComplexVariance, Sphere, ValidationError,
-                     equilibrium_width, f_sphere, growth_coefficients,
-                     sigma_closed_form, sigma_ode_integrate,
-                     simulate_ensemble)
+from cslwalk import (CONSTANTS, ComplexVariance, ConvergenceError, Sphere,
+                     ValidationError, equilibrium_width, f_sphere,
+                     growth_coefficients, sigma_closed_form,
+                     sigma_ode_integrate, simulate_ensemble)
+from cslwalk import wavepacket
 from cslwalk.wavepacket import (equilibrium_variance, packet_width_sq,
                                 stats_to_csv)
 
@@ -53,13 +56,38 @@ def test_ode_matches_closed_form(grw, eq_ref):
     body = Sphere(1e-5, 1.0)
     lam_eff = _lam_eff(grw, body, f_sphere(1.0).value)
     grid = np.linspace(1e-3 * eq_ref.tau_s, 10 * eq_ref.tau_s, 50)
-    for start in (0.2, 3.0):
+    for start in (0.01, 0.2, 1.0, 3.0, 5.0):
         sigma0 = ComplexVariance(start * eq_ref.s_inf ** 2)
         numeric = sigma_ode_integrate(sigma0, body.mass(), lam_eff, grw.a, grid)
         exact = sigma_closed_form(sigma0, eq_ref.s_inf, eq_ref.tau_s, grid)
         rel = [abs(complex(n) - complex(e)) / abs(complex(e))
                for n, e in zip(numeric, exact)]
-        assert max(rel) < 1e-6
+        assert max(rel) < 1e-10, start
+
+
+def test_ode_one_long_interval_settles_without_warnings(grw, eq_ref):
+    # 1e4 tau_s in one interval: the first RK4 trials are unstable and must
+    # count as disagreement, not overflow warnings or errors
+    body = Sphere(1e-5, 1.0)
+    lam_eff = _lam_eff(grw, body, f_sphere(1.0).value)
+    t = [1e4 * eq_ref.tau_s]
+    for start in (0.01, 5.0):
+        sigma0 = ComplexVariance(start * eq_ref.s_inf ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (numeric,) = sigma_ode_integrate(sigma0, body.mass(), lam_eff,
+                                             grw.a, t)
+        exact = sigma_closed_form(sigma0, eq_ref.s_inf, eq_ref.tau_s, t[0])
+        assert complex(numeric) == pytest.approx(complex(exact), rel=1e-10, abs=0)
+
+
+def test_ode_raises_past_the_substep_cap(grw, eq_ref, monkeypatch):
+    body = Sphere(1e-5, 1.0)
+    lam_eff = _lam_eff(grw, body, f_sphere(1.0).value)
+    monkeypatch.setattr(wavepacket, "_ODE_MAX_SUBSTEPS", 8)
+    with pytest.raises(ConvergenceError, match="substeps"):
+        sigma_ode_integrate(ComplexVariance(eq_ref.s_inf ** 2), body.mass(),
+                            lam_eff, grw.a, [10 * eq_ref.tau_s])
 
 
 def test_ode_free_spreading_when_collapse_off():
@@ -87,6 +115,39 @@ def test_complex_variance_validation():
     with pytest.raises(ValidationError):
         sigma_ode_integrate(ComplexVariance(1e-12), 1e-15, 0.0, 1e-5,
                             np.array([1.0, 0.5]))
+
+
+def test_width_equation_rejects_bad_inputs_by_name():
+    sig = ComplexVariance(1e-12)
+    ode = dict(sigma0=sig, M=1e-15, lam_eff=1e-10, a=1e-5, t_grid=[0.5, 1.0])
+    bad_ode = [
+        (dict(ode, M=0.0), "M"), (dict(ode, M=-1e-15), "M"),
+        (dict(ode, M=math.nan), "M"), (dict(ode, M=math.inf), "M"),
+        (dict(ode, a=0.0), "a"), (dict(ode, a=math.nan), "a"),
+        (dict(ode, a=1e-170), "the collapse rate"),   # a^2 underflows
+        (dict(ode, lam_eff=math.nan), "lam_eff"),
+        (dict(ode, lam_eff=math.inf), "lam_eff"),
+        (dict(ode, lam_eff=-1e-10), "lam_eff"),
+        (dict(ode, t_grid=[math.inf]), "t_grid"),
+        (dict(ode, t_grid=[0.5, math.nan]), "t_grid"),
+        (dict(ode, sigma0=complex(math.inf, 0.0)), "sigma0"),
+    ]
+    for kw, name in bad_ode:
+        with pytest.raises(ValidationError, match=f"^{re.escape(name)} "):
+            sigma_ode_integrate(**kw)
+    closed = dict(sigma0=sig, s_inf=1e-6, tau_s=1.0, t=0.5)
+    bad_closed = [
+        (dict(closed, s_inf=0.0), "s_inf"), (dict(closed, s_inf=math.nan), "s_inf"),
+        (dict(closed, s_inf=1e-170), "the s_inf^2"),   # s_inf^2 underflows
+        (dict(closed, s_inf=1e170), "the s_inf^2"),    # and overflows
+        (dict(closed, tau_s=0.0), "tau_s"), (dict(closed, tau_s=-1.0), "tau_s"),
+        (dict(closed, tau_s=math.inf), "tau_s"),
+        (dict(closed, t=math.nan), "t"), (dict(closed, t=[0.5, math.inf]), "t"),
+        (dict(closed, sigma0=complex(1e-12, math.nan)), "sigma0"),
+    ]
+    for kw, name in bad_closed:
+        with pytest.raises(ValidationError, match=f"^{re.escape(name)} "):
+            sigma_closed_form(**kw)
 
 
 # ---------------------------------------------------------------------------
