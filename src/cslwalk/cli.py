@@ -4,8 +4,17 @@ Subcommands reproduce the reference tables and figure datasets and expose
 ad-hoc prediction queries.  All flags are long-form; no environment
 variables are consulted, so a command line fully determines its output.
 
-Exit codes: 0 success, 2 flag error, 3 precondition rejection,
-4 numerical non-convergence.
+Each subcommand returns its CSV text and its JSON document (fig2 also its
+boundary polylines) and writes nothing; `main` alone writes.  It sends
+the CSV, or the JSON document under --json, to stdout or to --output, and
+then any fig2 boundary files.  On stderr it writes one `warning: <message>`
+line per distinct warning, in the order raised, and one `error: <message>`
+line on failure.
+
+Exit codes: 0 success, 2 flag error, 3 precondition rejection or an output
+file that cannot be written, 4 numerical non-convergence.  A count
+(--n-times, the COUNT of a grid) above 10^6 is a flag error, and a fig2
+lattice above 10^6 points a precondition rejection.
 
 Numeric flags accept unit suffixes: pressures Torr/pT/dyn/cm2 (bare number
 = dyn/cm2), lengths cm/du (1 du = 1e-5 cm; bare = cm), times s/day
@@ -19,17 +28,19 @@ import json
 import math
 import re
 import sys
+import warnings
 
 from . import diffusion as diff
 from .brownian import (check_realm, collision_stats, molecular_flux,
                        xi_molecular, xi_stokes)
 from .core import (CslParams, Disc, Environment, N2_MOLECULAR_MASS,
                    Sphere, constants_summary, convert_unit)
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, ValidityWarning
 
 SCHEMA_VERSION = 1
 
-_GAS_PRESETS = {"N2": N2_MOLECULAR_MASS}
+# the largest count a flag may ask for (--n-times, a grid's COUNT)
+_MAX_COUNT = 10 ** 6
 
 _QTY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*(.*?)\s*$")
 
@@ -69,8 +80,9 @@ def _angle(text: str) -> float:
 
 def _count(text: str) -> int:
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"need a count of at least 1, got {n}")
+    if not 1 <= n <= _MAX_COUNT:
+        raise argparse.ArgumentTypeError(
+            f"need a count from 1 to {_MAX_COUNT}, got {n}")
     return n
 
 
@@ -88,8 +100,9 @@ def _log_grid(text: str) -> list[float]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be MIN:MAX:COUNT, got {text!r}") from exc
-    if n < 1 or hi <= lo:
-        raise argparse.ArgumentTypeError("grid needs MAX > MIN and COUNT >= 1")
+    if not 1 <= n <= _MAX_COUNT or hi <= lo:
+        raise argparse.ArgumentTypeError(
+            f"grid needs MAX > MIN and COUNT from 1 to {_MAX_COUNT}")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -110,21 +123,13 @@ def _jsonable(obj):
     return _round6(obj)
 
 
-def _emit(args, csv_text: str, json_doc: dict) -> int:
-    if args.json:
-        args.format = "json"
-    if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": args.command}
-        doc.update(_jsonable(json_doc))
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        text = csv_text
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """CSV text with CR LF line ends from a header and rows of cell strings."""
+    return "".join(",".join(cells) + "\r\n" for cells in [header, *rows])
 
 
 def _fmt(value: float, paper_format: bool) -> str:
@@ -132,10 +137,8 @@ def _fmt(value: float, paper_format: bool) -> str:
 
 
 def _add_io_flags(p):
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default csv)")
     p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json")
+                   help="write a schema-stable JSON document instead of CSV")
     p.add_argument("--output", default=None,
                    help="write to this path instead of stdout")
 
@@ -165,10 +168,8 @@ def _add_env_flags(p):
                    help="gas temperature (K, default 293.15)")
     p.add_argument("--pressure", type=_pressure, default=None,
                    help="gas pressure (Torr, pT or dyn/cm2)")
-    p.add_argument("--gas", choices=sorted(_GAS_PRESETS), default="N2",
-                   help="gas preset (default N2)")
-    p.add_argument("--gas-mass", type=float, default=None,
-                   help="explicit molecular mass in g (overrides --gas)")
+    p.add_argument("--gas-mass", type=float, default=N2_MOLECULAR_MASS,
+                   help="gas molecular mass in g (default N2)")
     p.add_argument("--viscosity", type=float, default=None,
                    help="gas viscosity in g/(cm s), for the viscous realm")
 
@@ -197,45 +198,38 @@ def _csl_from(args) -> CslParams:
 
 
 def _env_from(args) -> Environment:
-    gas_mass = args.gas_mass if args.gas_mass is not None else _GAS_PRESETS[args.gas]
     return Environment(temperature=args.temperature, pressure=args.pressure,
-                       gas_molecular_mass=gas_mass,
+                       gas_molecular_mass=args.gas_mass,
                        gas_viscosity=args.viscosity)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_table1(args) -> int:
+def _reference_csv(rows, columns, paper_format: bool) -> str:
+    """A reference table: R_cm to 1 significant figure, then columns."""
+    return _csv(["R_cm", *columns],
+                [[_fmt(row["R_cm"], True)]
+                 + [_fmt(row[c], paper_format) for c in columns]
+                 for row in rows])
+
+
+def _cmd_table1(args):
     rows = diff.vacuum_diffusion_table()
-    times = diff.TABLE_TIMES
-    header = ["R_cm"] + [f"dq_cm_t{t:g}" for t in times]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [_fmt(row["R_cm"], True)]
-        cells += [_fmt(row[f"dq_cm_t{t:g}"], args.paper_format) for t in times]
-        lines.append(",".join(cells))
-    csv_text = "\r\n".join(lines) + "\r\n"
+    columns = [f"dq_cm_t{t:g}" for t in diff.TABLE_TIMES]
     doc = {"params": {"lam": 1e-16, "a": 1e-5, "density_independent": True},
            "rows": rows}
-    return _emit(args, csv_text, doc)
+    return _reference_csv(rows, columns, args.paper_format), doc
 
 
-def _cmd_table2(args) -> int:
+def _cmd_table2(args):
     rows = diff.equilibrium_table()
-    lines = ["R_cm,s_inf_cm,tau_s_s"]
-    for row in rows:
-        lines.append(",".join([
-            _fmt(row["R_cm"], True),
-            _fmt(row["s_inf_cm"], args.paper_format),
-            _fmt(row["tau_s_s"], args.paper_format)]))
-    csv_text = "\r\n".join(lines) + "\r\n"
     doc = {"params": {"lam": 1e-16, "a": 1e-5, "density_g_cc": 1.0},
            "rows": rows}
-    return _emit(args, csv_text, doc)
+    return _reference_csv(rows, ["s_inf_cm", "tau_s_s"], args.paper_format), doc
 
 
-def _cmd_fig1(args) -> int:
+def _cmd_fig1(args):
     from . import factors
 
     dataset = factors.fig1_dataset(args.alphas, args.betas)
@@ -245,24 +239,19 @@ def _cmd_fig1(args) -> int:
                     for a, b, v, e in dataset["rows"]],
            "monotonic_in_alpha": {str(k): v for k, v in
                                   dataset["monotonic_in_alpha"].items()}}
-    return _emit(args, csv_text, doc)
+    return csv_text, doc
 
 
-def _cmd_fig2(args) -> int:
+def _cmd_fig2(args):
+    """Also returns one boundary-polyline CSV per constraint id."""
     from . import constraints as cons
 
     which = tuple(args.which.split(",")) if args.which else cons.DEFAULT_MAP_IDS
     cmap = cons.fig2_dataset(args.a_grid, args.lambda_inv_grid, which=which)
-    csv_text = cons.map_to_csv(cmap)
     boundaries = cons.boundary_polylines(cmap)
-    if args.output and args.format == "csv" and not args.json:
-        # companion polyline file per constraint next to the lattice CSV
-        stem = args.output[:-4] if args.output.endswith(".csv") else args.output
-        for cid, pts in boundaries.items():
-            lines = ["log10_a,log10_lambda_inv"]
-            lines += [f"{x:.6g},{y:.6g}" for x, y in pts]
-            with open(f"{stem}_boundary_{cid}.csv", "w", newline="") as fh:
-                fh.write("\r\n".join(lines) + "\r\n")
+    polylines = {cid: _csv(["log10_a", "log10_lambda_inv"],
+                           [[f"{x:.6g}", f"{y:.6g}"] for x, y in pts])
+                 for cid, pts in boundaries.items()}
     doc = {"params": {"a_grid_log10": args.a_grid,
                       "lambda_inv_grid_log10": args.lambda_inv_grid,
                       "ids": list(which)},
@@ -273,7 +262,7 @@ def _cmd_fig2(args) -> int:
                 **{cid: bool(v) for cid, v in zip(cmap.ids, cmap.passed[i][j])}}
                for i, la in enumerate(cmap.log10_a)
                for j, ll in enumerate(cmap.log10_lambda_inv)]}
-    return _emit(args, csv_text, doc)
+    return cons.map_to_csv(cmap), doc, polylines
 
 
 def _resolve_factor(args, body, csl):
@@ -293,7 +282,7 @@ def _resolve_factor(args, body, csl):
     return factors.f_disc_perp(aspect).value
 
 
-def _cmd_diffuse(args) -> int:
+def _cmd_diffuse(args):
     body = _body_from(args)
     csl = _csl_from(args)
     mechanism = {"qm": "qm-baseline"}.get(args.mechanism, args.mechanism)
@@ -304,11 +293,10 @@ def _cmd_diffuse(args) -> int:
         if mechanism != "csl" or mode != "rotation":
             raise ValidationError("--target is defined for csl rotation only")
         t_hit = diff.time_to_rotation(csl, f, args.target)
-        csv_text = ("target_rad,f_rot,time_s\r\n"
-                    f"{args.target:.6g},{f:.6g},{t_hit:.6g}\r\n")
-        return _emit(args, csv_text, {
-            "params": {"lam": csl.lam, "a": csl.a, "f_rot": f},
-            "target_rad": args.target, "time_s": t_hit})
+        csv_text = _csv(["target_rad", "f_rot", "time_s"],
+                        [[f"{v:.6g}" for v in (args.target, f, t_hit)]])
+        return csv_text, {"params": {"lam": csl.lam, "a": csl.a, "f_rot": f},
+                          "target_rad": args.target, "time_s": t_hit}
 
     if args.times:
         times = args.times
@@ -328,18 +316,17 @@ def _cmd_diffuse(args) -> int:
             orientation = None if isinstance(body, Sphere) else args.orientation
             xi = xi_molecular(body, env, orientation)
         if env.pressure is not None:
-            check_realm(body, env, args.realm)   # warns on stderr if dubious
+            check_realm(body, env, args.realm)   # warns if dubious
 
     curve = diff.diffusion_curve(
         mechanism, mode, times, csl=csl if mechanism in ("csl", "combined") else None,
         f=f, body=body, env=env, xi=xi, regime=args.regime)
-    csv_text = diff.curve_to_csv(curve)
     doc = {"params": curve.params_used,
            "samples": [{"t_s": t, "rms": r} for t, r in curve.samples]}
-    return _emit(args, csv_text, doc)
+    return diff.curve_to_csv(curve), doc
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     from .wavepacket import simulate_ensemble, stats_to_csv
 
     if args.s_inf is not None or args.tau_s is not None:
@@ -349,13 +336,12 @@ def _cmd_simulate(args) -> int:
     else:
         body = _body_from(args)
         csl = _csl_from(args)
-        eq = diff.equilibrium_width(csl, body)   # validity flags go to stderr
+        eq = diff.equilibrium_width(csl, body)   # warns outside its range
     dt = args.dt if args.dt is not None else eq.tau_s / 100.0
     t_end = args.t_end if args.t_end is not None else 10.0 * eq.tau_s
     stats = simulate_ensemble(eq, n_traj=args.n_traj, dt=dt, t_end=t_end,
                               seed=args.seed, method=args.method,
                               workers=args.workers)
-    csv_text = stats_to_csv(stats)
     doc = {"params": {"s_inf_cm": eq.s_inf, "tau_s_s": eq.tau_s, "dt_s": dt,
                       "t_end_s": t_end, "n_traj": args.n_traj,
                       "seed": args.seed, "method": args.method},
@@ -365,10 +351,10 @@ def _cmd_simulate(args) -> int:
                         stats.times, stats.mean_Q, stats.mean_sq_Q,
                         stats.se_mean_sq_Q, stats.mean_sq_P,
                         stats.se_mean_sq_P)]}
-    return _emit(args, csv_text, doc)
+    return stats_to_csv(stats), doc
 
 
-def _cmd_collide(args) -> int:
+def _cmd_collide(args):
     body = _body_from(args)
     if args.pressure is None:
         raise ValidationError("collision statistics need --pressure")
@@ -381,14 +367,12 @@ def _cmd_collide(args) -> int:
         fields["delta_v_cm_s"] = stats.delta_v
     if stats.omega_kick is not None:
         fields["omega_kick_rad_s"] = stats.omega_kick
-    header = ",".join(fields)
-    values = ",".join(f"{v:.6g}" for v in fields.values())
-    csv_text = f"{header}\r\n{values}\r\n"
+    csv_text = _csv(fields, [[f"{v:.6g}" for v in fields.values()]])
     doc = {"params": {"temperature_K": env.temperature,
                       "pressure_dyn_cm2": env.pressure,
                       "gas_mass_g": env.gas_molecular_mass},
            "result": fields}
-    return _emit(args, csv_text, doc)
+    return csv_text, doc
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +472,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _outputs(args) -> list[tuple[str | None, str]]:
+    """(path, text) of each output in writing order; path None is stdout."""
+    if args.constants:
+        return [(None, _json_text({"schema_version": SCHEMA_VERSION,
+                                   **constants_summary()}))]
+    csv_text, doc, *polylines = args.func(args)
+    if args.json:
+        return [(args.output, _json_text({"schema_version": SCHEMA_VERSION,
+                                          "command": args.command,
+                                          **_jsonable(doc)}))]
+    outputs = [(args.output, csv_text)]
+    if args.output and polylines:
+        # one polyline file per constraint next to the lattice CSV
+        stem = args.output[:-4] if args.output.endswith(".csv") else args.output
+        outputs += [(f"{stem}_boundary_{cid}.csv", text)
+                    for cid, text in polylines[0].items()]
+    return outputs
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.constants:
-        sys.stdout.write(json.dumps(
-            {"schema_version": SCHEMA_VERSION, **constants_summary()},
-            sort_keys=True, indent=2) + "\n")
-        return 0
-    if args.command is None:
+    if args.command is None and not args.constants:
         parser.print_usage(sys.stderr)
         return 2
-    try:
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    outputs, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ValidityWarning)
+        try:
+            outputs = _outputs(args)
+        except ValidationError as exc:
+            code, error = 3, exc
+        except ConvergenceError as exc:
+            code, error = 4, exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return code
+    for path, text in outputs:
+        try:
+            if path is None:
+                sys.stdout.write(text)
+            else:
+                with open(path, "w", newline="") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {path or 'stdout'}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -97,6 +97,9 @@ CONSTRAINT_LINES = {
 DEFAULT_MAP_IDS = ("ge-radiation", "rot-null", "perception-time",
                    "small-displacement", "trans-null")
 
+# fig2_dataset rejects a larger lattice before it allocates one
+_MAX_LATTICE_POINTS = 10 ** 6
+
 
 def evaluate_constraints(lambda_inv: float, a: float,
                          which=None) -> dict[str, bool]:
@@ -258,6 +261,10 @@ def fig2_dataset(a_range, lambda_inv_range, which=DEFAULT_MAP_IDS) -> Constraint
     ll = [float(v) for v in lambda_inv_range]
     if not la or not ll:
         raise ValidationError("grids must be nonempty")
+    if len(la) * len(ll) > _MAX_LATTICE_POINTS:
+        raise ValidationError(
+            f"the lattice holds {len(la) * len(ll)} points, more than "
+            f"{_MAX_LATTICE_POINTS}")
     if any(b <= a for a, b in zip(la, la[1:])) or any(b <= a for a, b in zip(ll, ll[1:])):
         raise ValidationError("grids must be strictly increasing")
     ids = tuple(which)

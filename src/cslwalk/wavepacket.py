@@ -62,15 +62,19 @@ class ComplexVariance:
     sigma_sq: complex
 
     def __post_init__(self):
-        if not self.sigma_sq.real > 0:
-            raise ValidationError("Re(sigma^2) must be positive")
+        _width(self.sigma_sq, "sigma_sq")
 
     def __complex__(self):
         return self.sigma_sq
 
 
-def _as_complex(sigma) -> complex:
-    return complex(sigma.sigma_sq) if isinstance(sigma, ComplexVariance) else complex(sigma)
+def _width(sigma, name: str) -> complex:
+    """sigma as a complex; a ValidationError naming it unless it is finite
+    with a positive real part."""
+    s = complex(sigma.sigma_sq) if isinstance(sigma, ComplexVariance) else complex(sigma)
+    if not (cmath.isfinite(s) and s.real > 0):
+        raise ValidationError(f"{name} must be finite with Re(sigma^2) > 0")
+    return s
 
 
 def equilibrium_variance(s_inf: float) -> ComplexVariance:
@@ -80,8 +84,8 @@ def equilibrium_variance(s_inf: float) -> ComplexVariance:
 
 def packet_width_sq(sigma) -> float:
     """Physical squared packet width sigma_R^2 + sigma_I^4 / sigma_R^2."""
-    s = _as_complex(sigma)
-    return s.real + s.imag ** 2 / s.real
+    s = _width(sigma, "sigma")
+    return _in_float_range("packet width", lambda: s.real + s.imag ** 2 / s.real)
 
 
 def _positive(**values) -> None:
@@ -89,13 +93,6 @@ def _positive(**values) -> None:
         if not 0 < value < math.inf:
             raise ValidationError(
                 f"{name} must be finite and positive, got {value!r}")
-
-
-def _start_width(sigma0) -> complex:
-    s0 = _as_complex(sigma0)
-    if not (cmath.isfinite(s0) and s0.real > 0):
-        raise ValidationError("sigma0 must be finite with Re(sigma^2) > 0")
-    return s0
 
 
 def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> ComplexVariance | list:
@@ -108,7 +105,7 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> ComplexVariance 
     """
     _positive(s_inf=s_inf, tau_s=tau_s)
     _in_float_range("s_inf^2", lambda: 1.0 / s_inf ** 2)
-    u0 = _start_width(sigma0) / s_inf ** 2
+    u0 = _width(sigma0, "sigma0") / s_inf ** 2
     ustar = (1.0 + 1.0j) / 2.0
     scalar = np.isscalar(t)
     tt = np.atleast_1d(np.asarray(t, dtype=float))
@@ -162,7 +159,7 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
         raise ValidationError("t_grid must be strictly increasing")
     if t_grid[0] < 0:
         raise ValidationError("t_grid must be nonnegative")
-    s = _start_width(sigma0)
+    s = _width(sigma0, "sigma0")
     drift = 0.5j * CONSTANTS.hbar / M
     rate = _in_float_range("collapse rate 2 lam_eff / a^2",
                            lambda: 2.0 * lam_eff / a ** 2)

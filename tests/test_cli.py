@@ -1,9 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +59,7 @@ def test_table1_default_precision(capsys):
 
 
 def test_json_documents_are_schema_stable(capsys):
-    for argv in (["table1", "--json"], ["table2", "--format", "json"],
+    for argv in (["table1", "--json"], ["table2", "--json"],
                  ["collide", "--sphere-radius", "1e-5", "--temperature",
                   "4.2K", "--pressure", "5e-17Torr", "--json"]):
         rc, out, _ = run(capsys, argv)
@@ -145,6 +148,102 @@ def test_output_file(tmp_path, capsys):
                               str(target)])
     assert rc == 0 and out == ""
     assert target.read_bytes().decode() == GOLDEN_TABLE1
+
+
+def test_unwritable_output_exits_3_without_traceback(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv in (["table1", "--paper-format"],
+                 ["fig2", "--a-grid=-6:-4:3", "--lambda-inv-grid=15:17:3"]):
+        target = missing / "out.csv"
+        rc, out, err = run(capsys, argv + ["--output", str(target)])
+        assert rc == 3 and out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not missing.exists()
+
+
+def test_fig2_writes_the_lattice_before_its_boundary_files(tmp_path, capsys):
+    # a directory in the way of one boundary file: the lattice CSV and the
+    # files before it are written, then the run stops with exit 3
+    blocked = tmp_path / "map_boundary_perception-time.csv"
+    blocked.mkdir()
+    rc, out, err = run(capsys, ["fig2", "--a-grid=-6:-4:3",
+                                "--lambda-inv-grid=15:17:3", "--output",
+                                str(tmp_path / "map.csv")])
+    assert rc == 3 and out == ""
+    assert err.startswith(f"error: cannot write {blocked}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (tmp_path / "map.csv").read_bytes().startswith(b"log10_a,")
+    assert (tmp_path / "map_boundary_rot-null.csv").exists()
+    assert not (tmp_path / "map_boundary_trans-null.csv").exists()
+
+
+def _readme_stdout(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("sub,argv", [
+    ("table2", ["table2", "--json"]),
+    ("collide", ["collide", "--disc-radius", "2du", "--disc-thickness", ".5du",
+                 "--temperature", "4.2K", "--pressure", "5e-17Torr"]),
+    ("fig2", ["fig2", "--a-grid=-7:0:71", "--lambda-inv-grid=0:22:89"]),
+    ("constants", ["--constants"]),
+])
+def test_readme_stdout_matches_the_benchmark_pin(sub, argv):
+    refs = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                       / "refs.json").read_text())["cli"]
+    rc, out, err = _readme_stdout(argv)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == refs[sub]
+
+
+def test_validity_warnings_are_one_clean_line_each(capsys):
+    rc, out, err = run(capsys, ["diffuse", "--mechanism", "brownian",
+                                "--sphere-radius", "1e-5", "--pressure",
+                                "760Torr", "--viscosity", "1.8e-4",
+                                "--times", "1"])
+    assert rc == 0
+    assert out == ("t_s,rms,mechanism,mode\r\n"
+                   "1,0.00187789,brownian,translation\r\n")
+    assert err == ("warning: molecular-realm drag requested but l_m = "
+                   "9.85e-06 cm is not large against the body size 1e-05 cm\n")
+
+
+def test_two_validity_warnings_keep_their_order_and_stdout(capsys):
+    from cslwalk import CslParams, Sphere, equilibrium_width
+    from cslwalk.wavepacket import simulate_ensemble, stats_to_csv
+
+    rc, out, err = run(capsys, ["simulate", "--sphere-radius", "1e-7",
+                                "--n-traj", "100"])
+    assert rc == 0
+    lines = err.splitlines()
+    assert len(lines) == 2 and "cli.py" not in err
+    assert lines[0].startswith("warning: N = 2.5e+03 nucleons is below")
+    assert lines[1].startswith("warning: s_inf = 0.0119 cm is not small")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        eq = equilibrium_width(CslParams(lam=1e-16, a=1e-5), Sphere(1e-7, 1.0))
+    assert out == stats_to_csv(simulate_ensemble(
+        eq, n_traj=100, dt=eq.tau_s / 100, t_end=10 * eq.tau_s, seed=0))
+
+
+def test_a_repeated_warning_is_written_once(monkeypatch, capsys):
+    import cslwalk.diffusion as diffusion_mod
+    from cslwalk.errors import ValidityWarning
+
+    table = diffusion_mod.vacuum_diffusion_table
+
+    def warn_twice():
+        for _ in range(2):
+            warnings.warn("dubious input", ValidityWarning)
+        return table()
+
+    monkeypatch.setattr(diffusion_mod, "vacuum_diffusion_table", warn_twice)
+    rc, out, err = run(capsys, ["table1", "--paper-format"])
+    assert rc == 0 and out == GOLDEN_TABLE1
+    assert err == "warning: dubious input\n"
 
 
 def test_fig1_and_fig2_datasets(capsys):
@@ -260,6 +359,39 @@ def test_exit_code_n_times_below_one(capsys, n_times):
     out = capsys.readouterr()
     assert out.out == ""
     assert "n-times" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diffuse", "--sphere-radius", "1e-5", f"--n-times={10 ** 9}"],
+    ["fig2", f"--a-grid=-7:0:{10 ** 9}"],
+    ["fig2", f"--lambda-inv-grid=0:22:{10 ** 9}"],
+])
+def test_exit_code_count_above_the_cap(capsys, argv):
+    # rejected at parse time, before any list of that length is built
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "1000000" in out.err
+
+
+def test_exit_code_fig2_lattice_above_the_cap(capsys):
+    rc, out, err = run(capsys, ["fig2", "--a-grid=-7:0:1001",
+                                "--lambda-inv-grid=0:22:1000"])
+    assert rc == 3 and out == ""
+    assert err == "error: the lattice holds 1001000 points, more than 1000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--format", "json"],
+    ["collide", "--sphere-radius", "1e-5", "--temperature", "4.2K",
+     "--pressure", "5e-17Torr", "--gas", "N2"],
+])
+def test_removed_flags_are_flag_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_exit_code_body_needed(capsys):

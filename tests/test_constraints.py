@@ -194,6 +194,9 @@ def test_map_rejects_bad_grids():
                   ([-5.0], [-400.0])):
         with pytest.raises(ValidationError):
             fig2_dataset(*grids)
+    # 1001 x 1000 points, one over the cap; rejected before the lattice exists
+    with pytest.raises(ValidationError, match="1001000 points"):
+        fig2_dataset(range(1001), range(1000))
 
 
 def test_map_boundaries_and_metadata():

@@ -112,6 +112,14 @@ def test_ode_keeps_width_positive(grw, eq_ref):
 def test_complex_variance_validation():
     with pytest.raises(ValidationError):
         ComplexVariance(-1e-12 + 0j)
+    for bad in (complex(1, math.nan), complex(math.inf, 0)):
+        with pytest.raises(ValidationError, match="^sigma_sq "):
+            ComplexVariance(bad)
+        with pytest.raises(ValidationError, match="^sigma "):
+            packet_width_sq(bad)
+    # finite, but sigma_I^4 / sigma_R^2 overflows
+    with pytest.raises(ValidationError, match="floating-point range"):
+        packet_width_sq(complex(1e-300, 1e200))
     with pytest.raises(ValidationError):
         sigma_ode_integrate(ComplexVariance(1e-12), 1e-15, 0.0, 1e-5,
                             np.array([1.0, 0.5]))
