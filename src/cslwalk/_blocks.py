@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _count
 
 
 def block_rng(seed: int, i: int) -> np.random.Generator:
@@ -22,16 +22,16 @@ def block_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng([seed, i])
 
 
-def run_blocks(n: int, block: int, seed: int, workers: int, fn) -> list[float]:
+def run_blocks(n: int, block_size: int, seed: int, workers: int,
+               fn) -> list[float]:
     """Element-wise sum of fn(rng, size) over the fixed blocks of n draws.
 
     fn returns a 1-D float vector of the same length for every block.
+    block_size and workers must be integers of at least 1.
     """
-    if block < 1:
-        raise ValidationError("block size must be at least 1")
-    if workers < 1:
-        raise ValidationError("workers must be at least 1")
-    sizes = [block] * (n // block) + ([n % block] if n % block else [])
+    _count(1, block_size=block_size, workers=workers)
+    full, rest = divmod(n, block_size)
+    sizes = [block_size] * full + ([rest] if rest else [])
 
     def one(i):
         return fn(block_rng(seed, i), sizes[i])

@@ -14,7 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 from .core import CONSTANTS, Body, Disc, Environment, Sphere
-from .errors import ValidationError, ValidityWarning, _in_float_range
+from .errors import (ValidationError, ValidityWarning, _count, _in_float_range,
+                     _nonnegative, _positive)
 
 __all__ = [
     "DragCoefficient",
@@ -53,8 +54,7 @@ class DragCoefficient:
     orientation: str    # sphere | disc-perp | disc-edge | disc-rot
 
     def __post_init__(self):
-        if not 0 <= self.xi < math.inf:
-            raise ValidationError("drag coefficient must be finite and nonnegative")
+        _nonnegative(xi=self.xi)
 
     def __float__(self):
         return self.xi
@@ -100,14 +100,8 @@ def fp_moments(tau: float, beta: float, v0: float, t: float) -> BrownianMoments:
     beta/tau (equipartition when beta = kT tau / M); the position variance
     grows as (2 beta / 3 tau^2) t^3 for t << tau and as 2 beta t for t >> tau.
     """
-    if not 0 < tau < math.inf:
-        raise ValidationError(f"tau must be finite and positive, got {tau!r}")
-    for name, value in (("beta", beta), ("t", t)):
-        if not 0 <= value < math.inf:
-            raise ValidationError(
-                f"{name} must be finite and nonnegative, got {value!r}")
-    if not math.isfinite(v0):
-        raise ValidationError(f"v0 must be finite, got {v0!r}")
+    _positive(tau=tau)
+    _nonnegative(beta=beta, t=t, **{"|v0|": abs(v0)})
     x = t / tau
     mean_v = v0 * math.exp(-x)
     var_v = _in_float_range("velocity variance",
@@ -127,18 +121,11 @@ def thermal_rms(xi: float, inertia: float, temperature: float, t: float,
     'short' gives sqrt(2 kT xi t^3 / (3 inertia^2)).
     """
     xi = float(xi)
-    for name, value in (("xi", xi), ("t", t)):
-        if not 0 <= value < math.inf:
-            raise ValidationError(
-                f"{name} must be finite and nonnegative, got {value!r}")
-    for name, value in (("temperature", temperature), ("inertia", inertia)):
-        if not 0 < value < math.inf:
-            raise ValidationError(
-                f"{name} must be finite and positive, got {value!r}")
+    _nonnegative(xi=xi, t=t)
+    _positive(temperature=temperature, inertia=inertia)
     kT = CONSTANTS.k_boltzmann * temperature
     if regime == "long":
-        if xi == 0:
-            raise ValidationError("the long-time regime needs xi > 0")
+        _positive(xi=xi)     # the long-time form divides by xi
         return _in_float_range("thermal rms", lambda: math.sqrt(2.0 * kT * t / xi))
     if regime == "short":
         return _in_float_range("thermal rms", lambda: math.sqrt(
@@ -155,8 +142,7 @@ SLIP_SPECULAR = (1.5, 0.0, 1.0)    # specular-reflection theory
 
 def xi_stokes(R: float, eta: float) -> DragCoefficient:
     """Hydrodynamic drag on a sphere, 6 pi eta R (valid for l_m << R)."""
-    if not (R > 0 and eta > 0):
-        raise ValidationError("R and eta must be positive")
+    _positive(R=R, eta=eta)
     return DragCoefficient(6.0 * math.pi * eta * R, "viscous", "translation", "sphere")
 
 
@@ -170,10 +156,8 @@ def xi_slip_corrected(R: float, eta: float, l_m: float,
     Defaults are the measured coefficients (1, 0.6, 1); the specular-theory
     variant is SLIP_SPECULAR = (3/2, 0, 1).
     """
-    if not (R > 0 and eta > 0 and l_m > 0):
-        raise ValidationError("R, eta, l_m must be positive")
-    if alpha <= 0 or beta_c < 0 or gamma <= 0:
-        raise ValidationError("slip coefficients out of range")
+    _positive(R=R, eta=eta, l_m=l_m, alpha=alpha, gamma=gamma)
+    _nonnegative(beta_c=beta_c)
     corr = 1.0 + (l_m / R) * (alpha + beta_c * math.exp(-gamma * R / l_m))
     return DragCoefficient(6.0 * math.pi * eta * R / corr,
                            "slip-corrected", "translation", "sphere")
@@ -214,8 +198,7 @@ def xi_viscous_disc(L: float, b: float, eta: float,
 
     Perpendicular to the face: 16 eta L; along the edge: (32/3) eta L.
     """
-    if not (L > 0 and b > 0 and eta > 0):
-        raise ValidationError("L, b, eta must be positive")
+    _positive(L=L, b=b, eta=eta)
     if b > 0.5 * L:
         warnings.warn("thin-disc drag used with b > L/2", ValidityWarning,
                       stacklevel=2)
@@ -259,8 +242,7 @@ def xi_radiation(R: float, T: float) -> DragCoefficient:
     xi = [4 (2 pi)^7 / 135] hbar R^6 (kT / hbar c)^8.  Representative, up to
     an order-unity factor, of any compact shape of comparable volume.
     """
-    if not (R > 0 and T > 0):
-        raise ValidationError("R and T must be positive")
+    _positive(R=R, T=T)
     hbar, c = CONSTANTS.hbar, CONSTANTS.c
     kT = CONSTANTS.k_boltzmann * T
     xi = (4.0 * (2.0 * math.pi) ** 7 / 135.0) * hbar * R ** 6 * (kT / (hbar * c)) ** 8
@@ -272,8 +254,7 @@ def xi_mirror(area: float, T: float) -> DragCoefficient:
 
     xi = (2 pi^2 / 15) hbar (kT / hbar c)^4 A.
     """
-    if not (area > 0 and T > 0):
-        raise ValidationError("area and T must be positive")
+    _positive(area=area, T=T)
     hbar, c = CONSTANTS.hbar, CONSTANTS.c
     kT = CONSTANTS.k_boltzmann * T
     xi = (2.0 * math.pi ** 2 / 15.0) * hbar * (kT / (hbar * c)) ** 4 * area
@@ -307,9 +288,10 @@ def spectral_xi(nu, T: float, target: str = "mirror-per-area",
     """
     import numpy as np
 
+    _positive(T=T)
     nu = np.asarray(nu, dtype=float)
-    if T <= 0 or np.any(nu < 0):
-        raise ValidationError("nu must be nonnegative and T positive")
+    if not np.all(np.isfinite(nu) & (nu >= 0)):
+        raise ValidationError("nu must be finite and nonnegative")
     h = 2.0 * math.pi * CONSTANTS.hbar
     c = CONSTANTS.c
     kT = CONSTANTS.k_boltzmann * T
@@ -318,8 +300,9 @@ def spectral_xi(nu, T: float, target: str = "mirror-per-area",
     if target == "mirror-per-area":
         return 4.0 * math.pi * (nu / c) ** 3 * (h * nu / kT) * (h / c) * weight
     if target == "dielectric-sphere":
-        if R is None or R <= 0:
+        if R is None:
             raise ValidationError("dielectric-sphere target needs a radius R")
+        _positive(R=R)
         pref = (2.0 * math.pi) ** 4 * (8.0 * math.pi / 3.0) ** 2
         return pref * (nu / c) ** 7 * (h * nu / kT) * (h / c) * R ** 6 * weight
     raise ValidationError(f"unknown spectral target {target!r}")
@@ -335,6 +318,7 @@ def integrate_spectral_xi(T: float, target: str = "mirror-per-area",
     """Frequency integral of spectral_xi; equals the closed-form coefficients."""
     from .quadrature import integrate_1d
 
+    _positive(T=T)
     h = 2.0 * math.pi * CONSTANTS.hbar
     nu_max = _PLANCK_Z_MAX * CONSTANTS.k_boltzmann * T / h
     value, _ = integrate_1d(lambda nu: spectral_xi(nu, T, target=target, R=R),
@@ -350,8 +334,8 @@ def planck_tail_integral(power: int, *, z_max: float = _PLANCK_Z_MAX) -> float:
     """
     from .quadrature import integrate_1d
 
-    if power < 2:
-        raise ValidationError("integrand is non-integrable for power < 2")
+    _count(2, power=power)   # non-integrable below 2
+    _positive(z_max=z_max)
     value, _ = integrate_1d(lambda z: z ** power * _planck_weight(z),
                             0.0, z_max, rel_tol=1.0e-9)
     return value

@@ -34,7 +34,7 @@ from . import diffusion as diff
 from .brownian import (check_realm, collision_stats, molecular_flux,
                        xi_molecular, xi_stokes)
 from .core import (CslParams, Disc, Environment, N2_MOLECULAR_MASS,
-                   Sphere, constants_summary, convert_unit)
+                   Sphere, _csv, constants_summary, convert_unit)
 from .errors import ConvergenceError, ValidationError, ValidityWarning
 
 SCHEMA_VERSION = 1
@@ -125,11 +125,6 @@ def _jsonable(obj):
 
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _csv(header, rows) -> str:
-    """CSV text with CR LF line ends from a header and rows of cell strings."""
-    return "".join(",".join(cells) + "\r\n" for cells in [header, *rows])
 
 
 def _fmt(value: float, paper_format: bool) -> str:

@@ -13,15 +13,13 @@ feeds the germanium-detector bound.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTANTS, ERG_PER_EV
-from .errors import ValidationError
+from .core import CONSTANTS, ERG_PER_EV, _csv
+from .errors import ValidationError, _positive
 
 __all__ = [
     "ConstraintLine",
@@ -47,6 +45,14 @@ _GE_FREE_ELECTRONS_PER_ATOM = 4.0
 _SECONDS_PER_DAY = 86400.0
 
 
+def _pow(x: float, p: float) -> float:
+    """x ** p, or inf where that leaves the float range."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ConstraintLine:
     """One viability bound: lambda_inv * a^a_power  (sense)  threshold."""
@@ -58,7 +64,7 @@ class ConstraintLine:
     description: str
 
     def satisfied(self, lambda_inv: float, a: float) -> bool:
-        value = lambda_inv * a ** self.a_power
+        value = lambda_inv * _pow(a, self.a_power)
         return value > self.threshold if self.sense == "min" else value < self.threshold
 
     def boundary_log10_lambda_inv(self, log10_a):
@@ -107,8 +113,7 @@ def evaluate_constraints(lambda_inv: float, a: float,
 
     Inputs are plain CGS numbers: lambda_inv in seconds, a in cm.
     """
-    if not (lambda_inv > 0 and a > 0):
-        raise ValidationError("lambda_inv and a must be positive")
+    _positive(lambda_inv=lambda_inv, a=a)
     ids = tuple(which) if which is not None else DEFAULT_MAP_IDS
     out = {}
     for cid in ids:
@@ -128,13 +133,13 @@ def lambda_gravitational(a: float, mode: str = "point",
     and for disc rotation lam * f_rot equals lam_G (a/L)^5 — the returned
     value is that product for the extended modes.
     """
-    if not a > 0:
-        raise ValidationError("a must be positive")
+    _positive(a=a)
     lam_g = CONSTANTS.G * CONSTANTS.m_nucleon ** 2 / (a * CONSTANTS.hbar)
     if mode == "point":
         return lam_g
-    if size is None or size <= 0:
-        raise ValidationError(f"mode {mode!r} needs a positive body size")
+    if size is None:
+        raise ValidationError(f"mode {mode!r} needs a body size")
+    _positive(size=size)
     if mode == "sphere":
         return lam_g * (a / size) ** 3
     if mode == "disc":
@@ -153,17 +158,21 @@ class ThermalRelation:
 
     gamma: float
 
+    def __post_init__(self):
+        _positive(gamma=self.gamma)
+        if self.gamma < 1.0:
+            raise ValidationError("gamma must be at least 1 (no equilibrium yet)")
+
     @property
     def lambda_inv_a_sq(self) -> float:
         return 1.0e3 * self.gamma
 
     def lambda_inv(self, a: float) -> float:
+        _positive(a=a)
         return self.lambda_inv_a_sq / a ** 2
 
 
 def thermal_relation(gamma: float) -> ThermalRelation:
-    if not gamma >= 1.0:
-        raise ValidationError("gamma must be at least 1 (no equilibrium yet)")
     return ThermalRelation(gamma=gamma)
 
 
@@ -183,8 +192,7 @@ def fu_radiation_rate(E_keV: float, lam: float, a: float) -> float:
     coupling the electron mass cancels, leaving
     (lam / a^2) e^2 hbar / (4 pi^2 m_nucleon^2 c^3 E).
     """
-    if not (E_keV > 0 and lam > 0 and a > 0):
-        raise ValidationError("E, lam, a must be positive")
+    _positive(E_keV=E_keV, lam=lam, a=a)
     erg_per_kev = 1.0e3 * ERG_PER_EV
     E_erg = E_keV * erg_per_kev
     per_erg = (lam / a ** 2) * _E_CHARGE_ESU ** 2 * CONSTANTS.hbar / (
@@ -209,8 +217,7 @@ def ge_radiation_threshold(limit_counts: float = 0.05) -> float:
     floor on lambda_inv a^2; with the canonical 0.05 counts/(keV kg day)
     this reproduces the quoted bound of about 0.4.
     """
-    if not limit_counts > 0:
-        raise ValidationError("limit must be positive")
+    _positive(limit_counts=limit_counts)
     rate_ref = ge_detector_rate(1.0e-16, 1.0e-5)
     max_ratio = limit_counts / rate_ref            # on (lam/a^2)/(lam/a^2)_ref
     return 1.0 / (max_ratio * (1.0e-16 / 1.0e-10))
@@ -272,19 +279,22 @@ def fig2_dataset(a_range, lambda_inv_range, which=DEFAULT_MAP_IDS) -> Constraint
         if cid not in CONSTRAINT_LINES:
             raise ValidationError(f"unknown constraint id {cid!r}")
     # 10.0 ** v and a ** a_power are the Python pow calls evaluate_constraints
-    # makes; the product and the comparison are the same IEEE operations on
-    # the whole lattice, so every mask bit equals the per-point one.
-    a_vals = [10.0 ** v for v in la]
-    lam_vals = [10.0 ** v for v in ll]
-    if not all(v > 0 for v in a_vals + lam_vals):
-        raise ValidationError("lambda_inv and a must be positive")
+    # makes, inf where they overflow; the product and the comparison are the
+    # same IEEE operations on the whole lattice, so every mask bit equals the
+    # per-point one.
+    a_vals = [_pow(10.0, v) for v in la]
+    lam_vals = [_pow(10.0, v) for v in ll]
+    for a in a_vals:
+        _positive(a=a)
+    for lambda_inv in lam_vals:
+        _positive(lambda_inv=lambda_inv)
     lam = np.array(lam_vals)
     distinct = list(dict.fromkeys(ids))
     code = np.zeros((len(la), len(ll)), dtype=np.int64)
     for bit, cid in enumerate(distinct):
         line = CONSTRAINT_LINES[cid]
         with np.errstate(over="ignore"):     # inf, as the float product gives
-            value = np.array([a ** line.a_power for a in a_vals])[:, None] * lam
+            value = np.array([_pow(a, line.a_power) for a in a_vals])[:, None] * lam
         ok = value > line.threshold if line.sense == "min" else value < line.threshold
         code |= ok.astype(np.int64) << bit
     # one shared tuple per pass/fail pattern instead of one per lattice point
@@ -297,15 +307,12 @@ def fig2_dataset(a_range, lambda_inv_range, which=DEFAULT_MAP_IDS) -> Constraint
 
 def map_to_csv(cmap: ConstraintMap) -> str:
     """The lattice flattened to CSV text: log10_a,log10_lambda_inv,c1..cN."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["log10_a", "log10_lambda_inv"]
-                    + [f"c{k+1}" for k in range(len(cmap.ids))])
-    for i, lga in enumerate(cmap.log10_a):
-        for j, lgl in enumerate(cmap.log10_lambda_inv):
-            writer.writerow([f"{lga:.6g}", f"{lgl:.6g}"]
-                            + [int(v) for v in cmap.passed[i][j]])
-    return buf.getvalue()
+    return _csv(["log10_a", "log10_lambda_inv"]
+                + [f"c{k+1}" for k in range(len(cmap.ids))],
+                [[f"{lga:.6g}", f"{lgl:.6g}"]
+                 + ["1" if v else "0" for v in cmap.passed[i][j]]
+                 for i, lga in enumerate(cmap.log10_a)
+                 for j, lgl in enumerate(cmap.log10_lambda_inv)])
 
 
 def boundary_polylines(cmap: ConstraintMap) -> dict:

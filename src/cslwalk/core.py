@@ -1,4 +1,5 @@
-"""Physical constants, unit conversions, model parameters, and body geometry.
+"""Physical constants, unit conversions, model parameters, body geometry,
+and the CSV text every table and dataset is written as.
 
 Everything internal is CGS (cm, g, s, K, erg).  Convenience units used at
 API boundaries (Torr, picoTorr, days, the 1e-5 cm length often written
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, _in_float_range
+from .errors import ValidationError, _in_float_range, _positive
 
 __all__ = [
     "PhysicalConstants",
@@ -27,6 +28,11 @@ __all__ = [
     "Environment",
     "body_derived",
 ]
+
+
+def _csv(header, rows) -> str:
+    """CSV text with CR LF line ends from a header and rows of cell strings."""
+    return "".join(",".join(cells) + "\r\n" for cells in [header, *rows])
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,7 @@ class PhysicalConstants:
     room_temperature_T0: float = 293.15  # K
 
     def __post_init__(self):
-        for name in ("hbar", "k_boltzmann", "m_nucleon", "G", "c",
-                     "room_temperature_T0"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"constant {name} must be positive")
+        _positive(**vars(self))
 
 
 CONSTANTS = PhysicalConstants()
@@ -146,8 +149,7 @@ class CslParams:
     a: float
 
     def __post_init__(self):
-        if not (0 < self.lam < math.inf and 0 < self.a < math.inf):
-            raise ValidationError("CslParams requires finite lam > 0 and a > 0")
+        _positive(lam=self.lam, a=self.a)
 
     @classmethod
     def grw(cls) -> "CslParams":
@@ -177,9 +179,7 @@ class Sphere:
     density: float
 
     def __post_init__(self):
-        if not (0 < self.radius < math.inf and 0 < self.density < math.inf):
-            raise ValidationError(
-                "Sphere requires finite radius > 0 and density > 0")
+        _positive(radius=self.radius, density=self.density)
         _check_nucleon_count(self)
 
     def volume(self) -> float:
@@ -209,10 +209,8 @@ class Disc:
     density: float
 
     def __post_init__(self):
-        if not all(0 < v < math.inf
-                   for v in (self.radius, self.thickness, self.density)):
-            raise ValidationError(
-                "Disc requires finite positive radius, thickness, density")
+        _positive(radius=self.radius, thickness=self.thickness,
+                  density=self.density)
         if self.thickness > 2.0 * self.radius:
             raise ValidationError("Disc thickness exceeds its diameter")
         _check_nucleon_count(self)
@@ -260,11 +258,8 @@ class Environment:
     gas_viscosity: float | None = None
 
     def __post_init__(self):
-        for name in ("temperature", "pressure", "gas_molecular_mass",
-                     "gas_viscosity"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValidationError(f"{name} must be finite and positive")
+        _positive(**{name: value for name, value in vars(self).items()
+                     if value is not None})
 
     @classmethod
     def from_torr(cls, temperature: float, pressure_torr: float, **kwargs) -> "Environment":

@@ -9,15 +9,14 @@ where collapse narrowing balances free spreading.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
 
 from .brownian import DragCoefficient
-from .core import CONSTANTS, Body, CslParams, Disc, Environment, Sphere
-from .errors import ValidationError, ValidityWarning, _in_float_range
+from .core import CONSTANTS, Body, CslParams, Disc, Environment, Sphere, _csv
+from .errors import (ValidationError, ValidityWarning, _fraction,
+                     _in_float_range, _nonnegative, _positive)
 from .factors import f_sphere
 
 __all__ = [
@@ -50,8 +49,7 @@ class WavepacketEquilibrium:
     tau_s: float
 
     def __post_init__(self):
-        if not (self.s_inf > 0 and self.tau_s > 0):
-            raise ValidationError("s_inf and tau_s must be positive")
+        _positive(s_inf=self.s_inf, tau_s=self.tau_s)
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,8 @@ def csl_rms_translation(csl: CslParams, f: float, t: float,
     body's mass and density (geometry enters only through f).
     `initial_term` is the caller's <(Q + P t / M)^2>(0) contribution in cm^2.
     """
-    if not (0 <= t < math.inf and 0 <= initial_term < math.inf):
-        raise ValidationError("t and initial_term must be finite and nonnegative")
-    if not 0.0 <= f <= 1.0:
-        raise ValidationError("translation factor f must lie in [0, 1]")
+    _nonnegative(t=t, initial_term=initial_term)
+    _fraction(f=f)
     m = CONSTANTS.m_nucleon
     return _in_float_range("rms translation", lambda: math.sqrt(
         initial_term
@@ -101,10 +97,7 @@ def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
 
     sqrt(initial_term + lam (hbar / m a^2)^2 f_rot t^3 / 12).
     """
-    if not (0 <= t < math.inf and 0 <= initial_term < math.inf):
-        raise ValidationError("t and initial_term must be finite and nonnegative")
-    if not 0 <= f_rot < math.inf:
-        raise ValidationError("rotation factor must be finite and nonnegative")
+    _nonnegative(t=t, initial_term=initial_term, f_rot=f_rot)
     m = CONSTANTS.m_nucleon
     return _in_float_range("rms rotation", lambda: math.sqrt(
         initial_term
@@ -113,8 +106,7 @@ def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
 
 def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float) -> float:
     """Time for the collapse-driven rms rotation to reach a target angle."""
-    if not (target_angle > 0 and f_rot > 0):
-        raise ValidationError("target angle and f_rot must be positive")
+    _positive(f_rot=f_rot, target_angle=target_angle)
     m = CONSTANTS.m_nucleon
     return _in_float_range("rotation time", lambda: (
         12.0 * target_angle ** 2
@@ -134,17 +126,13 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
     csl=None drops the collapse term entirely (the lam -> 0 limit).
     """
     xi = float(xi)
-    if xi < 0:
-        raise ValidationError("xi must be nonnegative")
-    if not 0 <= t < math.inf:
-        raise ValidationError("t must be finite and nonnegative")
+    _nonnegative(xi=xi, t=t)
     M = body.mass()
     kT = env.kT
     if csl is None:
         csl_vel_rate = 0.0
     else:
-        if not 0.0 <= f <= 1.0:
-            raise ValidationError("translation factor f must lie in [0, 1]")
+        _fraction(f=f)
         m = CONSTANTS.m_nucleon
         csl_vel_rate = _in_float_range("collapse velocity diffusion", lambda:
                                        csl.lam * CONSTANTS.hbar ** 2 * f
@@ -168,8 +156,7 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
             regime = "long" if t > tau else "short"
 
     if regime == "long":
-        if xi == 0:
-            raise ValidationError("long-time regime needs xi > 0")
+        _positive(xi=xi)     # the long-time form divides by xi
         return _in_float_range("rms displacement", lambda: math.sqrt(
             (2.0 * kT / xi + (M / xi) ** 2 * csl_vel_rate) * t))
     if regime == "short":
@@ -186,8 +173,7 @@ def qm_baseline_translation(body: Body, t: float) -> float:
     """
     if not isinstance(body, Sphere):
         raise ValidationError("the translation baseline is defined for a sphere")
-    if not 0 <= t < math.inf:
-        raise ValidationError("t must be finite and nonnegative")
+    _nonnegative(t=t)
     return CONSTANTS.hbar * t / (body.mass() * 4.0 * body.radius)
 
 
@@ -199,8 +185,7 @@ def qm_baseline_rotation(body: Body, t: float) -> float:
     """
     if not isinstance(body, Disc):
         raise ValidationError("the rotation baseline is defined for a disc")
-    if not 0 <= t < math.inf:
-        raise ValidationError("t must be finite and nonnegative")
+    _nonnegative(t=t)
     return 8.0 * CONSTANTS.hbar * t / (
         math.pi ** 2 * body.density * body.thickness * body.radius ** 4)
 
@@ -211,16 +196,16 @@ def equilibrium_width(csl: CslParams, body: Body,
 
     s_inf^2 = (a/N) sqrt(hbar / (2 M lam f)); tau_s = N m s_inf^2 / hbar.
     For a sphere f defaults to the computed geometry factor; a disc needs a
-    caller-supplied f.  Flags (warnings, not rejections): fewer than 3e7
-    nucleons, or s_inf not small against a, put the result outside the
-    narrow-packet derivation's validity.
+    caller-supplied f in (0, 1].  Flags (warnings, not rejections): fewer
+    than 3e7 nucleons, or s_inf not small against a, put the result outside
+    the narrow-packet derivation's validity.
     """
     if f is None:
         if not isinstance(body, Sphere):
             raise ValidationError("supply f explicitly for non-spherical bodies")
         f = f_sphere(body.radius / csl.a).value
-    if not f > 0:
-        raise ValidationError("f must be positive")
+    _positive(f=f)
+    _fraction(f=f)
     M = body.mass()
     N = body.nucleon_count()
     s_sq = (csl.a / N) * math.sqrt(CONSTANTS.hbar / (2.0 * M * csl.lam * f))
@@ -245,8 +230,7 @@ def equilibrium_series_rms(eq: WavepacketEquilibrium, t: float) -> float:
     carries the same coefficient as csl_rms_translation, which it must:
     s_inf^2 / (12 tau_s^3) = lam hbar^2 f / (6 m^2 a^2).
     """
-    if not 0 <= t < math.inf:
-        raise ValidationError("t must be finite and nonnegative")
+    _nonnegative(t=t)
     x = t / eq.tau_s
     return _in_float_range("rms position spread", lambda: eq.s_inf * math.sqrt(
         1.0 + x + x * x / 2.0 + x ** 3 / 12.0))
@@ -259,8 +243,7 @@ def energy_gain_rates(csl: CslParams, body: Body, f: float) -> dict:
     cm_part: the same times f, the share that shows up as center-of-mass
     kinetic energy (all of it when the body is small against a).
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValidationError("f must lie in [0, 1]")
+    _fraction(f=f)
     N = body.nucleon_count()
     M = body.mass()
     total = _in_float_range("heating rate", lambda: 3.0 * csl.lam
@@ -275,8 +258,8 @@ def diffusion_curve(mechanism: str, mode: str, times, *, csl=None, f=None,
                     body=None, env=None, xi=None, regime="auto") -> DiffusionCurve:
     """Evaluate one rms-vs-time curve for the requested mechanism/mode."""
     times = [float(t) for t in times]
-    if not all(0 <= t < math.inf for t in times):
-        raise ValidationError("times must be finite and nonnegative")
+    for t in times:
+        _nonnegative(times=t)
     samples = []
     for t in times:
         if mechanism == "csl" and mode == "translation":
@@ -317,12 +300,9 @@ def diffusion_curve(mechanism: str, mode: str, times, *, csl=None, f=None,
 
 def curve_to_csv(curve: DiffusionCurve) -> str:
     """The curve as CSV text (t_s,rms,mechanism,mode)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t_s", "rms", "mechanism", "mode"])
-    for t, rms in curve.samples:
-        writer.writerow([f"{t:.6g}", f"{rms:.6g}", curve.mechanism, curve.mode])
-    return buf.getvalue()
+    return _csv(["t_s", "rms", "mechanism", "mode"],
+                [[f"{t:.6g}", f"{rms:.6g}", curve.mechanism, curve.mode]
+                 for t, rms in curve.samples])
 
 
 TABLE_RADII = (1.0e-6, 1.0e-5, 1.0e-4, 1.0e-2, 1.0)

@@ -1,9 +1,16 @@
-"""Exception and warning types shared across the package, and the
-float-range guard that turns arithmetic overflow into a ValidationError."""
+"""Exception and warning types shared across the package, the checks every
+public entry point runs on its scalar inputs, and the float-range guard that
+turns arithmetic overflow into a ValidationError.
+
+Each input check takes keyword arguments, so that a rejection names the
+argument as the caller spells it: ``_positive(tau=tau)`` raises
+``tau must be finite and positive, got inf``.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 
 
 class CslwalkError(Exception):
@@ -45,3 +52,38 @@ def _in_float_range(what: str, formula) -> float:
         raise ValidationError(f"the {what} leaves the floating-point range "
                               "for these inputs")
     return value
+
+
+def _positive(**values) -> None:
+    """Each value finite and > 0."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValidationError(
+                f"{name} must be finite and positive, got {value!r}")
+
+
+def _nonnegative(**values) -> None:
+    """Each value finite and >= 0."""
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ValidationError(
+                f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def _fraction(**values) -> None:
+    """Each value in [0, 1], as a translation factor is."""
+    for name, value in values.items():
+        if not 0 <= value <= 1:
+            raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _count(minimum: int, **values) -> None:
+    """Each value an integer (numpy integers too, floats not) >= minimum."""
+    for name, value in values.items():
+        try:
+            ok = operator.index(value) >= minimum
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValidationError(
+                f"{name} must be an integer of at least {minimum}, got {value!r}")

@@ -24,13 +24,11 @@ imports the quadrature rules and the Cephes port of i1e in
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
-from .core import CslParams, Disc
-from .errors import ValidationError, _in_float_range
+from .core import CslParams, Disc, _csv
+from .errors import ValidationError, _in_float_range, _positive
 
 __all__ = [
     "FactorResult",
@@ -69,8 +67,7 @@ class DiscAspect:
     beta: float
 
     def __post_init__(self):
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise ValidationError("alpha and beta must be positive and finite")
+        _positive(alpha=self.alpha, beta=self.beta)
 
     @classmethod
     def from_disc(cls, disc: Disc, csl: CslParams) -> "DiscAspect":
@@ -86,8 +83,7 @@ def f_sphere(x: float) -> FactorResult:
     catastrophically.  f(0+) = 1, f(1) = 0.62, f -> 6 x^-4 for x >> 1,
     monotonically decreasing.
     """
-    if not x > 0:
-        raise ValidationError("x = R/a must be positive")
+    _positive(x=x)
     if x < 0.5:
         # 6 * sum_{m>=0} (-1)^m (m+1) x^{2m} / (m+3)!
         total = 0.0
@@ -330,9 +326,6 @@ def fig1_dataset(alphas, betas) -> dict:
 
 def fig1_to_csv(dataset: dict) -> str:
     """The rotation-factor grid as CSV text (alpha,beta,f_rot,est_error)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["alpha", "beta", "f_rot", "est_error"])
-    for al, be, val, err in dataset["rows"]:
-        writer.writerow([f"{al:.6g}", f"{be:.6g}", f"{val:.6g}", f"{err:.3g}"])
-    return buf.getvalue()
+    return _csv(["alpha", "beta", "f_rot", "est_error"],
+                [[f"{al:.6g}", f"{be:.6g}", f"{val:.6g}", f"{err:.3g}"]
+                 for al, be, val, err in dataset["rows"]])

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._blocks import run_blocks
 from .core import Body, CslParams, Disc
-from .errors import ValidationError
+from .errors import ValidationError, _count
 from .factors import DiscAspect, FactorResult
 
 __all__ = ["f_mc_oracle", "f_mc_oracle_aspect"]
@@ -75,10 +75,8 @@ def _run_oracle(geom: dict, mode: str, n_samples: int, seed: int,
                 block_size: int, workers: int) -> FactorResult:
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
-    if n_samples < 2:
-        raise ValidationError("need at least 2 sample pairs")
-    if seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
+    _count(2, n_samples=n_samples)
+    _count(0, seed=seed)
 
     def block_sums(rng, size):
         sums, sqs = [], []

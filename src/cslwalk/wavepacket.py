@@ -14,17 +14,16 @@ s_inf^2 [t/tau + t^2/(2 tau^2) + t^3/(12 tau^3)].
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._blocks import block_rng, run_blocks
-from .core import CONSTANTS
+from .core import CONSTANTS, _csv
 from .diffusion import WavepacketEquilibrium
-from .errors import ConvergenceError, ValidationError, _in_float_range
+from .errors import (ConvergenceError, ValidationError, _count, _in_float_range,
+                     _nonnegative, _positive)
 
 __all__ = [
     "ComplexVariance",
@@ -79,6 +78,7 @@ def _width(sigma, name: str) -> complex:
 
 def equilibrium_variance(s_inf: float) -> ComplexVariance:
     """The stationary width parameter, s_inf^2 (1 + i) / 2."""
+    _positive(s_inf=s_inf)
     return ComplexVariance(s_inf ** 2 * (1.0 + 1.0j) / 2.0)
 
 
@@ -86,13 +86,6 @@ def packet_width_sq(sigma) -> float:
     """Physical squared packet width sigma_R^2 + sigma_I^4 / sigma_R^2."""
     s = _width(sigma, "sigma")
     return _in_float_range("packet width", lambda: s.real + s.imag ** 2 / s.real)
-
-
-def _positive(**values) -> None:
-    for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise ValidationError(
-                f"{name} must be finite and positive, got {value!r}")
 
 
 def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> ComplexVariance | list:
@@ -149,9 +142,7 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
     that needs more than 2^20 substeps raises ConvergenceError.
     """
     _positive(M=M, a=a)
-    if not 0 <= lam_eff < math.inf:
-        raise ValidationError(
-            f"lam_eff must be finite and nonnegative, got {lam_eff!r}")
+    _nonnegative(lam_eff=lam_eff)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or not np.all(np.isfinite(t_grid)):
         raise ValidationError("t_grid must be a nonempty list of finite times")
@@ -211,14 +202,14 @@ def _grid_steps(eq: WavepacketEquilibrium, dt: float, t_end: float,
     """Validate a call's grid, scheme and seed; return the number of dt steps."""
     if method not in ("euler-maruyama", "exact-b15"):
         raise ValidationError(f"unknown method {method!r}")
-    if not 0 < dt <= t_end < math.inf:
-        raise ValidationError("need finite dt and t_end with 0 < dt <= t_end")
+    _positive(dt=dt, t_end=t_end)
+    if dt > t_end:
+        raise ValidationError(f"dt = {dt!r} exceeds t_end = {t_end!r}")
     if method == "euler-maruyama" and dt > eq.tau_s / 50.0:
         raise ValidationError(
             f"dt = {dt:.3g} s too large for euler-maruyama; need dt <= "
             f"tau_s/50 = {eq.tau_s / 50.0:.3g} s (or use method='exact-b15')")
-    if seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
+    _count(0, seed=seed)
     if t_end / dt == math.inf:
         raise ValidationError("t_end / dt overflows")
     return round(t_end / dt)
@@ -349,8 +340,7 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
     4096 through cslwalk._blocks.run_blocks.  exact-b15 results with given
     sample_times do not depend on dt either.
     """
-    if n_traj < 100:
-        raise ValidationError("n_traj must be at least 100")
+    _count(100, n_traj=n_traj)
     steps = _grid_steps(eq, dt, t_end, method, seed)
     times, ks = _sample_schedule(steps, dt, sample_times)
     T = len(times)
@@ -364,8 +354,8 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
     if math.ceil(n_traj / _TRAJ_BLOCK) * T * T > _MAX_COV_FLOATS:
         raise ValidationError(f"{T} sample times need too large a covariance "
                               f"for {n_traj} trajectories")
-    hbar_s2 = CONSTANTS.hbar / eq.s_inf ** 2
 
+    @np.errstate(over="raise", invalid="raise")
     def block_sums(rng, nb):
         B = np.zeros(nb)
         IB = np.zeros(nb)
@@ -383,7 +373,12 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
         return np.concatenate([Q.sum(1), Q2.sum(1), (Q2 * Q2).sum(1),
                                P2.sum(1), (P2 * P2).sum(1), (Q2 @ Q2.T).ravel()])
 
-    sums = np.array(run_blocks(n_traj, _TRAJ_BLOCK, seed, workers, block_sums))
+    try:
+        hbar_s2 = CONSTANTS.hbar / eq.s_inf ** 2
+        sums = np.array(run_blocks(n_traj, _TRAJ_BLOCK, seed, workers, block_sums))
+    except ArithmeticError:     # an overflow, or a scale that underflows to 0
+        raise ValidationError("the ensemble moments leave the floating-point "
+                              "range for these inputs") from None
     sum_q, sum_q2, sum_q4, sum_p2, sum_p4 = sums[:5 * T].reshape(5, T)
     outer = sums[5 * T:].reshape(T, T)
 
@@ -438,13 +433,8 @@ def growth_coefficients(stats: EnsembleStats, pick_times) -> dict:
 
 def stats_to_csv(stats: EnsembleStats) -> str:
     """The ensemble moments as CSV text, one row per sample time."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t_s", "mean_Q", "mean_sq_Q", "se_mean_sq_Q",
-                     "mean_sq_P", "se_mean_sq_P"])
-    for j, t in enumerate(stats.times):
-        writer.writerow([
-            f"{t:.9g}", f"{stats.mean_Q[j]:.9g}", f"{stats.mean_sq_Q[j]:.9g}",
-            f"{stats.se_mean_sq_Q[j]:.9g}", f"{stats.mean_sq_P[j]:.9g}",
-            f"{stats.se_mean_sq_P[j]:.9g}"])
-    return buf.getvalue()
+    columns = (stats.times, stats.mean_Q, stats.mean_sq_Q, stats.se_mean_sq_Q,
+               stats.mean_sq_P, stats.se_mean_sq_P)
+    return _csv(["t_s", "mean_Q", "mean_sq_Q", "se_mean_sq_Q", "mean_sq_P",
+                 "se_mean_sq_P"],
+                [[f"{v:.9g}" for v in row] for row in zip(*columns)])

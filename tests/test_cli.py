@@ -559,30 +559,73 @@ _DIFFUSE = {
     "--realm": st.sampled_from(["molecular", "viscous"]),
     "--regime": st.sampled_from(["auto", "short", "long"]),
 }
+# Out-of-domain values, which are rejected before any work is done.  The
+# valid draws below are bounded so that each example stays fast: fig1 sizes
+# at most 8, simulate at most 2000 trajectories and 1e4 steps of dt.  The
+# caps on larger work are tested on their own.
+_OUT_OF_DOMAIN = st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "1e400"])
+_ASPECTS = st.lists(st.one_of(st.floats(1e-6, 8.0).map(repr), _OUT_OF_DOMAIN,
+                              st.sampled_from(["128.5", "1e4", "1e-300"])),
+                    max_size=3).map(",".join)
+_GRID = st.one_of(
+    st.builds("{}:{}:{}".format, st.integers(-400, 0), st.integers(1, 400),
+              st.integers(1, 30)),
+    st.builds("{}:{}:{}".format, _NUMBER, _NUMBER, st.one_of(
+        st.integers(-1, 30).map(str), st.sampled_from(["1.5", "nan", "1000001"]))))
+_FIG2 = {
+    "--a-grid": _GRID,
+    "--lambda-inv-grid": _GRID,
+    "--which": st.lists(st.sampled_from(["ge-radiation", "rot-null",
+                                         "nucleon-excitation", "no-such-id"]),
+                        max_size=3).map(",".join),
+}
+_COUNT_TEXT = st.sampled_from(["1.5", "nan", "1e3", ""])
+_SIMULATE = {
+    **{flag: _BODY_ENV[flag] for flag in ("--sphere-radius", "--disc-radius",
+                                          "--disc-thickness", "--density")},
+    **{flag: _QUANTITY for flag in ("--s-inf", "--tau-s", "--lambda-inv", "--a")},
+    "--lam": _NUMBER,
+    "--dt": st.one_of(_OUT_OF_DOMAIN, st.floats(1e-4, 1.0).map(repr)),
+    "--t-end": st.one_of(_OUT_OF_DOMAIN, st.floats(1e-3, 1.0).map(repr)),
+    "--n-traj": st.one_of(st.integers(-5, 2000).map(str), _COUNT_TEXT),
+    "--seed": st.one_of(st.integers(-3, 2 ** 64).map(str), _COUNT_TEXT),
+    "--workers": st.one_of(st.integers(-2, 2).map(str), _COUNT_TEXT),
+    "--method": st.sampled_from(["euler-maruyama", "exact-b15"]),
+}
 # valid command lines that the drawn flags then override (the last wins)
 _DISC = ["--disc-radius=2du", "--disc-thickness=.5du"]
 _GAS = ["--temperature=4.2K", "--pressure=5e-17Torr"]
-_BASES = {
-    "diffuse": [["--sphere-radius=1e-5"], ["--mode=rotation", *_DISC],
-                ["--mechanism=combined", "--sphere-radius=1e-5", *_GAS]],
-    "collide": [["--sphere-radius=1e-5", *_GAS], [*_DISC, *_GAS]],
+_PACKET = ["--s-inf=1e-6", "--tau-s=1", "--n-traj=100"]
+_COMMANDS = {
+    "diffuse": (_DIFFUSE, [["--sphere-radius=1e-5"], ["--mode=rotation", *_DISC],
+                           ["--mechanism=combined", "--sphere-radius=1e-5", *_GAS]]),
+    "collide": (_BODY_ENV, [["--sphere-radius=1e-5", *_GAS], [*_DISC, *_GAS]]),
+    "fig1": ({"--alphas": _ASPECTS, "--betas": _ASPECTS},
+             [["--alphas=0.5,1", "--betas=0.25"]]),
+    "fig2": (_FIG2, [["--a-grid=-7:0:8", "--lambda-inv-grid=0:22:9"]]),
+    "simulate": (_SIMULATE, [
+        [*_PACKET, "--dt=0.01", "--t-end=1"],
+        [*_PACKET, "--dt=0.1", "--t-end=1", "--method=exact-b15"],
+        ["--sphere-radius=1e-5", "--n-traj=100", "--dt=0.005", "--t-end=0.5"]]),
+    "table1": ({}, [[], ["--paper-format"]]),
+    "table2": ({}, [[], ["--paper-format"]]),
 }
 
 
 @st.composite
-def _diffuse_or_collide_argv(draw):
-    command = draw(st.sampled_from(sorted(_BASES)))
-    base = draw(st.sampled_from(_BASES[command]))
-    pool = _DIFFUSE if command == "diffuse" else _BODY_ENV
+def _drawn_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    pool, bases = _COMMANDS[command]
+    base = draw(st.sampled_from(bases))
     names = draw(st.lists(st.sampled_from(sorted(pool)), min_size=1,
-                          max_size=3, unique=True))
+                          max_size=3, unique=True)) if pool else []
     # FLAG=VALUE, so that values such as -inf are not read as flags
     argv = [command, *base] + [f"{name}={draw(pool[name])}" for name in names]
     return argv + (["--json"] if draw(st.booleans()) else [])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_diffuse_or_collide_argv())
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_drawn_argv())
 def test_cli_exit_code_contract_holds_for_drawn_flags(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

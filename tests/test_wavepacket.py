@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cslwalk import (CONSTANTS, ComplexVariance, ConvergenceError, Sphere,
-                     ValidationError, equilibrium_width, f_sphere,
-                     growth_coefficients, sigma_closed_form,
+                     ValidationError, WavepacketEquilibrium, equilibrium_width,
+                     f_sphere, growth_coefficients, sigma_closed_form,
                      sigma_ode_integrate, simulate_ensemble)
 from cslwalk import wavepacket
 from cslwalk.wavepacket import (equilibrium_variance, packet_width_sq,
@@ -192,6 +192,21 @@ def test_ensemble_validations(eq_ref):
     for kw, match in bad_calls:
         with pytest.raises(ValidationError, match=match):
             simulate_ensemble(eq_ref, **kw)
+
+
+@pytest.mark.parametrize("s_inf,tau_s,dt,t_end,method", [
+    (5e-324, 1.0, 0.01, 1.0, "euler-maruyama"),        # s_inf^2 underflows to 0
+    (1e300, 1.0, 0.01, 1.0, "euler-maruyama"),         # s_inf^2 overflows
+    (1e100, 1.0, 0.01, 1.0, "euler-maruyama"),         # <Q>^4 overflows
+    (1e-150, 1.0, 0.01, 1.0, "euler-maruyama"),        # <P>^4 overflows
+    (1e-6, 1e-300, 1e-303, 1e-302, "euler-maruyama"),  # tau_s^1.5 underflows
+    (1e-6, 1e300, 1e299, 1e300, "exact-b15"),          # tau_s^1.5 overflows
+])
+def test_ensemble_rejects_moments_beyond_float_range(s_inf, tau_s, dt, t_end,
+                                                     method):
+    with pytest.raises(ValidationError, match="floating-point range"):
+        simulate_ensemble(WavepacketEquilibrium(s_inf, tau_s), n_traj=100,
+                          dt=dt, t_end=t_end, method=method)
 
 
 def test_ensemble_zero_mean_and_growth_law(eq_ref):
