@@ -81,6 +81,9 @@ class CollisionStats:
     delta_v: float | None = None       # speed kick for a sphere, cm/s
     omega_kick: float | None = None    # angular-velocity kick for a disc, rad/s
 
+    def __post_init__(self):
+        _positive(tau_c=self.tau_c)
+
 
 def _var_x_bracket(x: float) -> float:
     """x - (1 - e^-x) - (1 - e^-x)^2 / 2, stable for small x.
@@ -93,6 +96,7 @@ def _var_x_bracket(x: float) -> float:
     return x - g - 0.5 * g * g
 
 
+@_in_float_range("moment solution")
 def fp_moments(tau: float, beta: float, v0: float, t: float) -> BrownianMoments:
     """Exact one-axis moments of damped Brownian motion started at x=0, v=v0.
 
@@ -103,15 +107,13 @@ def fp_moments(tau: float, beta: float, v0: float, t: float) -> BrownianMoments:
     _positive(tau=tau)
     _nonnegative(beta=beta, t=t, **{"|v0|": abs(v0)})
     x = t / tau
-    mean_v = v0 * math.exp(-x)
-    var_v = _in_float_range("velocity variance",
-                            lambda: (beta / tau) * (-math.expm1(-2.0 * x)))
-    var_x = _in_float_range("position variance",
-                            lambda: 2.0 * beta * tau * _var_x_bracket(x))
-    return BrownianMoments(t=t, mean_v=mean_v, var_v=var_v, var_x=var_x,
+    return BrownianMoments(t=t, mean_v=v0 * math.exp(-x),
+                           var_v=(beta / tau) * (-math.expm1(-2.0 * x)),
+                           var_x=2.0 * beta * tau * _var_x_bracket(x),
                            tau=tau, beta=beta)
 
 
+@_in_float_range("thermal rms")
 def thermal_rms(xi: float, inertia: float, temperature: float, t: float,
                 regime: str) -> float:
     """Asymptotic thermal rms diffusion (translation or rotation).
@@ -126,10 +128,9 @@ def thermal_rms(xi: float, inertia: float, temperature: float, t: float,
     kT = CONSTANTS.k_boltzmann * temperature
     if regime == "long":
         _positive(xi=xi)     # the long-time form divides by xi
-        return _in_float_range("thermal rms", lambda: math.sqrt(2.0 * kT * t / xi))
+        return math.sqrt(2.0 * kT * t / xi)
     if regime == "short":
-        return _in_float_range("thermal rms", lambda: math.sqrt(
-            2.0 * kT * xi * t ** 3 / (3.0 * inertia ** 2)))
+        return math.sqrt(2.0 * kT * xi * t ** 3 / (3.0 * inertia ** 2))
     raise ValidationError(f"unknown regime {regime!r}")
 
 
@@ -210,6 +211,7 @@ def xi_viscous_disc(L: float, b: float, eta: float,
     raise ValidationError(f"orientation must be 'perp' or 'edge', got {orientation!r}")
 
 
+@_in_float_range("drag coefficient")
 def xi_rotational(body: Body, env: Environment, realm: str) -> DragCoefficient:
     """Rotational drag coefficient (torque = -xi * omega).
 
@@ -236,6 +238,7 @@ def xi_rotational(body: Body, env: Environment, realm: str) -> DragCoefficient:
                            "molecular", "rotation", "disc-rot")
 
 
+@_in_float_range("drag coefficient")
 def xi_radiation(R: float, T: float) -> DragCoefficient:
     """Drag on a dielectric sphere from Doppler-asymmetric photon scattering.
 
@@ -249,6 +252,7 @@ def xi_radiation(R: float, T: float) -> DragCoefficient:
     return DragCoefficient(xi, "radiation", "translation", "sphere")
 
 
+@_in_float_range("drag coefficient")
 def xi_mirror(area: float, T: float) -> DragCoefficient:
     """Radiation drag on a perfect mirror of the given area.
 
@@ -275,6 +279,7 @@ def _planck_weight(z):
     return out
 
 
+@_in_float_range("spectral drag density")
 def spectral_xi(nu, T: float, target: str = "mirror-per-area",
                 R: float | None = None):
     """Spectral density d(xi)/d(nu) of the radiation drag.
@@ -295,16 +300,17 @@ def spectral_xi(nu, T: float, target: str = "mirror-per-area",
     h = 2.0 * math.pi * CONSTANTS.hbar
     c = CONSTANTS.c
     kT = CONSTANTS.k_boltzmann * T
-    z = h * nu / kT
-    weight = _planck_weight(z)
-    if target == "mirror-per-area":
-        return 4.0 * math.pi * (nu / c) ** 3 * (h * nu / kT) * (h / c) * weight
-    if target == "dielectric-sphere":
-        if R is None:
-            raise ValidationError("dielectric-sphere target needs a radius R")
-        _positive(R=R)
-        pref = (2.0 * math.pi) ** 4 * (8.0 * math.pi / 3.0) ** 2
-        return pref * (nu / c) ** 7 * (h * nu / kT) * (h / c) * R ** 6 * weight
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        z = h * nu / kT
+        weight = _planck_weight(z)
+        if target == "mirror-per-area":
+            return 4.0 * math.pi * (nu / c) ** 3 * (h * nu / kT) * (h / c) * weight
+        if target == "dielectric-sphere":
+            if R is None:
+                raise ValidationError("dielectric-sphere target needs a radius R")
+            _positive(R=R)
+            pref = (2.0 * math.pi) ** 4 * (8.0 * math.pi / 3.0) ** 2
+            return pref * (nu / c) ** 7 * (h * nu / kT) * (h / c) * R ** 6 * weight
     raise ValidationError(f"unknown spectral target {target!r}")
 
 
@@ -313,6 +319,7 @@ def spectral_xi(nu, T: float, target: str = "mirror-per-area",
 _PLANCK_Z_MAX = 200.0
 
 
+@_in_float_range("integrated spectral drag")
 def integrate_spectral_xi(T: float, target: str = "mirror-per-area",
                           R: float | None = None) -> float:
     """Frequency integral of spectral_xi; equals the closed-form coefficients."""
@@ -326,6 +333,7 @@ def integrate_spectral_xi(T: float, target: str = "mirror-per-area",
     return value
 
 
+@_in_float_range("Planck tail integral")
 def planck_tail_integral(power: int, *, z_max: float = _PLANCK_Z_MAX) -> float:
     """Integral of z^power e^z / (e^z - 1)^2 over (0, infinity).
 
@@ -352,12 +360,13 @@ def planck_integral_identities() -> dict:
 # ---------------------------------------------------------------------------
 # impact realm
 
+@_in_float_range("molecular flux")
 def molecular_flux(env: Environment) -> float:
     """One-sided molecular flux J = n u_bar / 4 (per cm^2 per s)."""
-    n, u = env.number_density(), env.mean_speed()
-    return _in_float_range("molecular flux", lambda: n * u / 4.0)
+    return env.number_density() * env.mean_speed() / 4.0
 
 
+@_in_float_range("collision time")
 def collision_stats(body: Body, env: Environment) -> CollisionStats:
     """Mean time between individual gas-body collisions and the kick size.
 
@@ -369,14 +378,11 @@ def collision_stats(body: Body, env: Environment) -> CollisionStats:
     J = molecular_flux(env)
     u = env.mean_speed()
     if isinstance(body, Sphere):
-        area = 4.0 * math.pi * body.radius ** 2
-        tau_c = _in_float_range("collision time", lambda: 1.0 / (J * area))
-        return CollisionStats(tau_c=tau_c,
+        return CollisionStats(tau_c=1.0 / (J * (4.0 * math.pi * body.radius ** 2)),
                               delta_v=u * env.gas_molecular_mass / body.mass())
-    face_area = math.pi * body.radius ** 2
-    tau_c = _in_float_range("collision time", lambda: 1.0 / (2.0 * J * face_area))
     omega = env.gas_molecular_mass * u * body.radius / body.moment_of_inertia()
-    return CollisionStats(tau_c=tau_c, omega_kick=omega)
+    return CollisionStats(tau_c=1.0 / (2.0 * J * (math.pi * body.radius ** 2)),
+                          omega_kick=omega)
 
 
 def check_realm(body: Body, env: Environment, realm: str) -> float | None:

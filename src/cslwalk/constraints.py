@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CONSTANTS, ERG_PER_EV, _csv
-from .errors import ValidationError, _positive
+from .errors import ValidationError, _in_float_range, _positive
 
 __all__ = [
     "ConstraintLine",
@@ -123,6 +123,7 @@ def evaluate_constraints(lambda_inv: float, a: float,
     return out
 
 
+@_in_float_range("gravitational collapse rate")
 def lambda_gravitational(a: float, mode: str = "point",
                          size: float | None = None) -> float:
     """Effective collapse rate of gravitationally based collapse proposals.
@@ -164,9 +165,11 @@ class ThermalRelation:
             raise ValidationError("gamma must be at least 1 (no equilibrium yet)")
 
     @property
+    @_in_float_range("thermal line")
     def lambda_inv_a_sq(self) -> float:
         return 1.0e3 * self.gamma
 
+    @_in_float_range("thermal line")
     def lambda_inv(self, a: float) -> float:
         _positive(a=a)
         return self.lambda_inv_a_sq / a ** 2
@@ -185,6 +188,7 @@ def thermal_bath_energies() -> dict:
             "implied_gamma": kT_ev / (50.0 * scale_ev)}
 
 
+@_in_float_range("photon emission rate")
 def fu_radiation_rate(E_keV: float, lam: float, a: float) -> float:
     """Photon emission rate of one collapse-shaken free electron.
 
@@ -200,6 +204,7 @@ def fu_radiation_rate(E_keV: float, lam: float, a: float) -> float:
     return per_erg * erg_per_kev
 
 
+@_in_float_range("detector emission rate")
 def ge_detector_rate(lam: float, a: float) -> float:
     """Detector-side emission rate in counts/(keV kg day) at 11 keV.
 
@@ -210,6 +215,7 @@ def ge_detector_rate(lam: float, a: float) -> float:
             * _SECONDS_PER_DAY)
 
 
+@_in_float_range("germanium threshold")
 def ge_radiation_threshold(limit_counts: float = 0.05) -> float:
     """lambda_inv * a^2 lower bound implied by a measured count limit.
 

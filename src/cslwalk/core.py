@@ -95,6 +95,7 @@ def _canonical_unit(unit: str) -> str:
     return u
 
 
+@_in_float_range("converted value")
 def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
     """Exact linear conversion between supported units.
 
@@ -110,10 +111,7 @@ def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
     if dim_src != dim_dst:
         raise ValidationError(
             f"cannot convert {from_unit!r} ({dim_src}) to {to_unit!r} ({dim_dst})")
-    out = value * (f_src / f_dst)
-    if not math.isfinite(out):
-        raise ValidationError(f"{value!r} {from_unit} is not a finite {to_unit} value")
-    return out
+    return value * (f_src / f_dst)
 
 
 def constants_summary() -> dict:
@@ -158,16 +156,8 @@ class CslParams:
 
 
 def _check_nucleon_count(body) -> None:
-    """Reject a body with less than one nucleon, or one so large that its
-    volume, mass or nucleon count leaves the floating-point range."""
-    try:
-        n = body.nucleon_count()
-    except OverflowError:       # a power of the size in volume()
-        n = math.inf
-    if n == math.inf:
-        raise ValidationError(f"{type(body).__name__} is too large: its volume "
-                              "or mass leaves the floating-point range")
-    if n < 1.0:
+    """Reject a body with less than one nucleon or out of the float range."""
+    if body_derived(body)["N"] < 1.0:
         raise ValidationError("body holds less than one nucleon")
 
 
@@ -233,6 +223,7 @@ class Disc:
 Body = Sphere | Disc
 
 
+@_in_float_range("body's volume, mass or inertia")
 def body_derived(body: Body) -> dict:
     """Derived quantities of a body: volume, mass, nucleon count, inertia."""
     return {
@@ -271,22 +262,22 @@ class Environment:
     def kT(self) -> float:
         return CONSTANTS.k_boltzmann * self.temperature
 
+    @_in_float_range("gas number density")
     def number_density(self) -> float:
         """Gas molecules per cm^3, n = p/(kT)."""
         if self.pressure is None:
             raise ValidationError("number density needs a pressure")
-        return _in_float_range("gas number density",
-                               lambda: self.pressure / self.kT)
+        return self.pressure / self.kT
 
+    @_in_float_range("mean molecular speed")
     def mean_speed(self) -> float:
         """Mean molecular speed, sqrt(8 kT / (pi m_g))."""
-        return _in_float_range("mean molecular speed", lambda: math.sqrt(
-            8.0 * self.kT / (math.pi * self.gas_molecular_mass)))
+        return math.sqrt(8.0 * self.kT / (math.pi * self.gas_molecular_mass))
 
+    @_in_float_range("mean free path")
     def mean_free_path(self) -> float:
         """l_m = 3 eta / (n m_g u_bar), inverted from the kinetic viscosity."""
         if self.gas_viscosity is None:
             raise ValidationError("mean free path needs a gas viscosity")
-        n = self.number_density()
-        return _in_float_range("mean free path", lambda: 3.0 * self.gas_viscosity
-                               / (n * self.gas_molecular_mass * self.mean_speed()))
+        return 3.0 * self.gas_viscosity / (
+            self.number_density() * self.gas_molecular_mass * self.mean_speed())

@@ -75,6 +75,7 @@ class DiffusionCurve:
             raise ValidationError("rms must be nondecreasing in time")
 
 
+@_in_float_range("rms translation")
 def csl_rms_translation(csl: CslParams, f: float, t: float,
                         initial_term: float = 0.0) -> float:
     """rms distance along one axis from collapse noise alone.
@@ -86,11 +87,11 @@ def csl_rms_translation(csl: CslParams, f: float, t: float,
     _nonnegative(t=t, initial_term=initial_term)
     _fraction(f=f)
     m = CONSTANTS.m_nucleon
-    return _in_float_range("rms translation", lambda: math.sqrt(
-        initial_term
-        + csl.lam * CONSTANTS.hbar ** 2 * f * t ** 3 / (6.0 * m ** 2 * csl.a ** 2)))
+    return math.sqrt(initial_term + csl.lam * CONSTANTS.hbar ** 2 * f * t ** 3
+                     / (6.0 * m ** 2 * csl.a ** 2))
 
 
+@_in_float_range("rms rotation")
 def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
                      initial_term: float = 0.0) -> float:
     """rms rotation angle from collapse noise alone (rad).
@@ -99,20 +100,20 @@ def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
     """
     _nonnegative(t=t, initial_term=initial_term, f_rot=f_rot)
     m = CONSTANTS.m_nucleon
-    return _in_float_range("rms rotation", lambda: math.sqrt(
-        initial_term
-        + csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f_rot * t ** 3 / 12.0))
+    return math.sqrt(initial_term + csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2
+                     * f_rot * t ** 3 / 12.0)
 
 
+@_in_float_range("rotation time")
 def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float) -> float:
     """Time for the collapse-driven rms rotation to reach a target angle."""
     _positive(f_rot=f_rot, target_angle=target_angle)
     m = CONSTANTS.m_nucleon
-    return _in_float_range("rotation time", lambda: (
-        12.0 * target_angle ** 2
-        / (csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f_rot)) ** (1.0 / 3.0))
+    return (12.0 * target_angle ** 2
+            / (csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f_rot)) ** (1.0 / 3.0)
 
 
+@_in_float_range("rms displacement")
 def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
                  csl: CslParams | None, f: float, t: float,
                  regime: str = "auto") -> float:
@@ -134,9 +135,7 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
     else:
         _fraction(f=f)
         m = CONSTANTS.m_nucleon
-        csl_vel_rate = _in_float_range("collapse velocity diffusion", lambda:
-                                       csl.lam * CONSTANTS.hbar ** 2 * f
-                                       / (2.0 * m ** 2 * csl.a ** 2))
+        csl_vel_rate = csl.lam * CONSTANTS.hbar ** 2 * f / (2.0 * m ** 2 * csl.a ** 2)
 
     if regime == "auto":
         if xi == 0:
@@ -157,14 +156,13 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
 
     if regime == "long":
         _positive(xi=xi)     # the long-time form divides by xi
-        return _in_float_range("rms displacement", lambda: math.sqrt(
-            (2.0 * kT / xi + (M / xi) ** 2 * csl_vel_rate) * t))
+        return math.sqrt((2.0 * kT / xi + (M / xi) ** 2 * csl_vel_rate) * t)
     if regime == "short":
-        return _in_float_range("rms displacement", lambda: math.sqrt(
-            (2.0 * kT * xi / (3.0 * M ** 2) + csl_vel_rate / 3.0) * t ** 3))
+        return math.sqrt((2.0 * kT * xi / (3.0 * M ** 2) + csl_vel_rate / 3.0) * t ** 3)
     raise ValidationError(f"unknown regime {regime!r}")
 
 
+@_in_float_range("translation baseline")
 def qm_baseline_translation(body: Body, t: float) -> float:
     """Drift of an initially localized, unobserved sphere in standard QM.
 
@@ -177,6 +175,7 @@ def qm_baseline_translation(body: Body, t: float) -> float:
     return CONSTANTS.hbar * t / (body.mass() * 4.0 * body.radius)
 
 
+@_in_float_range("rotation baseline")
 def qm_baseline_rotation(body: Body, t: float) -> float:
     """Drift angle of an initially orientation-localized disc in standard QM.
 
@@ -206,23 +205,29 @@ def equilibrium_width(csl: CslParams, body: Body,
         f = f_sphere(body.radius / csl.a).value
     _positive(f=f)
     _fraction(f=f)
-    M = body.mass()
+    eq = WavepacketEquilibrium(**_equilibrium(csl, body, f))   # checked before warning
     N = body.nucleon_count()
-    s_sq = (csl.a / N) * math.sqrt(CONSTANTS.hbar / (2.0 * M * csl.lam * f))
-    tau_s = M * s_sq / CONSTANTS.hbar
     if N < 3.0e7:
         warnings.warn(
             f"N = {N:.3g} nucleons is below the ~3e7 needed for the "
             "narrow-packet equilibrium to be self-consistent",
             ValidityWarning, stacklevel=2)
-    if math.sqrt(s_sq) >= csl.a / 3.0:
+    if eq.s_inf >= csl.a / 3.0:
         warnings.warn(
-            f"s_inf = {math.sqrt(s_sq):.3g} cm is not small against "
+            f"s_inf = {eq.s_inf:.3g} cm is not small against "
             f"a = {csl.a:.3g} cm; equilibrium result outside its validity",
             ValidityWarning, stacklevel=2)
-    return WavepacketEquilibrium(s_inf=math.sqrt(s_sq), tau_s=tau_s)
+    return eq
 
 
+@_in_float_range("equilibrium width")
+def _equilibrium(csl: CslParams, body: Body, f: float) -> dict:
+    M, N = body.mass(), body.nucleon_count()
+    s_sq = (csl.a / N) * math.sqrt(CONSTANTS.hbar / (2.0 * M * csl.lam * f))
+    return {"s_inf": math.sqrt(s_sq), "tau_s": M * s_sq / CONSTANTS.hbar}
+
+
+@_in_float_range("rms position spread")
 def equilibrium_series_rms(eq: WavepacketEquilibrium, t: float) -> float:
     """rms position spread after reaching packet equilibrium at t = 0:
 
@@ -232,10 +237,10 @@ def equilibrium_series_rms(eq: WavepacketEquilibrium, t: float) -> float:
     """
     _nonnegative(t=t)
     x = t / eq.tau_s
-    return _in_float_range("rms position spread", lambda: eq.s_inf * math.sqrt(
-        1.0 + x + x * x / 2.0 + x ** 3 / 12.0))
+    return eq.s_inf * math.sqrt(1.0 + x + x * x / 2.0 + x ** 3 / 12.0)
 
 
+@_in_float_range("heating rate")
 def energy_gain_rates(csl: CslParams, body: Body, f: float) -> dict:
     """Collapse heating rates in erg/s.
 
@@ -244,10 +249,8 @@ def energy_gain_rates(csl: CslParams, body: Body, f: float) -> dict:
     kinetic energy (all of it when the body is small against a).
     """
     _fraction(f=f)
-    N = body.nucleon_count()
-    M = body.mass()
-    total = _in_float_range("heating rate", lambda: 3.0 * csl.lam
-                            * CONSTANTS.hbar ** 2 * N ** 2 / (4.0 * M * csl.a ** 2))
+    N, M = body.nucleon_count(), body.mass()
+    total = 3.0 * csl.lam * CONSTANTS.hbar ** 2 * N ** 2 / (4.0 * M * csl.a ** 2)
     return {"total": total, "cm_part": total * f}
 
 

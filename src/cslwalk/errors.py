@@ -1,16 +1,19 @@
 """Exception and warning types shared across the package, the checks every
-public entry point runs on its scalar inputs, and the float-range guard that
-turns arithmetic overflow into a ValidationError.
+public entry point runs on its scalar inputs, and the one float-range guard.
 
 Each input check takes keyword arguments, so that a rejection names the
 argument as the caller spells it: ``_positive(tau=tau)`` raises
-``tau must be finite and positive, got inf``.
+``tau must be finite and positive, got inf``.  The float-range guard
+``@_in_float_range("<what>")`` on each public formula turns an ArithmeticError
+or a non-finite result into ``the <what> leaves the floating-point range ...``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
+from functools import partial, wraps
 
 
 class CslwalkError(Exception):
@@ -41,49 +44,46 @@ class ValidityWarning(UserWarning):
     """
 
 
-def _in_float_range(what: str, formula) -> float:
-    """formula(), or a ValidationError when the inputs drive it out of the
-    floating-point range: a power overflowing, or a^2 underflowing to 0."""
-    try:
-        value = formula()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValidationError(f"the {what} leaves the floating-point range "
-                              "for these inputs")
-    return value
+def _in_float_range(what: str):
+    """Decorator: a ValidationError naming `what` in place of an
+    ArithmeticError, or of a non-finite float in the result itself, its dict
+    values or its dataclass fields (lists and arrays are not walked)."""
+    def decorate(fn):
+        @wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                out = fn(*args, **kwargs)
+            except ArithmeticError:
+                out = math.inf
+            values = (out.values() if isinstance(out, dict) else
+                      [getattr(out, f.name) for f in dataclasses.fields(out)]
+                      if dataclasses.is_dataclass(out) else [out])
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                raise ValidationError(f"the {what} leaves the floating-point "
+                                      "range for these inputs")
+            return out
+        return guarded
+    return decorate
 
 
-def _positive(**values) -> None:
-    """Each value finite and > 0."""
+def _check(rule: str, ok, /, **values) -> None:
+    """A ValidationError naming the first value for which ok(value) fails."""
     for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise ValidationError(
-                f"{name} must be finite and positive, got {value!r}")
+        try:
+            passed = ok(value)
+        except TypeError:        # not a number, or (operator.index) not an integer
+            passed = False
+        if not passed:
+            raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
-def _nonnegative(**values) -> None:
-    """Each value finite and >= 0."""
-    for name, value in values.items():
-        if not 0 <= value < math.inf:
-            raise ValidationError(
-                f"{name} must be finite and nonnegative, got {value!r}")
-
-
-def _fraction(**values) -> None:
-    """Each value in [0, 1], as a translation factor is."""
-    for name, value in values.items():
-        if not 0 <= value <= 1:
-            raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+_finite = partial(_check, "finite", math.isfinite)
+_positive = partial(_check, "finite and positive", lambda v: 0 < v < math.inf)
+_nonnegative = partial(_check, "finite and nonnegative", lambda v: 0 <= v < math.inf)
+_fraction = partial(_check, "lie in [0, 1]", lambda v: 0 <= v <= 1)   # a translation factor
 
 
 def _count(minimum: int, **values) -> None:
     """Each value an integer (numpy integers too, floats not) >= minimum."""
-    for name, value in values.items():
-        try:
-            ok = operator.index(value) >= minimum
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValidationError(
-                f"{name} must be an integer of at least {minimum}, got {value!r}")
+    _check(f"an integer of at least {minimum}", lambda v: operator.index(v) >= minimum,
+           **values)

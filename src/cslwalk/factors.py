@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CslParams, Disc, _csv
-from .errors import ValidationError, _in_float_range, _positive
+from .errors import ValidationError, _finite, _in_float_range, _nonnegative, _positive
 
 __all__ = [
     "FactorResult",
@@ -52,8 +52,8 @@ class FactorResult:
     est_error: float = 0.0
 
     def __post_init__(self):
-        if self.est_error < 0:
-            raise ValidationError("est_error must be nonnegative")
+        _finite(value=self.value)      # the oracle's rotation mean may be < 0
+        _nonnegative(est_error=self.est_error)
 
     def __float__(self):
         return self.value
@@ -266,8 +266,7 @@ def f_rot_disc(aspect: DiscAspect) -> FactorResult:
     resolve the kernels there within its panel budget.
     """
     al, be = aspect.alpha, aspect.beta
-    pref = _in_float_range("rotation prefactor", lambda: (
-        4.0 / ((1.0 + be * be / (3.0 * al * al)) * be * al ** 4)) ** 2)
+    pref = _rot_prefactor(al, be)
     if max(al, be) > _MAX_ROT_SIZE:
         raise ValidationError(f"alpha = {al:.6g}, beta = {be:.6g}: the rotation "
                               f"factor needs both at most {_MAX_ROT_SIZE:g}")
@@ -289,6 +288,12 @@ def f_rot_disc(aspect: DiscAspect) -> FactorResult:
     return FactorResult(float(value), "quadrature", est_error=float(err))
 
 
+@_in_float_range("rotation prefactor")
+def _rot_prefactor(al: float, be: float) -> float:
+    return (4.0 / ((1.0 + be * be / (3.0 * al * al)) * be * al ** 4)) ** 2
+
+
+@_in_float_range("small-body rotation limit")
 def small_body_rotation_limit(aspect: DiscAspect) -> float:
     """Rotation factor when every dimension is small against a:
 

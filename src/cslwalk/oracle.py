@@ -20,7 +20,7 @@ import numpy as np
 
 from ._blocks import run_blocks
 from .core import Body, CslParams, Disc
-from .errors import ValidationError, _count
+from .errors import ValidationError, _count, _in_float_range
 from .factors import DiscAspect, FactorResult
 
 __all__ = ["f_mc_oracle", "f_mc_oracle_aspect"]
@@ -78,6 +78,7 @@ def _run_oracle(geom: dict, mode: str, n_samples: int, seed: int,
     _count(2, n_samples=n_samples)
     _count(0, seed=seed)
 
+    @np.errstate(divide="raise", over="raise", invalid="raise")   # workers are threads
     def block_sums(rng, size):
         sums, sqs = [], []
         for start in range(0, size, _SUB_BLOCK):
@@ -93,6 +94,7 @@ def _run_oracle(geom: dict, mode: str, n_samples: int, seed: int,
     return FactorResult(mean, "monte-carlo", est_error=math.sqrt(var / n))
 
 
+@_in_float_range("Monte Carlo factor")
 def f_mc_oracle(body: Body, csl: CslParams, mode: str,
                 n_samples: int = 10_000_000, seed: int = 0,
                 block_size: int = 1_000_000, workers: int = 1) -> FactorResult:
@@ -115,6 +117,7 @@ def f_mc_oracle(body: Body, csl: CslParams, mode: str,
     return _run_oracle(geom, mode, n_samples, seed, block_size, workers)
 
 
+@_in_float_range("Monte Carlo factor")
 def f_mc_oracle_aspect(aspect: DiscAspect, mode: str,
                        n_samples: int = 10_000_000, seed: int = 0,
                        block_size: int = 1_000_000,

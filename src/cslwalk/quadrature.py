@@ -6,7 +6,7 @@ tolerance (the caller's in 1-D, a fixed 1e-6 in 2-D), and the last
 difference is reported as the error estimate.  The integrands used in this
 package are smooth Gaussian-type kernels, so convergence is fast;
 non-convergence at the panel cap is reported with the achieved error
-rather than silently accepted.
+rather than silently accepted.  numpy's float errors raise inside the loop.
 
 The 2-D rule serves the rotation factor's kernels, which are symmetric in
 their two arguments over a square: it evaluates the upper half of the node
@@ -48,6 +48,7 @@ def _composite_nodes(a: float, b: float, panels: int, order: int):
     return nodes, weights
 
 
+@np.errstate(divide="raise", over="raise", invalid="raise")
 def _refine(estimate, panels: int, max_panels: int, rel_tol: float,
             what: str) -> tuple[float, float]:
     """Double `panels` until estimate(panels) agrees with the previous

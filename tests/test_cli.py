@@ -333,6 +333,16 @@ def test_exit_code_float_range(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_equilibrium_out_of_range_fails_before_it_warns(capsys):
+    # s_inf^2 overflows; the range check comes before the validity warnings,
+    # so stderr holds the one error and no warning about an inf s_inf
+    rc, out, err = run(capsys, ["simulate", "--sphere-radius", "1e-5",
+                                "--lam", "1e-300", "--a", "1e300"])
+    assert rc == 3 and out == ""
+    assert err.splitlines() == ["error: the equilibrium width leaves the "
+                                "floating-point range for these inputs"]
+
+
 @pytest.mark.parametrize("argv,bad", [
     (["diffuse", "--sphere-radius", "1e-5", "--lambda-inv", "0"], "lambda-inv"),
     (["simulate", "--sphere-radius", "1e-5", "--lambda-inv", "0"], "lambda-inv"),

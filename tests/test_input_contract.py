@@ -7,8 +7,14 @@ for a translation factor).  Integer counts get nan, 1.5 and one below
 their minimum, never a large value, so no call starts a large thread pool.
 Every bad call must raise ValidationError with a message that starts with
 the argument's name.
+
+The same table drives the float-range sweep: each real scalar in turn is set
+to a value at an edge of the float range, and the call must return a result
+that is finite throughout or raise ValidationError or ConvergenceError,
+never a raw ArithmeticError.
 """
 
+import dataclasses
 import math
 import re
 import warnings
@@ -16,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cslwalk.brownian import (DragCoefficient, fp_moments, integrate_spectral_xi,
+from cslwalk.brownian import (CollisionStats, DragCoefficient, fp_moments, integrate_spectral_xi,
                               planck_tail_integral, spectral_xi, thermal_rms,
                               xi_mirror, xi_radiation, xi_slip_corrected,
                               xi_stokes, xi_viscous_disc)
@@ -31,12 +37,12 @@ from cslwalk.diffusion import (WavepacketEquilibrium, combined_rms,
                                equilibrium_series_rms, equilibrium_width,
                                qm_baseline_rotation, qm_baseline_translation,
                                time_to_rotation)
-from cslwalk.errors import ValidationError, ValidityWarning
-from cslwalk.factors import DiscAspect, f_sphere
+from cslwalk.errors import ConvergenceError, ValidationError, ValidityWarning
+from cslwalk.factors import DiscAspect, FactorResult, f_sphere
 from cslwalk.oracle import f_mc_oracle, f_mc_oracle_aspect
-from cslwalk.wavepacket import (equilibrium_variance, sigma_closed_form,
-                                sigma_ode_integrate, simulate_ensemble,
-                                single_trajectory)
+from cslwalk.wavepacket import (equilibrium_variance, growth_coefficients,
+                                sigma_closed_form, sigma_ode_integrate,
+                                simulate_ensemble, single_trajectory)
 
 INF, NAN = math.inf, math.nan
 BAD = {
@@ -44,6 +50,7 @@ BAD = {
     "nonnegative": (INF, -INF, NAN, -1.0),
     "fraction": (INF, -INF, NAN, 2.0),
     "factor": (INF, -INF, NAN, 0.0, 2.0),      # (0, 1]
+    "finite": (INF, -INF, NAN),
 }
 
 GRW = CslParams(lam=1e-16, a=1e-5)
@@ -77,6 +84,10 @@ CONTRACT = [
       "gas_molecular_mass": "positive", "gas_viscosity": "positive"}),
     (DiscAspect, dict(alpha=1.0, beta=0.25), {"alpha": "positive", "beta": "positive"}),
     (f_sphere, dict(x=1.0), {"x": "positive"}),
+    # the oracle's rotation mean may be slightly negative
+    (FactorResult, dict(value=0.5, method="analytic", est_error=0.0),
+     {"value": "finite", "est_error": "nonnegative"}),
+    (CollisionStats, dict(tau_c=1.0), {"tau_c": "positive"}),
     (DragCoefficient, dict(xi=1e-9, realm="molecular", mode="translation",
                            orientation="sphere"), {"xi": "nonnegative"}),
     # v0 may have either sign: tests/test_brownian.py checks it is finite
@@ -183,3 +194,71 @@ def test_a_numpy_integer_count_is_accepted():
     b = f_mc_oracle(SPHERE, GRW, "translate", n_samples=np.int64(100),
                     seed=np.int32(0), block_size=np.int64(50), workers=np.int8(1))
     assert a == b
+
+
+# Values at the edges of the float range: the smallest subnormal, tiny and
+# huge values whose squares and cubes leave the range, and near the largest
+# float.
+EXTREMES = (5e-324, 1e-300, 1e-160, 1e160, 1e300, 1.7e308)
+# Left out: each spends ~2.8 s of RK4 trials before its ConvergenceError.
+SLOW = {("sigma_ode_integrate", "M", 5e-324), ("sigma_ode_integrate", "M", 1e-300),
+        ("sigma_ode_integrate", "M", 1e-160),
+        ("sigma_ode_integrate", "lam_eff", 1e160)}
+SWEEP = [pytest.param(fn, kwargs, name, x, id=f"{fn.__name__}-{name}-{x!r}")
+         for fn, kwargs, args in CONTRACT
+         for name, kind in args.items() if kind in BAD
+         for x in EXTREMES if (fn.__name__, name, x) not in SLOW]
+
+
+def _all_finite(out):
+    """Every number the result carries is finite, arrays and nested
+    containers included."""
+    if dataclasses.is_dataclass(out):
+        return all(_all_finite(getattr(out, f.name)) for f in dataclasses.fields(out))
+    if isinstance(out, dict):
+        return all(map(_all_finite, out.values()))
+    if isinstance(out, (list, tuple)):
+        return all(map(_all_finite, out))
+    if out is None or isinstance(out, str):
+        return True
+    return bool(np.all(np.isfinite(out)))
+
+
+@pytest.mark.parametrize("fn,kwargs,name,x", SWEEP)
+def test_an_extreme_scalar_gives_a_finite_result_or_an_error(fn, kwargs, name, x):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            out = fn(**{**kwargs, name: x})
+    except (ValidationError, ConvergenceError):
+        return
+    assert _all_finite(out), out
+
+
+# Calls outside the sweep's reach that once raised a raw ArithmeticError or
+# returned inf or nan.
+HUGE_TIMES = simulate_ensemble(WavepacketEquilibrium(1e-6, 1e110), n_traj=100,
+                               dt=1e110, t_end=3e110, method="exact-b15")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fu_radiation_rate(11.0, 1e-16, 1e-200),
+    lambda: ThermalRelation(10.0).lambda_inv(1e-200),
+    lambda: lambda_gravitational(1e-300),
+    lambda: lambda_gravitational(1e-5, "disc", 1e-300),
+    lambda: ge_radiation_threshold(1e-320),
+    lambda: single_trajectory(WavepacketEquilibrium(1e-6, 1e300), dt=1e299,
+                              t_end=1e300, method="exact-b15"),
+    lambda: single_trajectory(WavepacketEquilibrium(1e-6, 1e-300), dt=1e-303,
+                              t_end=1e-302),
+    lambda: f_mc_oracle(Sphere(1e-5, 1.0), CslParams(1e-16, 1e300), "translate",
+                        n_samples=100),
+    lambda: qm_baseline_rotation(Disc(1e-100, 1e-100, 1e300), 1e300),
+    lambda: growth_coefficients(HUGE_TIMES, HUGE_TIMES.times),      # t^3 overflows
+], ids=["fu_radiation_rate", "thermal_lambda_inv", "lambda_gravitational-point",
+        "lambda_gravitational-disc", "ge_radiation_threshold",
+        "single_trajectory-huge", "single_trajectory-tiny", "f_mc_oracle-sphere",
+        "qm_baseline_rotation", "growth_coefficients"])
+def test_a_formula_beyond_the_float_range_is_rejected(call):
+    with pytest.raises(ValidationError, match="floating-point range"):
+        call()
