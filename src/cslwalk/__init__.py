@@ -52,7 +52,7 @@ _EXPORTS = {
                    "single_trajectory", "simulate_ensemble",
                    "growth_coefficients"),
     "constraints": ("evaluate_constraints", "lambda_gravitational",
-                    "thermal_relation", "fu_radiation_rate",
+                    "ThermalRelation", "fu_radiation_rate",
                     "ge_detector_rate", "ge_radiation_threshold",
                     "ConstraintMap", "fig2_dataset"),
 }

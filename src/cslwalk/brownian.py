@@ -5,6 +5,11 @@ radiation), and discrete-collision statistics.
 Drag conventions: the damping force is -xi * v (translation, xi in g/s) or
 the torque is -xi * omega (rotation, xi in g cm^2/s).  The moment solutions
 use tau = M/xi (or I/xi) and beta = kT/xi.
+
+spectral_xi, the frequency density of the radiation drags xi_mirror and
+xi_radiation, is one expression in g(z) = z^2 e^z / (e^z - 1)^2, z = h nu / kT;
+int_0^inf z^n e^z / (e^z - 1)^2 dz = n! zeta(n) (n = 4 mirror, 8 sphere)
+integrates it to them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import CONSTANTS, Body, Disc, Environment, Sphere
-from .errors import (ValidationError, ValidityWarning, _count, _in_float_range,
+from .errors import (ValidationError, ValidityWarning, _in_float_range,
                      _nonnegative, _positive)
 
 __all__ = [
@@ -33,8 +38,6 @@ __all__ = [
     "xi_radiation",
     "xi_mirror",
     "spectral_xi",
-    "integrate_spectral_xi",
-    "planck_tail_integral",
     "collision_stats",
     "molecular_flux",
     "check_realm",
@@ -265,31 +268,22 @@ def xi_mirror(area: float, T: float) -> DragCoefficient:
     return DragCoefficient(xi, "radiation", "translation", "sphere")
 
 
-def _planck_weight(z):
-    """e^z / (e^z - 1)^2 without overflow; ~1/z^2 at small z, 0 at z = 0."""
-    import numpy as np
-
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    small = (z > 0) & (z < 1.0e-6)
-    big = z >= 1.0e-6
-    zb = z[big]
-    out[big] = np.exp(-zb) / np.expm1(-zb) ** 2
-    out[small] = 1.0 / z[small] ** 2     # relative error below z^2/12
-    return out
-
-
 @_in_float_range("spectral drag density")
 def spectral_xi(nu, T: float, target: str = "mirror-per-area",
                 R: float | None = None):
     """Spectral density d(xi)/d(nu) of the radiation drag.
 
-    target 'mirror-per-area': per unit mirror area,
-        4 pi (nu/c)^3 (h nu / kT) (h/c) e^z/(e^z-1)^2  with z = h nu / kT.
-    target 'dielectric-sphere' (R required): uses the long-wavelength
-    scattering cross-section (8 pi/3)(2 pi nu / c)^4 R^6 in the
-    large-dielectric-constant limit,
-        (2 pi)^4 (8 pi/3)^2 (nu/c)^7 (h nu / kT)(h/c) R^6 e^z/(e^z-1)^2.
+    With z = h nu / kT and the Planck factor g(z) = z^2 e^z / (e^z - 1)^2
+    (1 at z = 0, the classical equipartition limit):
+
+    target 'mirror-per-area': per unit mirror area, 4 pi kT nu^2 g / c^4.
+    target 'dielectric-sphere' (R required): the long-wavelength scattering
+    cross-section (8 pi/3)(2 pi nu / c)^4 R^6 in the large-dielectric-constant
+    limit gives (2 pi)^4 (8 pi/3)^2 kT R^6 nu^6 g / c^8.
+
+    Over nu in (0, inf) these integrate to xi_mirror (per unit area) and
+    xi_radiation through int z^n e^z / (e^z - 1)^2 dz = n! zeta(n), which
+    is 4 pi^4 / 15 for n = 4 and (2 pi)^8 / 60 for n = 8.
     """
     import numpy as np
 
@@ -300,61 +294,22 @@ def spectral_xi(nu, T: float, target: str = "mirror-per-area",
     h = 2.0 * math.pi * CONSTANTS.hbar
     c = CONSTANTS.c
     kT = CONSTANTS.k_boltzmann * T
+    # each density is the square of a product whose factors stay near its
+    # square root, so no factor leaves the float range before the result does;
+    # sqrt(g) = z e^{-z/2} / -expm1(-z) never overflows, and is 1 at z = 0
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         z = h * nu / kT
-        weight = _planck_weight(z)
+        d = -np.expm1(-z)
+        amp = np.divide(z * np.exp(-0.5 * z), d, out=np.ones_like(z), where=d > 0)
         if target == "mirror-per-area":
-            return 4.0 * math.pi * (nu / c) ** 3 * (h * nu / kT) * (h / c) * weight
+            return (math.sqrt(4.0 * math.pi * kT) / c * amp * (nu / c)) ** 2
         if target == "dielectric-sphere":
             if R is None:
                 raise ValidationError("dielectric-sphere target needs a radius R")
             _positive(R=R)
             pref = (2.0 * math.pi) ** 4 * (8.0 * math.pi / 3.0) ** 2
-            return pref * (nu / c) ** 7 * (h * nu / kT) * (h / c) * R ** 6 * weight
+            return (math.sqrt(pref * kT) / c * amp * (nu * R / c) ** 3) ** 2
     raise ValidationError(f"unknown spectral target {target!r}")
-
-
-# Upper end of the Planck integrals in z = h nu / kT; the integrands decay like
-# z^power e^{-z}, so the tail dropped is below 1e-12 of the total for power <= 8.
-_PLANCK_Z_MAX = 200.0
-
-
-@_in_float_range("integrated spectral drag")
-def integrate_spectral_xi(T: float, target: str = "mirror-per-area",
-                          R: float | None = None) -> float:
-    """Frequency integral of spectral_xi; equals the closed-form coefficients."""
-    from .quadrature import integrate_1d
-
-    _positive(T=T)
-    h = 2.0 * math.pi * CONSTANTS.hbar
-    nu_max = _PLANCK_Z_MAX * CONSTANTS.k_boltzmann * T / h
-    value, _ = integrate_1d(lambda nu: spectral_xi(nu, T, target=target, R=R),
-                            0.0, nu_max, rel_tol=1.0e-9)
-    return value
-
-
-@_in_float_range("Planck tail integral")
-def planck_tail_integral(power: int, *, z_max: float = _PLANCK_Z_MAX) -> float:
-    """Integral of z^power e^z / (e^z - 1)^2 over (0, infinity).
-
-    Evaluated on [0, z_max].  Closed form for cross-checks:
-    power! * zeta(power).
-    """
-    from .quadrature import integrate_1d
-
-    _count(2, power=power)   # non-integrable below 2
-    _positive(z_max=z_max)
-    value, _ = integrate_1d(lambda z: z ** power * _planck_weight(z),
-                            0.0, z_max, rel_tol=1.0e-9)
-    return value
-
-
-def planck_integral_identities() -> dict:
-    """The two closed-form Planck-tail integrals used by the radiation drags."""
-    return {
-        "z4": (planck_tail_integral(4), 4.0 * math.pi ** 4 / 15.0),
-        "z8": (planck_tail_integral(8), (2.0 * math.pi) ** 8 / 60.0),
-    }
 
 
 # ---------------------------------------------------------------------------

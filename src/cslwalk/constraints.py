@@ -28,7 +28,6 @@ __all__ = [
     "evaluate_constraints",
     "lambda_gravitational",
     "ThermalRelation",
-    "thermal_relation",
     "thermal_bath_energies",
     "fu_radiation_rate",
     "ge_detector_rate",
@@ -173,10 +172,6 @@ class ThermalRelation:
     def lambda_inv(self, a: float) -> float:
         _positive(a=a)
         return self.lambda_inv_a_sq / a ** 2
-
-
-def thermal_relation(gamma: float) -> ThermalRelation:
-    return ThermalRelation(gamma=gamma)
 
 
 def thermal_bath_energies() -> dict:

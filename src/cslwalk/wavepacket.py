@@ -46,9 +46,11 @@ _MAX_COV_FLOATS = 2 ** 25         # blocks x samples^2 held for the reduction
 _MAX_PATH_LEN = 10_000_000        # single_trajectory steps: ~1.4 GB of states
 # Width ODE: RK4 trials on one grid interval agree to _ODE_REL_TOL or stop at
 # _ODE_MAX_SUBSTEPS.  One interval of 1e4 tau_s needs 2^15 substeps; running
-# into the cap costs ~3 s of trials.
+# into the cap costs ~3 s of trials.  RK4 is unstable once dt x 2 rate |s| passes
+# ~2.8, so h x max(rate |s|, sqrt(rate |drift|)) above 8 x the cap fails at once.
 _ODE_REL_TOL = 1.0e-10
 _ODE_MAX_SUBSTEPS = 2 ** 20
+_ODE_MAX_STIFFNESS = 8.0 * _ODE_MAX_SUBSTEPS
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,8 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
     grid interval in turn.  On each interval the substep count doubles from
     1 until two successive results agree to 1e-10 relative (a non-finite
     trial counts as disagreement), and the finer one is kept; an interval
-    that needs more than 2^20 substeps raises ConvergenceError.
+    that needs more than 2^20 substeps raises ConvergenceError, at once when
+    its stiffness leaves even 2^20 substeps unstable.
     """
     _positive(M=M, a=a)
     _nonnegative(lam_eff=lam_eff)
@@ -164,10 +167,11 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
     out = []
     t0 = 0.0
     for t in t_grid.tolist():
+        stiffness = (t - t0) * max(rate * abs(s), math.sqrt(rate * abs(drift)))
         n, coarse = 1, _rk4(s, t - t0, 1, drift, rate)
         while True:
             n *= 2
-            if n > _ODE_MAX_SUBSTEPS:
+            if n > _ODE_MAX_SUBSTEPS or stiffness > _ODE_MAX_STIFFNESS:
                 raise ConvergenceError(
                     f"width ODE: no RK4 agreement to {_ODE_REL_TOL:g} within "
                     f"{_ODE_MAX_SUBSTEPS} substeps over [{t0:.6g}, {t:.6g}] s")
@@ -429,7 +433,12 @@ def growth_coefficients(stats: EnsembleStats, pick_times) -> dict:
     m = np.array([stats.mean_sq_Q[j] for j in idx])
     cov = np.array(stats.cov_mean_sq_Q)[np.ix_(idx, idx)]
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        Ainv = np.linalg.inv(np.column_stack([t3, t3 ** 2, t3 ** 3]))
+        cubes = t3 ** 3
+        if not np.all(np.abs(cubes) >= np.finfo(float).tiny):   # else singular
+            raise ValidationError(
+                f"sample times {tuple(t3.tolist())} leave the floating-point "
+                "range: their cubes are not normal floats")
+        Ainv = np.linalg.inv(np.column_stack([t3, t3 ** 2, cubes]))
         coef = Ainv @ m
         coef_cov = Ainv @ cov @ Ainv.T
     return {"times": tuple(t3), "coefficients": tuple(coef),

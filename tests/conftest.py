@@ -7,6 +7,29 @@ import math
 import pytest
 
 
+def spectral_integral(T, target="mirror-per-area", R=None, z_max=200.0):
+    """Frequency integral of spectral_xi over z = h nu / kT in [0, z_max];
+    past z = 200 less than 1e-12 of it is left."""
+    from cslwalk import CONSTANTS, spectral_xi
+    from cslwalk.quadrature import integrate_1d
+
+    nu_max = z_max * CONSTANTS.k_boltzmann * T / (2.0 * math.pi * CONSTANTS.hbar)
+    return integrate_1d(lambda nu: spectral_xi(nu, T, target, R), 0.0, nu_max)[0]
+
+
+def planck_moment(n: int, z_max: float = 200.0) -> float:
+    """int_0^z_max z^n e^z / (e^z - 1)^2 dz for n = 4 or 8: the spectral
+    integral of a mirror or a unit sphere over its prefactor."""
+    from cslwalk import CONSTANTS
+
+    kT, c = CONSTANTS.k_boltzmann * 300.0, CONSTANTS.c
+    sphere = (2 * math.pi) ** 4 * (8 * math.pi / 3) ** 2
+    target, R, pref = (("mirror-per-area", None, 4 * math.pi) if n == 4 else
+                       ("dielectric-sphere", 1.0, sphere))
+    x = kT / (2.0 * math.pi * CONSTANTS.hbar * c)
+    return spectral_integral(300.0, target, R, z_max) / (pref * kT / c * x ** (n - 1))
+
+
 def round_1sf(x: float) -> float:
     """Round to one significant figure."""
     if x == 0:

@@ -22,10 +22,9 @@ from cslwalk import (CONSTANTS, ComplexVariance, CslParams, Disc, Sphere,
                      sigma_closed_form, sigma_ode_integrate,
                      simulate_ensemble, thermal_rms, time_to_rotation,
                      vacuum_diffusion_table, xi_molecular, xi_radiation)
-from cslwalk.brownian import integrate_spectral_xi, planck_tail_integral
 from cslwalk.factors import DiscAspect
 
-from conftest import matches_1sf
+from conftest import matches_1sf, planck_moment, spectral_integral
 
 GRW = CslParams.grw()
 DAY = 86400.0
@@ -152,12 +151,12 @@ def test_criterion_6_collision_statistics():
 # criterion 7 -----------------------------------------------------------------
 
 def test_criterion_7_radiation_integral_identities():
-    z4 = planck_tail_integral(4)
-    z8 = planck_tail_integral(8)
+    z4 = planck_moment(4)
+    z8 = planck_moment(8)
     assert z4 == pytest.approx(4.0 * math.pi ** 4 / 15.0, rel=1e-6)
     assert z8 == pytest.approx((2.0 * math.pi) ** 8 / 60.0, rel=1e-6)
     T = CONSTANTS.room_temperature_T0
-    spectral = integrate_spectral_xi(T, "dielectric-sphere", R=1e-5)
+    spectral = spectral_integral(T, "dielectric-sphere", R=1e-5)
     closed = xi_radiation(1e-5, T).xi
     assert spectral == pytest.approx(closed, rel=1e-4, abs=0)
     _report(7, "z^4 and z^8 thermal-tail integrals match closed forms to "

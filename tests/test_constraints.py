@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cslwalk import (CslParams, ValidationError, csl_rms_rotation,
-                     evaluate_constraints, fig2_dataset, fu_radiation_rate,
-                     ge_detector_rate, ge_radiation_threshold,
-                     lambda_gravitational, thermal_relation)
+from cslwalk import (CslParams, ThermalRelation, ValidationError,
+                     csl_rms_rotation, evaluate_constraints, fig2_dataset,
+                     fu_radiation_rate, ge_detector_rate,
+                     ge_radiation_threshold, lambda_gravitational)
 from cslwalk.constraints import (CONSTRAINT_LINES, DEFAULT_MAP_IDS,
                                  boundary_polylines, map_to_csv,
                                  thermal_bath_energies)
@@ -100,12 +100,12 @@ def test_gravitational_rotation_prediction():
 # thermal-bath relation
 
 def test_thermal_relation_line():
-    rel = thermal_relation(1e3)
+    rel = ThermalRelation(1e3)
     assert rel.lambda_inv(1e-5) == pytest.approx(1e16, rel=1e-12)
-    floor = thermal_relation(1.0)
+    floor = ThermalRelation(1.0)
     assert floor.lambda_inv(1e-5) == pytest.approx(1e13, rel=1e-12)
     with pytest.raises(ValidationError):
-        thermal_relation(0.5)
+        ThermalRelation(0.5)
 
 
 def test_thermal_bath_energies():

@@ -22,14 +22,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cslwalk.brownian import (CollisionStats, DragCoefficient, fp_moments, integrate_spectral_xi,
-                              planck_tail_integral, spectral_xi, thermal_rms,
-                              xi_mirror, xi_radiation, xi_slip_corrected,
-                              xi_stokes, xi_viscous_disc)
+from cslwalk.brownian import (CollisionStats, DragCoefficient, fp_moments,
+                              spectral_xi, thermal_rms, xi_mirror, xi_radiation,
+                              xi_slip_corrected, xi_stokes, xi_viscous_disc)
 from cslwalk.constraints import (ThermalRelation, evaluate_constraints,
                                  fu_radiation_rate, ge_detector_rate,
-                                 ge_radiation_threshold, lambda_gravitational,
-                                 thermal_relation)
+                                 ge_radiation_threshold, lambda_gravitational)
 from cslwalk.core import CslParams, Disc, Environment, PhysicalConstants, Sphere
 from cslwalk.diffusion import (WavepacketEquilibrium, combined_rms,
                                csl_rms_rotation, csl_rms_translation,
@@ -107,9 +105,6 @@ CONTRACT = [
     (xi_mirror, dict(area=1.0, T=300.0), {"area": "positive", "T": "positive"}),
     (spectral_xi, dict(nu=1e12, T=300.0, target="dielectric-sphere", R=1e-5),
      {"nu": "nonnegative", "T": "positive", "R": "positive"}),
-    (integrate_spectral_xi, dict(T=300.0), {"T": "positive"}),
-    (planck_tail_integral, dict(power=4, z_max=200.0),
-     {"power": ("count", 2), "z_max": "positive"}),
     (WavepacketEquilibrium, dict(s_inf=1e-6, tau_s=1.0),
      {"s_inf": "positive", "tau_s": "positive"}),
     (csl_rms_translation, dict(csl=GRW, f=0.5, t=1.0, initial_term=0.0),
@@ -131,7 +126,7 @@ CONTRACT = [
      {"lambda_inv": "positive", "a": "positive"}),
     (lambda_gravitational, dict(a=1e-5, mode="sphere", size=1e-3),
      {"a": "positive", "size": "positive"}),
-    (thermal_relation, dict(gamma=10.0), {"gamma": "positive"}),
+    (ThermalRelation, dict(gamma=10.0), {"gamma": "positive"}),
     (thermal_line_at, dict(a=1e-5), {"a": "positive"}),
     (fu_radiation_rate, dict(E_keV=11.0, lam=1e-16, a=1e-5),
      {"E_keV": "positive", "lam": "positive", "a": "positive"}),
@@ -200,14 +195,10 @@ def test_a_numpy_integer_count_is_accepted():
 # huge values whose squares and cubes leave the range, and near the largest
 # float.
 EXTREMES = (5e-324, 1e-300, 1e-160, 1e160, 1e300, 1.7e308)
-# Left out: each spends ~2.8 s of RK4 trials before its ConvergenceError.
-SLOW = {("sigma_ode_integrate", "M", 5e-324), ("sigma_ode_integrate", "M", 1e-300),
-        ("sigma_ode_integrate", "M", 1e-160),
-        ("sigma_ode_integrate", "lam_eff", 1e160)}
 SWEEP = [pytest.param(fn, kwargs, name, x, id=f"{fn.__name__}-{name}-{x!r}")
          for fn, kwargs, args in CONTRACT
          for name, kind in args.items() if kind in BAD
-         for x in EXTREMES if (fn.__name__, name, x) not in SLOW]
+         for x in EXTREMES]
 
 
 def _all_finite(out):
@@ -239,6 +230,8 @@ def test_an_extreme_scalar_gives_a_finite_result_or_an_error(fn, kwargs, name, x
 # returned inf or nan.
 HUGE_TIMES = simulate_ensemble(WavepacketEquilibrium(1e-6, 1e110), n_traj=100,
                                dt=1e110, t_end=3e110, method="exact-b15")
+TINY_TIMES = simulate_ensemble(WavepacketEquilibrium(1e-6, 1.0), n_traj=100,
+                               dt=1e-120, t_end=3e-120, method="exact-b15")
 
 
 @pytest.mark.parametrize("call", [
@@ -255,10 +248,11 @@ HUGE_TIMES = simulate_ensemble(WavepacketEquilibrium(1e-6, 1e110), n_traj=100,
                         n_samples=100),
     lambda: qm_baseline_rotation(Disc(1e-100, 1e-100, 1e300), 1e300),
     lambda: growth_coefficients(HUGE_TIMES, HUGE_TIMES.times),      # t^3 overflows
+    lambda: growth_coefficients(TINY_TIMES, TINY_TIMES.times),      # t^3 underflows
 ], ids=["fu_radiation_rate", "thermal_lambda_inv", "lambda_gravitational-point",
         "lambda_gravitational-disc", "ge_radiation_threshold",
         "single_trajectory-huge", "single_trajectory-tiny", "f_mc_oracle-sphere",
-        "qm_baseline_rotation", "growth_coefficients"])
+        "qm_baseline_rotation", "growth_coefficients", "growth_coefficients-tiny"])
 def test_a_formula_beyond_the_float_range_is_rejected(call):
     with pytest.raises(ValidationError, match="floating-point range"):
         call()

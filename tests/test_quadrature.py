@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cslwalk.errors import ConvergenceError
-from cslwalk.brownian import planck_tail_integral
 from cslwalk.quadrature import integrate_1d, integrate_2d
+
+from conftest import planck_moment
 
 
 def test_integrate_1d_polynomial_and_gaussian():
@@ -53,12 +54,9 @@ def test_integrate_1d_reports_nonconvergence():
 
 def test_planck_tail_values_and_tail_bound():
     # closed forms n! zeta(n)
-    assert planck_tail_integral(4) == pytest.approx(
-        24.0 * math.pi ** 4 / 90.0, rel=1e-8)
-    assert planck_tail_integral(8) == pytest.approx(
+    assert planck_moment(4) == pytest.approx(24.0 * math.pi ** 4 / 90.0, rel=1e-8)
+    assert planck_moment(8) == pytest.approx(
         math.factorial(8) * 1.00407735, rel=1e-6)   # 8! zeta(8)
     # the [0, 200] truncation loses far less than the 1e-12 budget
-    assert planck_tail_integral(8, z_max=200.0) == pytest.approx(
-        planck_tail_integral(8, z_max=400.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        planck_tail_integral(1)
+    assert planck_moment(8, z_max=200.0) == pytest.approx(
+        planck_moment(8, z_max=400.0), rel=1e-12)
