@@ -288,6 +288,25 @@ def test_spectral_density_low_frequency_tail():
     assert spectral_xi([1e-200, 1e3], T0).tolist() == [0.0, spectral_xi(1e3, T0)]
 
 
+@pytest.mark.parametrize("R", [None, 1e-5])     # mirror, sphere
+@pytest.mark.parametrize("z", [1e-100, 1e-30, 1e-8, 1e-6, 1e-3, 0.1, 1.0, 3.0,
+                               10.0, 30.0, 70.0, 150.0])
+def test_spectral_density_matches_a_130_digit_planck_factor(z, R):
+    # g = z^2 e^z / (e^z - 1)^2 keeps 30 of 130 digits at z = 1e-100
+    h, D, pi = 2 * math.pi * CONSTANTS.hbar, decimal.Decimal, decimal.Decimal(math.pi)
+    nu = z * K * T0 / h
+    with decimal.localcontext() as ctx:
+        ctx.prec = 130
+        kT, x = D(K) * D(T0), D(nu) / D(CONSTANTS.c)
+        zd = D(h) * D(nu) / kT
+        g = zd ** 2 * zd.exp() / (zd.exp() - 1) ** 2
+        pref = 4 * pi * x ** 2 if R is None else (
+            (2 * pi) ** 4 * (8 * pi / 3) ** 2 * D(R) ** 6 * x ** 6)
+        expect = float(pref * kT * g / D(CONSTANTS.c) ** 2)
+    target = "mirror-per-area" if R is None else "dielectric-sphere"
+    assert spectral_xi(nu, T0, target, R) == pytest.approx(expect, rel=1e-13, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # impact realm
 
