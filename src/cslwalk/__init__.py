@@ -15,12 +15,12 @@ for table and dataset reproduction.
 
 numpy is the only run-time dependency.  Every public name below is
 resolved from its submodule on first access, so `import cslwalk` does not
-load it.  The closed forms of the reference tables, the sphere factor and
-the collision statistics never need numpy; the disc factors, the oracle,
-the wavepacket ensembles and the constraint map load it when first called
-or imported.  Nothing loads scipy: the disc rotation factor's i1e is a
-Cephes port in `cslwalk._cephes`, and the width-ODE cross-check steps RK4
-itself.
+load it.  The closed forms of the reference tables, the sphere factor, the
+collision statistics and the constraint map never need numpy, apart from
+`ConstraintMap.mask()`; the disc factors, the oracle and the wavepacket
+ensembles load it when first called or imported.  Nothing loads scipy: the
+disc rotation factor's i1e is a Cephes port in `cslwalk._cephes`, and the
+width-ODE cross-check steps RK4 itself.
 """
 
 import importlib

@@ -247,16 +247,16 @@ def _cmd_fig2(args):
     polylines = {cid: _csv(["log10_a", "log10_lambda_inv"],
                            [[f"{x:.6g}", f"{y:.6g}"] for x, y in pts])
                  for cid, pts in boundaries.items()}
+    # one {id: pass} dict per distinct pass/fail pattern of the lattice
+    named = {p: dict(zip(cmap.ids, map(bool, p))) for p in set().union(*cmap.passed)}
     doc = {"params": {"a_grid_log10": args.a_grid,
                       "lambda_inv_grid_log10": args.lambda_inv_grid,
                       "ids": list(which)},
            "metadata": cmap.metadata(),
            "boundaries": boundaries,
-           "rows": [
-               {"log10_a": la, "log10_lambda_inv": ll,
-                **{cid: bool(v) for cid, v in zip(cmap.ids, cmap.passed[i][j])}}
-               for i, la in enumerate(cmap.log10_a)
-               for j, ll in enumerate(cmap.log10_lambda_inv)]}
+           "rows": [{"log10_a": la, "log10_lambda_inv": ll, **named[p]}
+                    for la, row in zip(cmap.log10_a, cmap.passed)
+                    for ll, p in zip(cmap.log10_lambda_inv, row)]}
     return cons.map_to_csv(cmap), doc, polylines
 
 

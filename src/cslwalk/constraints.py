@@ -9,14 +9,16 @@ Also here: the effective collapse rate implied by gravitationally motivated
 collapse proposals (order-of-magnitude only), the thermal-bath consistency
 line, and the photon-emission rate of a collapse-shaken free electron that
 feeds the germanium-detector bound.
+
+Everything here runs on the standard library; numpy is imported only by
+`ConstraintMap.mask()`, which returns the lattice as a boolean array.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import CONSTANTS, ERG_PER_EV, _csv
 from .errors import ValidationError, _in_float_range, _positive
@@ -66,9 +68,9 @@ class ConstraintLine:
         value = lambda_inv * _pow(a, self.a_power)
         return value > self.threshold if self.sense == "min" else value < self.threshold
 
-    def boundary_log10_lambda_inv(self, log10_a):
+    def boundary_log10_lambda_inv(self, log10_a: float) -> float:
         """log10 lambda_inv on the boundary, linear in log10 a."""
-        return math.log10(self.threshold) - self.a_power * np.asarray(log10_a)
+        return math.log10(self.threshold) - self.a_power * log10_a
 
 
 CONSTRAINT_LINES = {
@@ -236,16 +238,19 @@ class ConstraintMap:
     ids: tuple
     passed: tuple      # passed[i][j][k] for a-index i, lambda-index j, id k
 
-    def mask(self) -> np.ndarray:
+    def mask(self):
+        """passed as a numpy bool array of shape (a, lambda_inv, ids)."""
+        import numpy as np
         return np.array(self.passed, dtype=bool)
 
     def region_nonempty(self, which=None) -> bool:
         """Is there a lattice point satisfying all the requested bounds?"""
-        m = self.mask()
-        if which is not None:
-            cols = [self.ids.index(cid) for cid in which]
-            m = m[:, :, cols]
-        return bool(np.any(np.all(m, axis=2)))
+        which = self.ids if which is None else tuple(which)
+        for cid in which:
+            if cid not in self.ids:
+                raise ValidationError(f"unknown constraint id {cid!r}")
+        cols = [self.ids.index(cid) for cid in which]
+        return any(all(p[k] for k in cols) for p in set().union(*self.passed))
 
     def metadata(self) -> dict:
         return {
@@ -280,47 +285,59 @@ def fig2_dataset(a_range, lambda_inv_range, which=DEFAULT_MAP_IDS) -> Constraint
         if cid not in CONSTRAINT_LINES:
             raise ValidationError(f"unknown constraint id {cid!r}")
     # 10.0 ** v and a ** a_power are the Python pow calls evaluate_constraints
-    # makes, inf where they overflow; the product and the comparison are the
-    # same IEEE operations on the whole lattice, so every mask bit equals the
-    # per-point one.
+    # makes, inf where they overflow.  On one a-row, ap = a ** a_power is
+    # >= 0 or inf and the lambda_inv values do not decrease, so neither do the
+    # IEEE products ap * lambda_inv: each bound holds on one contiguous run of
+    # the row, a suffix for 'min' and a prefix for 'max'.  bisect_right (for
+    # value > threshold) and bisect_left (for value < threshold) find where
+    # the run starts or ends from the same products and the same comparison,
+    # so every bit equals the per-point one, at log(cols) products per bound
+    # and row.
     a_vals = [_pow(10.0, v) for v in la]
     lam_vals = [_pow(10.0, v) for v in ll]
     for a in a_vals:
         _positive(a=a)
     for lambda_inv in lam_vals:
         _positive(lambda_inv=lambda_inv)
-    lam = np.array(lam_vals)
     distinct = list(dict.fromkeys(ids))
-    code = np.zeros((len(la), len(ll)), dtype=np.int64)
-    for bit, cid in enumerate(distinct):
-        line = CONSTRAINT_LINES[cid]
-        with np.errstate(over="ignore"):     # inf, as the float product gives
-            value = np.array([_pow(a, line.a_power) for a in a_vals])[:, None] * lam
-        ok = value > line.threshold if line.sense == "min" else value < line.threshold
-        code |= ok.astype(np.int64) << bit
     # one shared tuple per pass/fail pattern instead of one per lattice point
-    patterns = [tuple(bool(c >> distinct.index(cid) & 1) for cid in ids)
-                for c in range(2 ** len(distinct))]
-    passed = tuple(tuple(map(patterns.__getitem__, row)) for row in code.tolist())
+    bits = [1 << distinct.index(cid) for cid in ids]
+    patterns = [tuple(code & bit != 0 for bit in bits)
+                for code in range(2 ** len(distinct))]
+    flips = [(bisect_right if line.sense == "min" else bisect_left,
+              line.a_power, line.threshold, 1 << k)
+             for k, line in enumerate(CONSTRAINT_LINES[cid] for cid in distinct)]
+    # ahead of every flip the 'max' bounds hold and the 'min' ones do not
+    first_code = sum(bit for find, _, _, bit in flips if find is bisect_left)
+    rows = []
+    for a in a_vals:
+        stops = sorted((find(lam_vals, threshold, key=_pow(a, p).__mul__), bit)
+                       for find, p, threshold, bit in flips)
+        code, start, row = first_code, 0, []
+        for stop, bit in stops:
+            row += [patterns[code]] * (stop - start)
+            code, start = code ^ bit, stop
+        row += [patterns[code]] * (len(lam_vals) - start)
+        rows.append(tuple(row))
     return ConstraintMap(log10_a=tuple(la), log10_lambda_inv=tuple(ll),
-                         ids=ids, passed=passed)
+                         ids=ids, passed=tuple(rows))
 
 
 def map_to_csv(cmap: ConstraintMap) -> str:
     """The lattice flattened to CSV text: log10_a,log10_lambda_inv,c1..cN."""
+    # each grid value and each distinct pass/fail pattern is formatted once
+    xs = [f"{lga:.6g}" for lga in cmap.log10_a]
+    ys = [f"{lgl:.6g}" for lgl in cmap.log10_lambda_inv]
+    flags = {p: ["1" if v else "0" for v in p] for p in set().union(*cmap.passed)}
     return _csv(["log10_a", "log10_lambda_inv"]
                 + [f"c{k+1}" for k in range(len(cmap.ids))],
-                [[f"{lga:.6g}", f"{lgl:.6g}"]
-                 + ["1" if v else "0" for v in cmap.passed[i][j]]
-                 for i, lga in enumerate(cmap.log10_a)
-                 for j, lgl in enumerate(cmap.log10_lambda_inv)])
+                [[x, y, *flags[p]]
+                 for x, row in zip(xs, cmap.passed) for y, p in zip(ys, row)])
 
 
 def boundary_polylines(cmap: ConstraintMap) -> dict:
     """Boundary of each bound as a polyline over the map's a-grid."""
-    out = {}
-    for cid in cmap.ids:
-        line = CONSTRAINT_LINES[cid]
-        ys = line.boundary_log10_lambda_inv(np.array(cmap.log10_a))
-        out[cid] = [(float(x), float(y)) for x, y in zip(cmap.log10_a, ys)]
-    return out
+    xs = [float(x) for x in cmap.log10_a]
+    return {cid: [(x, CONSTRAINT_LINES[cid].boundary_log10_lambda_inv(x))
+                  for x in xs]
+            for cid in cmap.ids}

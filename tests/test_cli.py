@@ -199,6 +199,27 @@ def test_readme_stdout_matches_the_benchmark_pin(sub, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == refs[sub]
 
 
+# sha256 of the README fig2 line's stdout (bench/refs.json pins the same),
+# of its --json document, and of the files --output writes (each name, then
+# its bytes, in name order)
+FIG2_README_SHA256 = {
+    "stdout": "5a809c77d8c5f72af99c9979eac7b067f1faf5c9630fdeabb68acb6d12a506dd",
+    "json": "605934af51098ca3a978b6fb15e96f0fedc6f0bd80294898ceecd772bedc5e6c",
+    "output": "fd7dcd30a9afb80724e3b137a307f02b1f885be448521cbd6f2777bad77cb460",
+}
+
+
+def test_fig2_readme_line_keeps_its_bytes(tmp_path):
+    argv = ["fig2", "--a-grid=-7:0:71", "--lambda-inv-grid=0:22:89"]
+    got = {"stdout": _readme_stdout(argv)[1].encode(),
+           "json": _readme_stdout(argv + ["--json"])[1].encode()}
+    assert _readme_stdout(argv + ["--output", str(tmp_path / "map.csv")])[0] == 0
+    got["output"] = b"".join(p.name.encode() + p.read_bytes()
+                             for p in sorted(tmp_path.iterdir()))
+    assert {k: hashlib.sha256(v).hexdigest()
+            for k, v in got.items()} == FIG2_README_SHA256
+
+
 def test_validity_warnings_are_one_clean_line_each(capsys):
     rc, out, err = run(capsys, ["diffuse", "--mechanism", "brownian",
                                 "--sphere-radius", "1e-5", "--pressure",
@@ -458,32 +479,33 @@ def _modules_after(code: str, prefix: str) -> list[str]:
 
 _CLI = "from cslwalk.cli import main\nmain({argv!r})"
 
-# the README lines whose numbers are scalar closed forms
-SCALAR_README_LINES = (
+# the README lines that run on the standard library alone: the scalar
+# closed forms and the fig2 constraint lattice
+NUMPY_FREE_README_LINES = (
     ["table1", "--paper-format"],
     ["table2", "--json"],
     ["collide", "--disc-radius", "2du", "--disc-thickness", ".5du",
      "--temperature", "4.2K", "--pressure", "5e-17Torr"],
     ["--constants"],
+    ["fig2", "--a-grid=-7:0:71", "--lambda-inv-grid=0:22:89"],
 )
 
 
 def test_import_floor_loads_no_numpy():
-    # importing numpy is most of what a scalar subcommand's process would
+    # importing numpy is most of what these subcommands' processes would
     # spend; the package and the CLI resolve it only where arrays are used
     assert _modules_after("import cslwalk", "numpy") == []
     assert _modules_after("import cslwalk.cli", "numpy") == []
-    for argv in SCALAR_README_LINES:
+    for argv in NUMPY_FREE_README_LINES:
         assert _modules_after(_CLI.format(argv=argv), "numpy") == [], argv
 
 
 # every README "Command line" line
-README_LINES = SCALAR_README_LINES + (
+README_LINES = NUMPY_FREE_README_LINES + (
     ["diffuse", "--mode", "rotation", "--disc-radius", "2du",
      "--disc-thickness", ".5du", "--target", "2pi"],
     ["simulate", "--n-traj", "10000", "--sphere-radius", "1e-5", "--seed", "7"],
     ["fig1", "--alphas", "0.5,1,2", "--betas", "0.25"],
-    ["fig2", "--a-grid=-7:0:71", "--lambda-inv-grid=0:22:89"],
 )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -166,15 +167,20 @@ def test_map_grid_size_and_csv():
 
 
 def test_map_equals_the_per_point_bounds():
-    # the broadcast lattice against evaluate_constraints at every point,
-    # with a repeated id and a subset of the bounds
+    # the lattice against evaluate_constraints at every point, with a
+    # repeated id and a subset of the bounds
     la = [-7.0, -4.25, -2.5, -1.0, 0.0]
     ll = [0.0, 9.5, 12.0, 16.0, 22.0]
     # at log10 a = -2.5, log10 lambda_inv = 12, rot-null reads exactly 1e2,
     # which is not > 1e2
     assert 10.0 ** 12.0 * (10.0 ** -2.5) ** 4 == 100.0
-    for which in (DEFAULT_MAP_IDS, tuple(CONSTRAINT_LINES),
-                  ("rot-null", "ge-radiation", "rot-null"), ()):
+    # at the float range's edges a ** 4 is 0 (1e-300), subnormal (1e-80) or
+    # inf (1e300), and a ** 4 * lambda_inv overflows at 1e77 and 1e300
+    edges = ([-300.0, -80.0, 77.0, 300.0], [-300.0, 0.0, 300.0])
+    for (la, ll), which in itertools.product(
+            ((la, ll), edges),
+            (DEFAULT_MAP_IDS, tuple(CONSTRAINT_LINES),
+             ("rot-null", "ge-radiation", "rot-null"), ())):
         cmap = fig2_dataset(la, ll, which=which)
         for i, lga in enumerate(la):
             for j, lgl in enumerate(ll):
@@ -190,6 +196,9 @@ def test_map_rejects_bad_grids():
         fig2_dataset([-5.0, -5.0], [1.0, 2.0])
     with pytest.raises(ValidationError):
         fig2_dataset([-5.0], [1.0], which=("bogus",))
+    cmap = fig2_dataset([-6, -5], [10, 20])
+    with pytest.raises(ValidationError, match="unknown constraint id 'bogus'"):
+        cmap.region_nonempty(("bogus",))
     for grids in (([-5.0, math.nan], [1.0]), ([-5.0], [1.0, math.nan]),
                   ([-5.0], [-400.0])):
         with pytest.raises(ValidationError):

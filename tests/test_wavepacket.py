@@ -90,6 +90,64 @@ def test_ode_raises_past_the_substep_cap(grw, eq_ref, monkeypatch):
                             lam_eff, grw.a, [10 * eq_ref.tau_s])
 
 
+def _counted_rk4(monkeypatch):
+    calls = []
+    rk4 = wavepacket._rk4
+    monkeypatch.setattr(wavepacket, "_rk4",
+                        lambda *args: calls.append(args) or rk4(*args))
+    return calls
+
+
+def test_ode_stiffness_bound_rejects_no_converging_interval(grw, eq_ref,
+                                                            monkeypatch):
+    # the bound scales with the cap, so a 2^8 cap sweeps it in test time:
+    # one interval of stiffness c x cap out of each start width
+    cap = 2 ** 8
+    per_substep = wavepacket._ODE_MAX_STIFFNESS / wavepacket._ODE_MAX_SUBSTEPS
+    monkeypatch.setattr(wavepacket, "_ODE_MAX_SUBSTEPS", cap)
+    body = Sphere(1e-5, 1.0)
+    lam_eff = _lam_eff(grw, body, f_sphere(1.0).value)
+    rate = wavepacket._collapse_rate(lam_eff, grw.a)
+    drift = 0.5 * CONSTANTS.hbar / body.mass()
+    calls = _counted_rk4(monkeypatch)
+
+    def run(s, t, bound):
+        monkeypatch.setattr(wavepacket, "_ODE_MAX_STIFFNESS", bound)
+        calls.clear()
+        try:
+            (out,) = sigma_ode_integrate(ComplexVariance(s), body.mass(),
+                                         lam_eff, grw.a, [t])
+        except ConvergenceError:
+            return None, len(calls)
+        return complex(out), len(calls)
+
+    converged = []
+    for start in (0.01, 1.0, 5.0, 9.8 + 0.5j):
+        s = start * eq_ref.s_inf ** 2
+        unit = max(rate * abs(s), math.sqrt(rate * drift))
+        for c in (0.05, 0.3, 0.6, 1.0, 1.5, 1.92, 2.2, 2.6, 4.0, 8.0):
+            free, _ = run(s, c * cap / unit, math.inf)
+            bounded, n_calls = run(s, c * cap / unit, per_substep * cap)
+            if c < per_substep:
+                assert bounded == free, (start, c)
+            else:
+                assert free is None and bounded is None, (start, c)
+                assert n_calls == 1, (start, c)
+            if free is not None:
+                converged.append(c)
+    # some converging interval starts past RK4's ~1.4 (1.92 on x86-64)
+    assert max(converged) >= 1.5
+
+
+def test_ode_too_stiff_interval_fails_at_once(monkeypatch):
+    # 4 x the cap of stiffness: no RK4 trial up to the cap is stable
+    calls = _counted_rk4(monkeypatch)
+    with pytest.raises(ConvergenceError, match="substeps"):
+        sigma_ode_integrate(1e-6, M=1e-15, lam_eff=1.0, a=1e-5,
+                            t_grid=[209.7152])
+    assert len(calls) == 1
+
+
 def test_ode_free_spreading_when_collapse_off():
     M = 1e-15
     sigma0 = ComplexVariance(1e-12 + 0j)
