@@ -40,7 +40,7 @@ _EXPORTS = {
     "factors": ("FactorResult", "DiscAspect", "f_sphere", "f_disc_perp",
                 "f_disc_edge", "f_rot_disc", "fig1_dataset"),
     "oracle": ("f_mc_oracle",),
-    "diffusion": ("DiffusionCurve", "WavepacketEquilibrium",
+    "diffusion": ("WavepacketEquilibrium",
                   "csl_rms_translation", "csl_rms_rotation",
                   "time_to_rotation", "combined_rms",
                   "qm_baseline_translation", "qm_baseline_rotation",

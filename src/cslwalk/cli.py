@@ -29,15 +29,18 @@ import math
 import re
 import sys
 import warnings
+from functools import partial
 
 from . import diffusion as diff
+from . import factors
 from .brownian import (check_realm, collision_stats, molecular_flux,
                        xi_molecular, xi_stokes)
 from .core import (CslParams, Disc, Environment, N2_MOLECULAR_MASS,
                    Sphere, _csv, constants_summary, convert_unit)
-from .errors import ConvergenceError, ValidationError, ValidityWarning
+from .errors import ConvergenceError, ValidationError, ValidityWarning, _nonnegative
 
 SCHEMA_VERSION = 1
+_GRW = CslParams.grw()   # the default collapse parameters
 
 # the largest count a flag may ask for (--n-times, a grid's COUNT)
 _MAX_COUNT = 10 ** 6
@@ -154,7 +157,7 @@ def _add_csl_flags(p):
                    help="collapse rate in 1/s (default GRW 1e-16)")
     p.add_argument("--lambda-inv", type=_time, default=None,
                    help="inverse collapse rate in s (alternative to --lam)")
-    p.add_argument("--a", type=_length, default=1.0e-5,
+    p.add_argument("--a", type=_length, default=_GRW.a,
                    help="collapse length (cm or du, default 1e-5 cm)")
 
 
@@ -188,7 +191,7 @@ def _csl_from(args) -> CslParams:
         if not args.lambda_inv > 0:
             raise ValidationError("--lambda-inv must be positive")
         return CslParams(lam=1.0 / args.lambda_inv, a=args.a)
-    lam = args.lam if args.lam is not None else 1.0e-16
+    lam = args.lam if args.lam is not None else _GRW.lam
     return CslParams(lam=lam, a=args.a)
 
 
@@ -212,21 +215,19 @@ def _reference_csv(rows, columns, paper_format: bool) -> str:
 def _cmd_table1(args):
     rows = diff.vacuum_diffusion_table()
     columns = [f"dq_cm_t{t:g}" for t in diff.TABLE_TIMES]
-    doc = {"params": {"lam": 1e-16, "a": 1e-5, "density_independent": True},
+    doc = {"params": {"lam": _GRW.lam, "a": _GRW.a, "density_independent": True},
            "rows": rows}
     return _reference_csv(rows, columns, args.paper_format), doc
 
 
 def _cmd_table2(args):
     rows = diff.equilibrium_table()
-    doc = {"params": {"lam": 1e-16, "a": 1e-5, "density_g_cc": 1.0},
+    doc = {"params": {"lam": _GRW.lam, "a": _GRW.a, "density_g_cc": 1.0},
            "rows": rows}
     return _reference_csv(rows, ["s_inf_cm", "tau_s_s"], args.paper_format), doc
 
 
 def _cmd_fig1(args):
-    from . import factors
-
     dataset = factors.fig1_dataset(args.alphas, args.betas)
     csv_text = factors.fig1_to_csv(dataset)
     doc = {"params": {"alphas": args.alphas, "betas": args.betas},
@@ -261,8 +262,6 @@ def _cmd_fig2(args):
 
 
 def _resolve_factor(args, body, csl):
-    from . import factors
-
     if args.f is not None:
         return args.f
     if args.mode == "rotation":
@@ -313,12 +312,38 @@ def _cmd_diffuse(args):
         if env.pressure is not None:
             check_realm(body, env, args.realm)   # warns if dubious
 
-    curve = diff.diffusion_curve(
-        mechanism, mode, times, csl=csl if mechanism in ("csl", "combined") else None,
-        f=f, body=body, env=env, xi=xi, regime=args.regime)
-    doc = {"params": curve.params_used,
-           "samples": [{"t_s": t, "rms": r} for t, r in curve.samples]}
-    return diff.curve_to_csv(curve), doc
+    for t in times:
+        _nonnegative(times=t)
+    rms = {
+        ("csl", "translation"): partial(diff.csl_rms_translation, csl, f),
+        ("csl", "rotation"): partial(diff.csl_rms_rotation, csl, f),
+        ("qm-baseline", "translation"): partial(diff.qm_baseline_translation, body),
+        ("qm-baseline", "rotation"): partial(diff.qm_baseline_rotation, body),
+        ("brownian", "translation"): partial(diff.combined_rms, xi, body, env,
+                                             None, f, regime=args.regime),
+        ("combined", "translation"): partial(diff.combined_rms, xi, body, env,
+                                             csl, f, regime=args.regime),
+    }.get((mechanism, mode))
+    if rms is None:
+        raise ValidationError(f"unsupported mechanism/mode pair {mechanism!r}/{mode!r}")
+    samples = [(t, rms(t)) for t in times]
+
+    params = {"mechanism": mechanism, "mode": mode, "f": f,
+              "body": {"shape": "sphere" if isinstance(body, Sphere) else "disc",
+                       "radius_cm": body.radius, "density_g_cc": body.density}}
+    if isinstance(body, Disc):
+        params["body"]["thickness_cm"] = body.thickness
+    if mechanism in ("csl", "combined"):
+        params.update(lam=csl.lam, a=csl.a)
+    if env is not None:
+        params["environment"] = {"temperature_K": env.temperature,
+                                 "pressure_dyn_cm2": env.pressure,
+                                 "gas_mass_g": env.gas_molecular_mass}
+        params["xi_g_per_s"] = float(xi)
+    csv_text = _csv(["t_s", "rms", "mechanism", "mode"],
+                    [[f"{t:.6g}", f"{r:.6g}", mechanism, mode] for t, r in samples])
+    return csv_text, {"params": params,
+                      "samples": [{"t_s": t, "rms": r} for t, r in samples]}
 
 
 def _cmd_simulate(args):

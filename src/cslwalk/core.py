@@ -116,6 +116,7 @@ def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
 
 def constants_summary() -> dict:
     """Every constant and convention in use, for diagnostics output."""
+    grw = CslParams.grw()
     return {
         "unit_system": "CGS (cm, g, s, K, erg)",
         "hbar_erg_s": CONSTANTS.hbar,
@@ -127,11 +128,11 @@ def constants_summary() -> dict:
         "amu_g": AMU_GRAMS,
         "n2_molecular_mass_g": N2_MOLECULAR_MASS,
         "erg_per_eV": ERG_PER_EV,
-        "torr_in_dyn_per_cm2": 1333.22,
-        "du_in_cm": 1.0e-5,
-        "day_in_s": 86400.0,
-        "grw_lambda_per_s": 1.0e-16,
-        "grw_a_cm": 1.0e-5,
+        "torr_in_dyn_per_cm2": _UNIT_TABLE["Torr"][1],
+        "du_in_cm": _UNIT_TABLE["du"][1],
+        "day_in_s": _UNIT_TABLE["day"][1],
+        "grw_lambda_per_s": grw.lam,
+        "grw_a_cm": grw.a,
     }
 
 

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .brownian import DragCoefficient
-from .core import CONSTANTS, Body, CslParams, Disc, Environment, Sphere, _csv
+from .core import CONSTANTS, Body, CslParams, Disc, Environment, Sphere
 from .errors import (ValidationError, ValidityWarning, _fraction,
                      _in_float_range, _nonnegative, _positive)
 from .factors import f_sphere
 
 __all__ = [
-    "DiffusionCurve",
     "WavepacketEquilibrium",
     "csl_rms_translation",
     "csl_rms_rotation",
@@ -31,8 +30,6 @@ __all__ = [
     "equilibrium_width",
     "equilibrium_series_rms",
     "energy_gain_rates",
-    "diffusion_curve",
-    "curve_to_csv",
     "vacuum_diffusion_table",
     "equilibrium_table",
     "TABLE_RADII",
@@ -50,29 +47,6 @@ class WavepacketEquilibrium:
 
     def __post_init__(self):
         _positive(s_inf=self.s_inf, tau_s=self.tau_s)
-
-
-@dataclass(frozen=True)
-class DiffusionCurve:
-    """Sampled rms-vs-time series with mechanism/mode tags.
-
-    Every implemented mechanism has a monotone closed form, so rms must be
-    nonnegative and nondecreasing along increasing time.
-    """
-
-    mechanism: str                 # csl | brownian | combined | qm-baseline
-    mode: str                      # translation | rotation
-    samples: tuple                 # ((t, rms), ...)
-    params_used: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not all(math.isfinite(t) and math.isfinite(rms) for t, rms in self.samples):
-            raise ValidationError("samples must be finite")
-        if any(s[1] < 0 for s in self.samples):
-            raise ValidationError("rms values must be nonnegative")
-        ordered = sorted(self.samples)
-        if any(b[1] < a[1] * (1.0 - 1e-12) for a, b in zip(ordered, ordered[1:])):
-            raise ValidationError("rms must be nondecreasing in time")
 
 
 @_in_float_range("rms translation")
@@ -255,58 +229,7 @@ def energy_gain_rates(csl: CslParams, body: Body, f: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# curves and reference tables
-
-def diffusion_curve(mechanism: str, mode: str, times, *, csl=None, f=None,
-                    body=None, env=None, xi=None, regime="auto") -> DiffusionCurve:
-    """Evaluate one rms-vs-time curve for the requested mechanism/mode."""
-    times = [float(t) for t in times]
-    for t in times:
-        _nonnegative(times=t)
-    samples = []
-    for t in times:
-        if mechanism == "csl" and mode == "translation":
-            rms = csl_rms_translation(csl, f, t)
-        elif mechanism == "csl" and mode == "rotation":
-            rms = csl_rms_rotation(csl, f, t)
-        elif mechanism == "qm-baseline" and mode == "translation":
-            rms = qm_baseline_translation(body, t)
-        elif mechanism == "qm-baseline" and mode == "rotation":
-            rms = qm_baseline_rotation(body, t)
-        elif mechanism in ("brownian", "combined") and mode == "translation":
-            rms = combined_rms(xi, body, env, csl if mechanism == "combined" else None,
-                               f if f is not None else 0.0, t, regime=regime)
-        else:
-            raise ValidationError(
-                f"unsupported mechanism/mode pair {mechanism!r}/{mode!r}")
-        samples.append((t, rms))
-    params = {"mechanism": mechanism, "mode": mode}
-    if csl is not None:
-        params.update(lam=csl.lam, a=csl.a)
-    if f is not None:
-        params["f"] = f
-    if body is not None:
-        params["body"] = {
-            "shape": "sphere" if isinstance(body, Sphere) else "disc",
-            "radius_cm": body.radius, "density_g_cc": body.density,
-            **({"thickness_cm": body.thickness} if isinstance(body, Disc) else {}),
-        }
-    if env is not None:
-        params["environment"] = {"temperature_K": env.temperature,
-                                 "pressure_dyn_cm2": env.pressure,
-                                 "gas_mass_g": env.gas_molecular_mass}
-    if xi is not None:
-        params["xi_g_per_s"] = float(xi)
-    return DiffusionCurve(mechanism=mechanism, mode=mode,
-                          samples=tuple(samples), params_used=params)
-
-
-def curve_to_csv(curve: DiffusionCurve) -> str:
-    """The curve as CSV text (t_s,rms,mechanism,mode)."""
-    return _csv(["t_s", "rms", "mechanism", "mode"],
-                [[f"{t:.6g}", f"{rms:.6g}", curve.mechanism, curve.mode]
-                 for t, rms in curve.samples])
-
+# reference tables
 
 TABLE_RADII = (1.0e-6, 1.0e-5, 1.0e-4, 1.0e-2, 1.0)
 TABLE_TIMES = (10.0, 1.0e3, 1.0e5)

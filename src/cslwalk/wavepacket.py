@@ -314,7 +314,13 @@ def _sample_schedule(steps: int, dt: float, sample_times):
         stride = max(1, steps // 50)
         ks = sorted(set(range(stride, steps + 1, stride)) | {steps})
         return [k * dt for k in ks], ks
-    times = sorted(set(map(float, sample_times)))
+    try:
+        if isinstance(sample_times, str):   # it iterates over its characters
+            raise TypeError
+        times = sorted(set(map(float, sample_times)))
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"sample_times must be numbers, got {sample_times!r}") from None
     if not times:
         raise ValidationError("sample_times must not be empty")
     ks = [round(t / dt) if 0 < t / dt < math.inf else 0 for t in times]
@@ -427,7 +433,7 @@ def growth_coefficients(stats: EnsembleStats, pick_times) -> dict:
     times = np.asarray(stats.times)
     for t in pick_times:
         j = int(np.argmin(np.abs(times - t)))
-        if abs(times[j] - t) > 1e-9 * max(t, 1e-300):
+        if not (math.isfinite(t) and abs(times[j] - t) <= 1e-9 * max(t, 1e-300)):
             raise ValidationError(f"time {t} not among the sampled times")
         idx.append(j)
     if len(set(idx)) != 3:

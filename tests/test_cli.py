@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cslwalk.cli import main
+from cslwalk.cli import build_parser, main
 from cslwalk.errors import ConvergenceError
 
 GOLDEN_TABLE1 = (
@@ -219,6 +219,70 @@ def test_fig2_readme_line_keeps_its_bytes(tmp_path):
     assert {k: hashlib.sha256(v).hexdigest()
             for k, v in got.items()} == FIG2_README_SHA256
 
+# sha256 of json.dumps([exit code, stdout, stderr]) of `diffuse` lines, as CSV
+# and as --json, captured before the mechanism dispatch moved into the CLI
+SPHERE = "--sphere-radius 1e-5"
+DISC = "--disc-radius 2du --disc-thickness .5du"
+GAS = "--temperature 4.2K --pressure 5e-17Torr"
+DIFFUSE_SHA256 = [
+    (f"{SPHERE} --t-end 1day --n-times 5",
+     "b119b20ec3961e5422d5f986c78760dc8ba8993eac5171f1a294ffcb7a19a28f",
+     "af44f4d27caff787c5a2f64b5a3f6ecc80f86f412405d00328d55037d8aa0364"),
+    (f"{DISC} --times 1,100",
+     "844bf7ec265cdfef15bcbb3a45dd419e9371b36f78c4e4bf3693c4759a5cacd2",
+     "51bd64ebb50cfcf67d8fd6f0d5b82a75de718dba6857dd21238a85176c94d117"),
+    (f"--mode rotation {SPHERE} --times 1,100",
+     "1372c48c1b5d553b9fc2570d53d3353c19dcbf44798ef5221ceadc55119ead99",
+     "0c14b7726a8dc90f898ff37d2066b7098b4e1d30f21b16b0492f12ab1ced0e04"),
+    (f"--mode rotation {DISC} --times 1,100",
+     "669b11d42794f975b28852c2aaa8d3b3bad0d3b14370d274b48f27abe6c57cce",
+     "a25cfd4db60fffec2fbb6d5b8cc3490bf99ae4824ec3967ebc5247e115ec9458"),
+    (f"--mechanism qm {SPHERE} --times 1,100",
+     "b43b04483fd22c7a112a9ba8dcf4436237622c346f0135b0c54670991a151ed1",
+     "890a95c1fb591eb432829ebac6a5850ea92d704dded702833c9489c0799a9079"),
+    (f"--mechanism qm {DISC} --times 1,100",
+     "2471fa45a854d207e0a899ea38da96e3a5344178c7a5fbe4fa66417904f928cb",
+     "2471fa45a854d207e0a899ea38da96e3a5344178c7a5fbe4fa66417904f928cb"),
+    (f"--mechanism qm --mode rotation {SPHERE} --times 1,100",
+     "a6da91b9aff0215c140c23c418b2b64a9ee317cb62e292e7ec169c66e5df0e70",
+     "a6da91b9aff0215c140c23c418b2b64a9ee317cb62e292e7ec169c66e5df0e70"),
+    (f"--mechanism qm --mode rotation {DISC} --times 1,100",
+     "7d9ba309fa50f7782906833e233a09f683efd7f65090bf979336315d848730b4",
+     "0d37224323ab7e3e7971e278922877b76f6bdcd2774bbba16fe1f2e9a7a28447"),
+    (f"--mechanism brownian {SPHERE} {GAS} --times 1,100",
+     "d0279fd77a8d9ffb5a5a81001f9eb131a60a4359f3b8987687c6eb247cbbc030",
+     "8d8bf85ade5cc4e86c5a7c3eb65d7ee16df7750cd5d322f753708c077788a145"),
+    (f"--mechanism brownian {DISC} {GAS} --times 1,100",
+     "d0d46c95858d7fda8123e8883e559a28c9ad3a73f3a8ce3d8346eec629591a41",
+     "0f04a596bb821a85e346695e5c2a8945ddb98c2944d9b795d73173e4eeda60b6"),
+    (f"--mechanism combined {SPHERE} {GAS} --times 1,100",
+     "752b02e09fb273ac6d3addc1ea18b852ed5d3d6fc130b310e01b65f223f4fb72",
+     "7144fb2b9d4368d307105ee9e88bda467727b2e19efedf8c8c4f2acd27bb7a6d"),
+    (f"--mechanism combined {DISC} --orientation edge {GAS} --times 1,100",
+     "bb9e1eb6c3e4731d27f99d6a922bb842f41ed384566ffec964eb6f109f9936ea",
+     "1de843a9a2b8706a7ab87b8e764a889ec06b8a536367fb25e75486191fcce618"),
+    ("--mechanism brownian --sphere-radius 1e-3 --pressure 760Torr "
+     "--viscosity 1.8e-4 --realm viscous --times 1,100",
+     "ed40bced67094272181948ce72e95ca597215b750ed1b8317b4beae1c323c9d0",
+     "7479bc13cbd31327d957a94f492c64eba6d9966d3f9e09eb26ede7f510dc2466"),
+    (f"{SPHERE} --f 0.5 --lambda-inv 1e10 --times 10,1000",
+     "bbbed534de02f77d8857114190ec2a058ff1f103e335eacd820655e42f8f613e",
+     "481f66e921057a07284299a57f8d2429ff998c137245e4fe09088bdfb43e7b04"),
+    (f"{SPHERE} --times=-1,2",
+     "45740408047d3584746c420c432aa2144123dcfd1e03a09b4c2ed592a8eb7052",
+     "45740408047d3584746c420c432aa2144123dcfd1e03a09b4c2ed592a8eb7052"),
+    (f"--mechanism brownian --mode rotation {SPHERE} {GAS} --times 1",
+     "4642177964e05ab5a0912cb7f488ac51379a03c31e366fb030c90a173b3f8ffe",
+     "4642177964e05ab5a0912cb7f488ac51379a03c31e366fb030c90a173b3f8ffe"),
+]
+
+
+@pytest.mark.parametrize("line,csv_sha,json_sha", DIFFUSE_SHA256)
+def test_diffuse_lines_keep_their_bytes(line, csv_sha, json_sha):
+    for extra, sha in (([], csv_sha), (["--json"], json_sha)):
+        got = json.dumps(list(_readme_stdout(["diffuse", *line.split(), *extra])))
+        assert hashlib.sha256(got.encode()).hexdigest() == sha, extra
+
 
 def test_validity_warnings_are_one_clean_line_each(capsys):
     rc, out, err = run(capsys, ["diffuse", "--mechanism", "brownian",
@@ -374,6 +438,8 @@ def test_equilibrium_out_of_range_fails_before_it_warns(capsys):
      "viscosity"),
     (["diffuse", "--mode", "rotation", "--disc-radius", "2du",
       "--disc-thickness", ".5du", "--a", "1e-30"], "at most 128"),
+    (["diffuse", "--sphere-radius", "1e-5", "--times=-1,2"],
+     "times must be finite and nonnegative"),
 ])
 def test_exit_code_out_of_domain_values(capsys, argv, bad):
     rc, out, err = run(capsys, argv)
@@ -671,3 +737,29 @@ def test_cli_exit_code_contract_holds_for_drawn_flags(argv):
         assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue()), argv
     else:
         assert out.getvalue() == "", argv
+
+
+# one line per (mechanism, mode) pair that `diffuse` draws, and the viscous
+# realm's long-time form; in the gas lines tau = M/xi is about 3e11 s, so
+# every drawn time takes the short-time form
+_CURVES = [
+    ["--sphere-radius=1e-5"],
+    ["--mode=rotation", *_DISC, "--f=0.3"],
+    ["--mechanism=qm", "--sphere-radius=1e-5"],
+    ["--mechanism=qm", "--mode=rotation", *_DISC],
+    ["--mechanism=brownian", "--sphere-radius=1e-5", *_GAS],
+    ["--mechanism=combined", *_DISC, "--f=0.6", *_GAS],
+    ["--mechanism=brownian", "--sphere-radius=1e-3", "--pressure=760Torr",
+     "--viscosity=1.8e-4", "--realm=viscous", "--regime=long"],
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(_CURVES),
+       st.lists(st.floats(0.0, 1e9), min_size=1, max_size=20))
+def test_diffuse_rms_is_nonnegative_and_nondecreasing(line, times):
+    times = ",".join(map(repr, sorted(times)))
+    args = build_parser().parse_args(["diffuse", *line, f"--times={times}"])
+    rms = [sample["rms"] for sample in args.func(args)[1]["samples"]]
+    assert rms[0] >= 0.0 and rms == sorted(rms), (line, times)
+

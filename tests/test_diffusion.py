@@ -12,8 +12,7 @@ from cslwalk import (CONSTANTS, CslParams, Disc, Environment, Sphere,
                      thermal_rms, time_to_rotation, vacuum_diffusion_table,
                      xi_molecular, xi_slip_corrected)
 from cslwalk.brownian import SLIP_SPECULAR
-from cslwalk.diffusion import (DiffusionCurve, WavepacketEquilibrium, curve_to_csv,
-                               diffusion_curve)
+from cslwalk.diffusion import WavepacketEquilibrium
 
 from conftest import matches_1sf
 
@@ -70,9 +69,7 @@ def test_entry_points_reject_nonfinite_inputs(grw, bad):
                                   grw, 0.6, bad, regime="short"),
              lambda: qm_baseline_translation(sphere, bad),
              lambda: qm_baseline_rotation(disc, bad),
-             lambda: equilibrium_series_rms(eq, bad),
-             lambda: diffusion_curve("csl", "translation", [1.0, bad],
-                                     csl=grw, f=1.0)]
+             lambda: equilibrium_series_rms(eq, bad)]
     for k, call in enumerate(calls):
         with pytest.raises(ValidationError):
             call()
@@ -111,13 +108,6 @@ def test_equilibrium_series_rms_rejects_overflow():
     # t / tau_s overflows to inf, and with it the spread
     with pytest.raises(ValidationError, match="floating-point range"):
         equilibrium_series_rms(WavepacketEquilibrium(1e-10, 1e-200), 1e300)
-
-
-def test_diffusion_curve_rejects_nan_samples():
-    for samples in (((0.0, 0.0), (1.0, math.nan)), ((math.nan, 1.0),),
-                    ((0.0, 1.0), (1.0, math.nan), (2.0, 3.0))):
-        with pytest.raises(ValidationError, match="finite"):
-            DiffusionCurve("csl", "translation", samples)
 
 
 def test_ten_micron_sphere_day_walk(grw):
@@ -407,22 +397,3 @@ def test_energy_gain_rates(grw):
     N, M = body.nucleon_count(), body.mass()
     manual = 3 * grw.lam * CONSTANTS.hbar ** 2 * N ** 2 / (4 * M * grw.a ** 2)
     assert rates["total"] == pytest.approx(manual, rel=1e-12, abs=0)
-
-
-# ---------------------------------------------------------------------------
-# curves
-
-def test_diffusion_curve_csv(grw):
-    curve = diffusion_curve("csl", "translation", [10.0, 100.0], csl=grw, f=1.0)
-    text = curve_to_csv(curve)
-    lines = text.strip().splitlines()
-    assert lines[0] == "t_s,rms,mechanism,mode"
-    assert lines[1].endswith("csl,translation")
-    assert len(lines) == 3
-    # monotone rms
-    assert curve.samples[0][1] < curve.samples[1][1]
-
-
-def test_diffusion_curve_rejects_unknown_mechanism(grw):
-    with pytest.raises(ValidationError):
-        diffusion_curve("telepathy", "translation", [1.0], csl=grw, f=1.0)

@@ -31,10 +31,9 @@ from cslwalk.constraints import (ThermalRelation, evaluate_constraints,
 from cslwalk.core import CslParams, Disc, Environment, PhysicalConstants, Sphere
 from cslwalk.diffusion import (WavepacketEquilibrium, combined_rms,
                                csl_rms_rotation, csl_rms_translation,
-                               diffusion_curve, energy_gain_rates,
-                               equilibrium_series_rms, equilibrium_width,
-                               qm_baseline_rotation, qm_baseline_translation,
-                               time_to_rotation)
+                               energy_gain_rates, equilibrium_series_rms,
+                               equilibrium_width, qm_baseline_rotation,
+                               qm_baseline_translation, time_to_rotation)
 from cslwalk.errors import ConvergenceError, ValidationError, ValidityWarning
 from cslwalk.factors import DiscAspect, FactorResult, f_sphere
 from cslwalk.oracle import f_mc_oracle, f_mc_oracle_aspect
@@ -57,10 +56,6 @@ DISC = Disc(radius=2e-5, thickness=5e-6, density=1.0)
 ENV = Environment(temperature=4.2, pressure=1e-10)
 EQ = WavepacketEquilibrium(s_inf=1e-6, tau_s=1.0)
 ORACLE = dict(n_samples=100, seed=0, block_size=50, workers=1)
-
-
-def curve_through(times):
-    return diffusion_curve("csl", "translation", [1.0, times], csl=GRW, f=0.5)
 
 
 def thermal_line_at(a):
@@ -121,7 +116,6 @@ CONTRACT = [
     (equilibrium_width, dict(csl=GRW, body=DISC, f=0.5), {"f": "factor"}),
     (equilibrium_series_rms, dict(eq=EQ, t=1.0), {"t": "nonnegative"}),
     (energy_gain_rates, dict(csl=GRW, body=SPHERE, f=0.5), {"f": "fraction"}),
-    (curve_through, dict(times=2.0), {"times": "nonnegative"}),
     (evaluate_constraints, dict(lambda_inv=1e16, a=1e-5),
      {"lambda_inv": "positive", "a": "positive"}),
     (lambda_gravitational, dict(a=1e-5, mode="sphere", size=1e-3),

@@ -239,6 +239,8 @@ def test_ensemble_validations(eq_ref):
         (dict(ok, sample_times=[]), "empty"),
         (dict(ok, sample_times=[math.nan]), "grid"),
         (dict(ok, sample_times=[math.inf]), "grid"),
+        # a string would iterate as its characters, '0', '.' and '5'
+        (dict(ok, sample_times="0.5"), "must be numbers"),
         (dict(ok, dt=1e-300, t_end=1e10, method="exact-b15"), "overflows"),
         # work n_traj x sample intervals: 5e9 (checked before the covariance)
         (dict(ok, n_traj=1_000_000, t_end=5000 * tau,
@@ -368,6 +370,14 @@ def test_growth_coefficients_recovered(eq_ref):
     for est, se, truth in zip(fit["coefficients"], fit["std_errors"], expected):
         assert abs(est - truth) < 3 * se
         assert se < abs(truth)    # meaningful measurement, not noise
+
+
+@pytest.mark.parametrize("pick", [math.nan, math.inf, 0.205])
+def test_growth_coefficients_rejects_a_time_off_the_samples(pick):
+    # argmin over all-nan or all-inf distances is 0: neither may become 0.02
+    stats = simulate_ensemble(WavepacketEquilibrium(1e-6, 1.0), 100, 0.01, 1.0)
+    with pytest.raises(ValidationError, match="not among the sampled times"):
+        growth_coefficients(stats, [0.2, 0.4, pick])
 
 
 def test_single_trajectory_paths(eq_ref):
