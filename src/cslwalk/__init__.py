@@ -32,10 +32,10 @@ _EXPORTS = {
              "Body", "Environment", "body_derived", "convert_unit"),
     "errors": ("CslwalkError", "ValidationError", "ConvergenceError",
                "ValidityWarning"),
-    "brownian": ("DragCoefficient", "BrownianMoments", "CollisionStats",
-                 "fp_moments", "thermal_rms", "xi_stokes",
-                 "xi_slip_corrected", "xi_molecular", "xi_viscous_disc",
-                 "xi_rotational", "xi_radiation", "xi_mirror", "spectral_xi",
+    "brownian": ("BrownianMoments", "CollisionStats", "fp_moments",
+                 "thermal_rms", "xi_stokes", "xi_slip_corrected",
+                 "xi_molecular", "xi_viscous_disc", "xi_rotational",
+                 "xi_radiation", "xi_mirror", "spectral_xi",
                  "collision_stats", "molecular_flux"),
     "factors": ("FactorResult", "DiscAspect", "f_sphere", "f_disc_perp",
                 "f_disc_edge", "f_rot_disc", "fig1_dataset"),

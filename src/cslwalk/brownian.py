@@ -23,7 +23,6 @@ from .errors import (ValidationError, ValidityWarning, _in_float_range,
                      _nonnegative, _positive)
 
 __all__ = [
-    "DragCoefficient",
     "BrownianMoments",
     "CollisionStats",
     "fp_moments",
@@ -42,25 +41,6 @@ __all__ = [
     "molecular_flux",
     "check_realm",
 ]
-
-
-@dataclass(frozen=True)
-class DragCoefficient:
-    """A drag coefficient with provenance tags.
-
-    xi is in g/s for translation and g cm^2/s for rotation.
-    """
-
-    xi: float
-    realm: str          # viscous | slip-corrected | molecular | radiation
-    mode: str           # translation | rotation
-    orientation: str    # sphere | disc-perp | disc-edge | disc-rot
-
-    def __post_init__(self):
-        _nonnegative(xi=self.xi)
-
-    def __float__(self):
-        return self.xi
 
 
 @dataclass(frozen=True)
@@ -125,7 +105,6 @@ def thermal_rms(xi: float, inertia: float, temperature: float, t: float,
     rotation.  regime 'long' gives sqrt(2 kT t / xi) and needs xi > 0;
     'short' gives sqrt(2 kT xi t^3 / (3 inertia^2)).
     """
-    xi = float(xi)
     _nonnegative(xi=xi, t=t)
     _positive(temperature=temperature, inertia=inertia)
     kT = CONSTANTS.k_boltzmann * temperature
@@ -144,16 +123,18 @@ SLIP_MEASURED = (1.0, 0.6, 1.0)    # aerosol-sphere fit coefficients
 SLIP_SPECULAR = (1.5, 0.0, 1.0)    # specular-reflection theory
 
 
-def xi_stokes(R: float, eta: float) -> DragCoefficient:
+@_in_float_range("drag coefficient")
+def xi_stokes(R: float, eta: float) -> float:
     """Hydrodynamic drag on a sphere, 6 pi eta R (valid for l_m << R)."""
     _positive(R=R, eta=eta)
-    return DragCoefficient(6.0 * math.pi * eta * R, "viscous", "translation", "sphere")
+    return 6.0 * math.pi * eta * R
 
 
+@_in_float_range("drag coefficient")
 def xi_slip_corrected(R: float, eta: float, l_m: float,
                       alpha: float = SLIP_MEASURED[0],
                       beta_c: float = SLIP_MEASURED[1],
-                      gamma: float = SLIP_MEASURED[2]) -> DragCoefficient:
+                      gamma: float = SLIP_MEASURED[2]) -> float:
     """Stokes drag with the slip correction used between realms.
 
     xi = 6 pi eta R / (1 + (l_m/R)(alpha + beta_c exp(-gamma R / l_m))).
@@ -163,16 +144,16 @@ def xi_slip_corrected(R: float, eta: float, l_m: float,
     _positive(R=R, eta=eta, l_m=l_m, alpha=alpha, gamma=gamma)
     _nonnegative(beta_c=beta_c)
     corr = 1.0 + (l_m / R) * (alpha + beta_c * math.exp(-gamma * R / l_m))
-    return DragCoefficient(6.0 * math.pi * eta * R / corr,
-                           "slip-corrected", "translation", "sphere")
+    return 6.0 * math.pi * eta * R / corr
 
 
 def _sqrt_2pi_mkt(env: Environment) -> float:
     return math.sqrt(2.0 * math.pi * env.gas_molecular_mass * env.kT)
 
 
+@_in_float_range("drag coefficient")
 def xi_molecular(body: Body, env: Environment,
-                 orientation: str | None = None) -> DragCoefficient:
+                 orientation: str | None = None) -> float:
     """Free-molecular drag (specular reflection), valid for l_m >> body size.
 
     Sphere: (8/3) n R^2 sqrt(2 pi m_g kT).  Disc moving perpendicular to its
@@ -184,20 +165,17 @@ def xi_molecular(body: Body, env: Environment,
     if isinstance(body, Sphere):
         if orientation not in (None, "sphere"):
             raise ValidationError(f"orientation {orientation!r} invalid for a sphere")
-        return DragCoefficient((8.0 / 3.0) * n * body.radius ** 2 * s,
-                               "molecular", "translation", "sphere")
+        return (8.0 / 3.0) * n * body.radius ** 2 * s
     if orientation == "perp":
-        return DragCoefficient(4.0 * n * body.radius ** 2 * s,
-                               "molecular", "translation", "disc-perp")
+        return 4.0 * n * body.radius ** 2 * s
     if orientation == "edge":
-        return DragCoefficient(2.0 * n * body.radius * body.thickness * s,
-                               "molecular", "translation", "disc-edge")
+        return 2.0 * n * body.radius * body.thickness * s
     raise ValidationError(
         f"disc orientation must be 'perp' or 'edge', got {orientation!r}")
 
 
-def xi_viscous_disc(L: float, b: float, eta: float,
-                    orientation: str) -> DragCoefficient:
+@_in_float_range("drag coefficient")
+def xi_viscous_disc(L: float, b: float, eta: float, orientation: str) -> float:
     """Hydrodynamic drag on a thin disc (oblate-spheroid result, b << L).
 
     Perpendicular to the face: 16 eta L; along the edge: (32/3) eta L.
@@ -205,17 +183,16 @@ def xi_viscous_disc(L: float, b: float, eta: float,
     _positive(L=L, b=b, eta=eta)
     if b > 0.5 * L:
         warnings.warn("thin-disc drag used with b > L/2", ValidityWarning,
-                      stacklevel=2)
+                      stacklevel=3)    # past the float-range guard, to the caller
     if orientation == "perp":
-        return DragCoefficient(16.0 * eta * L, "viscous", "translation", "disc-perp")
+        return 16.0 * eta * L
     if orientation == "edge":
-        return DragCoefficient((32.0 / 3.0) * eta * L, "viscous", "translation",
-                               "disc-edge")
+        return (32.0 / 3.0) * eta * L
     raise ValidationError(f"orientation must be 'perp' or 'edge', got {orientation!r}")
 
 
 @_in_float_range("drag coefficient")
-def xi_rotational(body: Body, env: Environment, realm: str) -> DragCoefficient:
+def xi_rotational(body: Body, env: Environment, realm: str) -> float:
     """Rotational drag coefficient (torque = -xi * omega).
 
     Supported: sphere in the viscous realm (8 pi eta R^3) and a disc rotating
@@ -231,18 +208,16 @@ def xi_rotational(body: Body, env: Environment, realm: str) -> DragCoefficient:
                 "(specular gas collisions exert no torque)")
         if env.gas_viscosity is None:
             raise ValidationError("viscous rotational drag needs gas_viscosity")
-        return DragCoefficient(8.0 * math.pi * env.gas_viscosity * body.radius ** 3,
-                               "viscous", "rotation", "sphere")
+        return 8.0 * math.pi * env.gas_viscosity * body.radius ** 3
     if realm != "molecular":
         raise ValidationError("disc rotational drag is implemented in the "
                               "molecular realm only")
     n = env.number_density()
-    return DragCoefficient((4.0 / math.pi) * n * body.radius ** 4 * _sqrt_2pi_mkt(env),
-                           "molecular", "rotation", "disc-rot")
+    return (4.0 / math.pi) * n * body.radius ** 4 * _sqrt_2pi_mkt(env)
 
 
 @_in_float_range("drag coefficient")
-def xi_radiation(R: float, T: float) -> DragCoefficient:
+def xi_radiation(R: float, T: float) -> float:
     """Drag on a dielectric sphere from Doppler-asymmetric photon scattering.
 
     xi = [4 (2 pi)^7 / 135] hbar R^6 (kT / hbar c)^8.  Representative, up to
@@ -251,12 +226,11 @@ def xi_radiation(R: float, T: float) -> DragCoefficient:
     _positive(R=R, T=T)
     hbar, c = CONSTANTS.hbar, CONSTANTS.c
     kT = CONSTANTS.k_boltzmann * T
-    xi = (4.0 * (2.0 * math.pi) ** 7 / 135.0) * hbar * R ** 6 * (kT / (hbar * c)) ** 8
-    return DragCoefficient(xi, "radiation", "translation", "sphere")
+    return (4.0 * (2.0 * math.pi) ** 7 / 135.0) * hbar * R ** 6 * (kT / (hbar * c)) ** 8
 
 
 @_in_float_range("drag coefficient")
-def xi_mirror(area: float, T: float) -> DragCoefficient:
+def xi_mirror(area: float, T: float) -> float:
     """Radiation drag on a perfect mirror of the given area.
 
     xi = (2 pi^2 / 15) hbar (kT / hbar c)^4 A.
@@ -264,8 +238,7 @@ def xi_mirror(area: float, T: float) -> DragCoefficient:
     _positive(area=area, T=T)
     hbar, c = CONSTANTS.hbar, CONSTANTS.c
     kT = CONSTANTS.k_boltzmann * T
-    xi = (2.0 * math.pi ** 2 / 15.0) * hbar * (kT / (hbar * c)) ** 4 * area
-    return DragCoefficient(xi, "radiation", "translation", "sphere")
+    return (2.0 * math.pi ** 2 / 15.0) * hbar * (kT / (hbar * c)) ** 4 * area
 
 
 @_in_float_range("spectral drag density")

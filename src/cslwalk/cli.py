@@ -34,7 +34,7 @@ from functools import partial
 from . import diffusion as diff
 from . import factors
 from .brownian import (check_realm, collision_stats, molecular_flux,
-                       xi_molecular, xi_stokes)
+                       xi_molecular, xi_stokes, xi_viscous_disc)
 from .core import (CslParams, Disc, Environment, N2_MOLECULAR_MASS,
                    Sphere, _csv, constants_summary, convert_unit)
 from .errors import ConvergenceError, ValidationError, ValidityWarning, _nonnegative
@@ -281,6 +281,8 @@ def _cmd_diffuse(args):
     csl = _csl_from(args)
     mechanism = {"qm": "qm-baseline"}.get(args.mechanism, args.mechanism)
     mode = args.mode
+    if args.f is not None and args.mechanism in ("qm", "brownian"):
+        raise ValidationError(f"--f is not used by --mechanism {args.mechanism}")
     f = _resolve_factor(args, body, csl)
 
     if args.target is not None:
@@ -292,7 +294,9 @@ def _cmd_diffuse(args):
         return csv_text, {"params": {"lam": csl.lam, "a": csl.a, "f_rot": f},
                           "target_rad": args.target, "time_s": t_hit}
 
-    if args.times:
+    if args.times is not None:
+        if not args.times:
+            raise ValidationError("--times needs at least one time")
         times = args.times
     else:
         n = args.n_times
@@ -305,7 +309,9 @@ def _cmd_diffuse(args):
         if args.realm == "viscous":
             if env.gas_viscosity is None:
                 raise ValidationError("viscous realm needs --viscosity")
-            xi = xi_stokes(body.radius, env.gas_viscosity)
+            eta = env.gas_viscosity
+            xi = (xi_stokes(body.radius, eta) if isinstance(body, Sphere) else
+                  xi_viscous_disc(body.radius, body.thickness, eta, args.orientation))
         else:
             orientation = None if isinstance(body, Sphere) else args.orientation
             xi = xi_molecular(body, env, orientation)
@@ -339,7 +345,7 @@ def _cmd_diffuse(args):
         params["environment"] = {"temperature_K": env.temperature,
                                  "pressure_dyn_cm2": env.pressure,
                                  "gas_mass_g": env.gas_molecular_mass}
-        params["xi_g_per_s"] = float(xi)
+        params["xi_g_per_s"] = xi
     csv_text = _csv(["t_s", "rms", "mechanism", "mode"],
                     [[f"{t:.6g}", f"{r:.6g}", mechanism, mode] for t, r in samples])
     return csv_text, {"params": params,

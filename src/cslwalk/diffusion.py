@@ -13,7 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .brownian import DragCoefficient
 from .core import CONSTANTS, Body, CslParams, Disc, Environment, Sphere
 from .errors import (ValidationError, ValidityWarning, _fraction,
                      _in_float_range, _nonnegative, _positive)
@@ -88,7 +87,7 @@ def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float) -> float
 
 
 @_in_float_range("rms displacement")
-def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
+def combined_rms(xi: float, body: Body, env: Environment,
                  csl: CslParams | None, f: float, t: float,
                  regime: str = "auto") -> float:
     """rms displacement with both thermal-gas and collapse noise (one axis).
@@ -100,7 +99,6 @@ def combined_rms(xi: float | DragCoefficient, body: Body, env: Environment,
     moments are available through fp_moments for that window).
     csl=None drops the collapse term entirely (the lam -> 0 limit).
     """
-    xi = float(xi)
     _nonnegative(xi=xi, t=t)
     M = body.mass()
     kT = env.kT

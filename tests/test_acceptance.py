@@ -157,7 +157,7 @@ def test_criterion_7_radiation_integral_identities():
     assert z8 == pytest.approx((2.0 * math.pi) ** 8 / 60.0, rel=1e-6)
     T = CONSTANTS.room_temperature_T0
     spectral = spectral_integral(T, "dielectric-sphere", R=1e-5)
-    closed = xi_radiation(1e-5, T).xi
+    closed = xi_radiation(1e-5, T)
     assert spectral == pytest.approx(closed, rel=1e-4, abs=0)
     _report(7, "z^4 and z^8 thermal-tail integrals match closed forms to "
                "1e-6; spectral drag integrates to the closed form to 1e-4")
@@ -254,10 +254,10 @@ def test_criterion_11_property_suite():
     body = Sphere(1e-5, 1.0)
     env = Environment.from_torr(CONSTANTS.room_temperature_T0, 1e-12)
     xi = xi_molecular(body, env)
-    tau = body.mass() / xi.xi
+    tau = body.mass() / xi
     for t, regime in ((1e-3 * tau, "short"), (1e3 * tau, "long")):
         got = combined_rms(xi, body, env, None, 0.0, t, regime=regime)
-        ref = thermal_rms(xi.xi, body.mass(), env.temperature, t, regime)
+        ref = thermal_rms(xi, body.mass(), env.temperature, t, regime)
         assert got == pytest.approx(ref, rel=1e-12)
 
     # (c) collapse rms grows with log-log slope exactly 3/2

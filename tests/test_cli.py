@@ -448,6 +448,37 @@ def test_exit_code_out_of_domain_values(capsys, argv, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mechanism", ["brownian", "combined"])
+@pytest.mark.parametrize("orientation", ["perp", "edge"])
+def test_diffuse_viscous_disc_takes_the_thin_disc_drag(mechanism, orientation):
+    from cslwalk.brownian import xi_viscous_disc
+
+    args = build_parser().parse_args([
+        "diffuse", f"--mechanism={mechanism}", "--disc-radius=1e-3",
+        "--disc-thickness=1e-4", "--pressure=760Torr", "--viscosity=1.8e-4",
+        "--realm=viscous", f"--orientation={orientation}", "--times=1,100"])
+    xi = args.func(args)[1]["params"]["xi_g_per_s"]
+    assert xi == xi_viscous_disc(1e-3, 1e-4, 1.8e-4, orientation)
+
+
+@pytest.mark.parametrize("mechanism,gas", [
+    ("qm", []), ("brownian", ["--temperature=4.2K", "--pressure=5e-17Torr"])])
+@pytest.mark.parametrize("f", ["7", "nan", "inf"])
+def test_diffuse_rejects_f_where_the_mechanism_ignores_it(capsys, mechanism, gas, f):
+    rc, out, err = run(capsys, ["diffuse", f"--mechanism={mechanism}",
+                                "--sphere-radius=1e-5", *gas, "--times=1",
+                                f"--f={f}", "--json"])
+    assert rc == 3 and out == ""
+    assert err == f"error: --f is not used by --mechanism {mechanism}\n"
+
+
+@pytest.mark.parametrize("times", ["--times=", "--times=,"])
+def test_diffuse_rejects_an_empty_times_list(capsys, times):
+    rc, out, err = run(capsys, ["diffuse", "--sphere-radius=1e-5", times])
+    assert rc == 3 and out == ""
+    assert err == "error: --times needs at least one time\n"
+
+
 @pytest.mark.parametrize("n_times", ["0", "-3"])
 def test_exit_code_n_times_below_one(capsys, n_times):
     with pytest.raises(SystemExit) as err:

@@ -208,17 +208,17 @@ def test_combined_reduces_to_brownian_when_lambda_off():
     body = Sphere(1e-5, 1.0)
     env = Environment.from_torr(T0, 1e-12)
     xi = xi_molecular(body, env)
-    tau = body.mass() / xi.xi
+    tau = body.mass() / xi
     kT = CONSTANTS.k_boltzmann * T0
     for t, regime in ((1e-3 * tau, "short"), (1e3 * tau, "long")):
         got = combined_rms(xi, body, env, None, 0.0, t, regime=regime)
         if regime == "short":
-            expect = math.sqrt(2 * kT * xi.xi * t ** 3 / (3 * body.mass() ** 2))
+            expect = math.sqrt(2 * kT * xi * t ** 3 / (3 * body.mass() ** 2))
         else:
-            expect = math.sqrt(2 * kT * t / xi.xi)
+            expect = math.sqrt(2 * kT * t / xi)
         assert got == pytest.approx(expect, rel=1e-12)
         # and the exact damped moments agree in the asymptotic regimes
-        exact = math.sqrt(fp_moments(tau, kT / xi.xi, 0.0, t).var_x)
+        exact = math.sqrt(fp_moments(tau, kT / xi, 0.0, t).var_x)
         assert got == pytest.approx(exact, rel=0.02)
 
 
@@ -288,7 +288,7 @@ def test_radiation_walk_temperature_scaling():
     body = Sphere(1e-5, 1.0)
 
     def walk(T):
-        return thermal_rms(xi_radiation(body.radius, T).xi, body.mass(),
+        return thermal_rms(xi_radiation(body.radius, T), body.mass(),
                            T, 1e5, "short")
 
     assert walk(2 * T0) / walk(T0) == pytest.approx(2 ** 4.5, rel=1e-9)
@@ -298,7 +298,7 @@ def test_combined_auto_refuses_crossover():
     body = Sphere(1e-5, 1.0)
     env = Environment.from_torr(T0, 1e-12)
     xi = xi_molecular(body, env)
-    tau = body.mass() / xi.xi
+    tau = body.mass() / xi
     with pytest.raises(ValidationError) as err:
         combined_rms(xi, body, env, None, 0.0, tau, regime="auto")
     # both asymptotes are reported in the rejection

@@ -22,9 +22,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cslwalk.brownian import (CollisionStats, DragCoefficient, fp_moments,
-                              spectral_xi, thermal_rms, xi_mirror, xi_radiation,
-                              xi_slip_corrected, xi_stokes, xi_viscous_disc)
+from cslwalk.brownian import (CollisionStats, fp_moments, spectral_xi,
+                              thermal_rms, xi_mirror, xi_molecular, xi_radiation,
+                              xi_rotational, xi_slip_corrected, xi_stokes,
+                              xi_viscous_disc)
 from cslwalk.constraints import (ThermalRelation, evaluate_constraints,
                                  fu_radiation_rate, ge_detector_rate,
                                  ge_radiation_threshold, lambda_gravitational)
@@ -81,8 +82,6 @@ CONTRACT = [
     (FactorResult, dict(value=0.5, method="analytic", est_error=0.0),
      {"value": "finite", "est_error": "nonnegative"}),
     (CollisionStats, dict(tau_c=1.0), {"tau_c": "positive"}),
-    (DragCoefficient, dict(xi=1e-9, realm="molecular", mode="translation",
-                           orientation="sphere"), {"xi": "nonnegative"}),
     # v0 may have either sign: tests/test_brownian.py checks it is finite
     (fp_moments, dict(tau=1.0, beta=1.0, v0=0.0, t=1.0),
      {"tau": "positive", "beta": "nonnegative", "t": "nonnegative"}),
@@ -228,7 +227,17 @@ TINY_TIMES = simulate_ensemble(WavepacketEquilibrium(1e-6, 1.0), n_traj=100,
                                dt=1e-120, t_end=3e-120, method="exact-b15")
 
 
-@pytest.mark.parametrize("call", [
+# a gas at 1e290 dyn/cm2 and a body 1e50 cm across: each drag overflows
+HUGE_GAS = Environment(300.0, 1e290)
+HUGE_DISC = Disc(1e50, 1e49, 1.0)
+DRAG_OVERFLOWS = [
+    lambda: xi_molecular(Sphere(1e50, 1.0), HUGE_GAS),
+    lambda: xi_molecular(HUGE_DISC, HUGE_GAS, "edge"),
+    lambda: xi_rotational(HUGE_DISC, HUGE_GAS, "molecular"),
+]
+
+
+@pytest.mark.parametrize("call,match", [(call, "floating-point range") for call in [
     lambda: fu_radiation_rate(11.0, 1e-16, 1e-200),
     lambda: ThermalRelation(10.0).lambda_inv(1e-200),
     lambda: lambda_gravitational(1e-300),
@@ -243,10 +252,12 @@ TINY_TIMES = simulate_ensemble(WavepacketEquilibrium(1e-6, 1.0), n_traj=100,
     lambda: qm_baseline_rotation(Disc(1e-100, 1e-100, 1e300), 1e300),
     lambda: growth_coefficients(HUGE_TIMES, HUGE_TIMES.times),      # t^3 overflows
     lambda: growth_coefficients(TINY_TIMES, TINY_TIMES.times),      # t^3 underflows
-], ids=["fu_radiation_rate", "thermal_lambda_inv", "lambda_gravitational-point",
-        "lambda_gravitational-disc", "ge_radiation_threshold",
-        "single_trajectory-huge", "single_trajectory-tiny", "f_mc_oracle-sphere",
-        "qm_baseline_rotation", "growth_coefficients", "growth_coefficients-tiny"])
-def test_a_formula_beyond_the_float_range_is_rejected(call):
-    with pytest.raises(ValidationError, match="floating-point range"):
+]] + [(call, "drag coefficient") for call in DRAG_OVERFLOWS],
+    ids=["fu_radiation_rate", "thermal_lambda_inv", "lambda_gravitational-point",
+         "lambda_gravitational-disc", "ge_radiation_threshold",
+         "single_trajectory-huge", "single_trajectory-tiny", "f_mc_oracle-sphere",
+         "qm_baseline_rotation", "growth_coefficients", "growth_coefficients-tiny",
+         "xi_molecular-sphere", "xi_molecular-disc-edge", "xi_rotational-disc"])
+def test_a_formula_beyond_the_float_range_is_rejected(call, match):
+    with pytest.raises(ValidationError, match=match):
         call()
