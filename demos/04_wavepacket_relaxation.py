@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cslwalk import (ComplexVariance, CslParams, Sphere, equilibrium_width,
-                     f_sphere, growth_coefficients, sigma_closed_form,
+from cslwalk import (CslParams, Sphere, equilibrium_width, f_sphere,
+                     growth_coefficients, sigma_closed_form,
                      sigma_ode_integrate, simulate_ensemble,
                      single_trajectory)
 from cslwalk.wavepacket import packet_width_sq, stats_to_csv
@@ -24,15 +24,16 @@ print(f"equilibrium width s_inf = {eq.s_inf:.3g} cm, relaxation time "
       f"tau_s = {eq.tau_s:.3g} s")
 
 # Deterministic relaxation: start the packet 5x too wide and integrate.
+# A width is the complex sigma^2 in cm^2; both routes return one per time.
 lam_eff = grw.lam * body.nucleon_count() ** 2 * f
 grid = np.linspace(0.05, 5.0, 8) * eq.tau_s
-sigma0 = ComplexVariance(5.0 * eq.s_inf ** 2)
+sigma0 = 5.0 * eq.s_inf ** 2
 numeric = sigma_ode_integrate(sigma0, body.mass(), lam_eff, grw.a, grid)
+exact = sigma_closed_form(sigma0, eq.s_inf, eq.tau_s, grid)
 print("\nwidth relaxation (numeric vs closed form):")
-for t, sig in zip(grid, numeric):
-    exact = sigma_closed_form(sigma0, eq.s_inf, eq.tau_s, t)
+for t, sig, ref in zip(grid, numeric, exact):
     width = np.sqrt(packet_width_sq(sig))
-    err = abs(complex(sig) - complex(exact)) / abs(complex(exact))
+    err = abs(sig - ref) / abs(ref)
     print(f"  t = {t / eq.tau_s:>5.2f} tau : width = {width:.3e} cm "
           f"(closed-form gap {err:.1e})")
 

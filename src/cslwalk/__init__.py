@@ -47,10 +47,9 @@ _EXPORTS = {
                   "equilibrium_width", "equilibrium_series_rms",
                   "energy_gain_rates", "vacuum_diffusion_table",
                   "equilibrium_table"),
-    "wavepacket": ("ComplexVariance", "TrajectoryState", "EnsembleStats",
-                   "sigma_closed_form", "sigma_ode_integrate",
-                   "single_trajectory", "simulate_ensemble",
-                   "growth_coefficients"),
+    "wavepacket": ("TrajectoryState", "EnsembleStats", "sigma_closed_form",
+                   "sigma_ode_integrate", "single_trajectory",
+                   "simulate_ensemble", "growth_coefficients"),
     "constraints": ("evaluate_constraints", "lambda_gravitational",
                     "ThermalRelation", "fu_radiation_rate",
                     "ge_detector_rate", "ge_radiation_threshold",

@@ -283,6 +283,9 @@ def _cmd_diffuse(args):
     mode = args.mode
     if args.f is not None and args.mechanism in ("qm", "brownian"):
         raise ValidationError(f"--f is not used by --mechanism {args.mechanism}")
+    if args.orientation is not None and (isinstance(body, Sphere)
+                                         or mode == "rotation"):
+        raise ValidationError("--orientation is used by a disc in translation only")
     f = _resolve_factor(args, body, csl)
 
     if args.target is not None:
@@ -306,14 +309,14 @@ def _cmd_diffuse(args):
     env = None
     if mechanism in ("brownian", "combined"):
         env = _env_from(args)
+        orientation = None if isinstance(body, Sphere) else args.orientation or "perp"
         if args.realm == "viscous":
             if env.gas_viscosity is None:
                 raise ValidationError("viscous realm needs --viscosity")
             eta = env.gas_viscosity
             xi = (xi_stokes(body.radius, eta) if isinstance(body, Sphere) else
-                  xi_viscous_disc(body.radius, body.thickness, eta, args.orientation))
+                  xi_viscous_disc(body.radius, body.thickness, eta, orientation))
         else:
-            orientation = None if isinstance(body, Sphere) else args.orientation
             xi = xi_molecular(body, env, orientation)
         if env.pressure is not None:
             check_realm(body, env, args.realm)   # warns if dubious
@@ -450,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="csl")
     p.add_argument("--mode", choices=("translation", "rotation"),
                    default="translation")
-    p.add_argument("--orientation", choices=("perp", "edge"), default="perp",
+    p.add_argument("--orientation", choices=("perp", "edge"), default=None,
                    help="disc translation direction (default perp)")
     p.add_argument("--f", type=float, default=None,
                    help="override the geometry factor")

@@ -55,9 +55,6 @@ class FactorResult:
         _finite(value=self.value)      # the oracle's rotation mean may be < 0
         _nonnegative(est_error=self.est_error)
 
-    def __float__(self):
-        return self.value
-
 
 @dataclass(frozen=True)
 class DiscAspect:

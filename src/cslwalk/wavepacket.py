@@ -5,9 +5,12 @@ Riccati equation with no stochastic part,
 
     d(sigma^2)/dt = i hbar / (2 M) - (2 lam_eff / a^2) sigma^4,
 
-whose attracting fixed point is s_inf^2 (1 + i)/2.  The packet center
-drifts under a complex linear SDE driven by one real Brownian motion; once
-the width has equilibrated the ensemble mean square of the center grows as
+whose attracting fixed point is s_inf^2 (1 + i)/2.  A width is a Python
+complex sigma^2 = sigma_R^2 + i sigma_I^2 in cm^2, its real part positive for
+a normalizable packet; the closed form and the RK4 route each return one per
+time of a grid.  The packet center drifts under a complex linear SDE driven
+by one real Brownian motion; once the width has equilibrated the ensemble
+mean square of the center grows as
 s_inf^2 [t/tau + t^2/(2 tau^2) + t^3/(12 tau^3)].
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,6 @@ from .errors import (ConvergenceError, ValidationError, _count, _in_float_range,
                      _nonnegative, _positive)
 
 __all__ = [
-    "ComplexVariance",
     "TrajectoryState",
     "EnsembleStats",
     "equilibrium_variance",
@@ -56,36 +59,44 @@ _ODE_MAX_SUBSTEPS = 2 ** 20
 _ODE_MAX_STIFFNESS = 2.5 * _ODE_MAX_SUBSTEPS
 
 
-@dataclass(frozen=True)
-class ComplexVariance:
-    """Complex squared width sigma^2 = sigma_R^2 + i sigma_I^2 (cm^2).
-
-    The real part must stay positive for a normalizable packet.
-    """
-
-    sigma_sq: complex
-
-    def __post_init__(self):
-        _width(self.sigma_sq, "sigma_sq")
-
-    def __complex__(self):
-        return self.sigma_sq
-
-
 def _width(sigma, name: str) -> complex:
-    """sigma as a complex; a ValidationError naming it unless it is finite
-    with a positive real part."""
-    s = complex(sigma.sigma_sq) if isinstance(sigma, ComplexVariance) else complex(sigma)
+    """sigma as a complex (cm^2); a ValidationError naming it unless it is a
+    finite number with a positive real part."""
+    s = complex(sigma) if isinstance(sigma, numbers.Complex) else cmath.nan
     if not (cmath.isfinite(s) and s.real > 0):
-        raise ValidationError(f"{name} must be finite with Re(sigma^2) > 0")
+        raise ValidationError(
+            f"{name} must be finite with Re(sigma^2) > 0, got {sigma!r}")
     return s
 
 
+def _reals(values, name: str) -> list[float]:
+    """values as a list of floats; a ValidationError naming them unless they
+    are an iterable of real numbers (a str iterates as its characters)."""
+    try:
+        reals = list(values)
+    except TypeError:
+        reals = None
+    if reals is None or not all(isinstance(v, numbers.Real) for v in reals):
+        raise ValidationError(f"{name} must be numbers, got {values!r}")
+    return [float(v) for v in reals]
+
+
+def _time_grid(t, name: str) -> list[float]:
+    """t as a list of floats; a ValidationError naming it unless it is a
+    nonempty, strictly increasing list of finite nonnegative times (s)."""
+    ts = _reals(t, name)
+    if not (ts and ts[0] >= 0 and ts[-1] < math.inf
+            and all(a < b for a, b in zip(ts, ts[1:]))):   # False on nan
+        raise ValidationError(f"{name} must be a nonempty, strictly increasing "
+                              f"list of finite nonnegative times, got {t!r}")
+    return ts
+
+
 @_in_float_range("equilibrium width parameter")
-def equilibrium_variance(s_inf: float) -> ComplexVariance:
-    """The stationary width parameter, s_inf^2 (1 + i) / 2."""
+def equilibrium_variance(s_inf: float) -> complex:
+    """The stationary width parameter, s_inf^2 (1 + i) / 2 (cm^2)."""
     _positive(s_inf=s_inf)
-    return ComplexVariance(s_inf ** 2 * (1.0 + 1.0j) / 2.0)
+    return _width(s_inf ** 2 * (1.0 + 1.0j) / 2.0, "s_inf^2 (1 + i)/2")
 
 
 @_in_float_range("packet width")
@@ -96,8 +107,9 @@ def packet_width_sq(sigma) -> float:
 
 
 @_in_float_range("s_inf^2 relaxation")
-def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> ComplexVariance | list:
-    """Exact relaxation of the width parameter toward equilibrium.
+def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> list[complex]:
+    """Exact relaxation of the width parameter toward equilibrium, at each
+    time of the grid t (the grid rule of sigma_ode_integrate).
 
     With u = sigma^2 / s_inf^2 and u* = (1+i)/2, the Riccati solution is
     u(t) = u* [u0 (1 + e^-w) + u* (1 - e^-w)] / [u0 (1 - e^-w) + u* (1 + e^-w)]
@@ -107,18 +119,13 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> ComplexVariance 
     _positive(s_inf=s_inf, tau_s=tau_s)
     u0 = _width(sigma0, "sigma0") / s_inf ** 2
     ustar = (1.0 + 1.0j) / 2.0
-    scalar = np.isscalar(t)
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(tt)):
-        raise ValidationError("t must be finite")
-    if np.any(tt < 0):
-        raise ValidationError("t must be nonnegative")
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        em = np.exp(-(1.0 + 1.0j) * tt / tau_s)
+    out = []
+    for tk in _time_grid(t, "t"):
+        em = cmath.exp(-(1.0 + 1.0j) * (tk / tau_s))
         u = ustar * (u0 * (1.0 + em) + ustar * (1.0 - em)) / (
             u0 * (1.0 - em) + ustar * (1.0 + em))
-    out = [ComplexVariance(s_inf ** 2 * complex(v)) for v in u]
-    return out[0] if scalar else out
+        out.append(_width(s_inf ** 2 * u, "sigma^2(t)"))
+    return out
 
 
 def _rk4(s: complex, h: float, n: int, drift: complex, rate: float) -> complex:
@@ -142,8 +149,9 @@ def _collapse_rate(lam_eff: float, a: float) -> float:
 
 
 def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
-                        t_grid) -> list[ComplexVariance]:
-    """Numerically integrate the width equation on a monotone time grid.
+                        t_grid) -> list[complex]:
+    """Numerically integrate the width equation at each time of t_grid, a
+    nonempty, strictly increasing list of finite nonnegative times (s).
 
     lam_eff is the body's collapse rate lam N^2 f.  lam_eff = 0 gives free
     spreading sigma^2(t) = sigma^2(0) + i hbar t / (2M) exactly.
@@ -157,19 +165,13 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
     """
     _positive(M=M, a=a)
     _nonnegative(lam_eff=lam_eff)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1 or not np.all(np.isfinite(t_grid)):
-        raise ValidationError("t_grid must be a nonempty list of finite times")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValidationError("t_grid must be strictly increasing")
-    if t_grid[0] < 0:
-        raise ValidationError("t_grid must be nonnegative")
+    grid = _time_grid(t_grid, "t_grid")
     s = _width(sigma0, "sigma0")
     drift = 0.5j * CONSTANTS.hbar / M
     rate = _collapse_rate(lam_eff, a)
     out = []
     t0 = 0.0
-    for t in t_grid.tolist():
+    for t in grid:
         stiffness = (t - t0) * max(rate * abs(s), math.sqrt(rate * abs(drift)))
         n, coarse = 1, _rk4(s, t - t0, 1, drift, rate)
         while True:
@@ -184,7 +186,7 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
             coarse = fine
         if fine.real <= 0:
             raise ConvergenceError("integrated width lost positivity")
-        out.append(ComplexVariance(fine))
+        out.append(fine)
         s, t0 = fine, t
     return out
 
@@ -314,13 +316,7 @@ def _sample_schedule(steps: int, dt: float, sample_times):
         stride = max(1, steps // 50)
         ks = sorted(set(range(stride, steps + 1, stride)) | {steps})
         return [k * dt for k in ks], ks
-    try:
-        if isinstance(sample_times, str):   # it iterates over its characters
-            raise TypeError
-        times = sorted(set(map(float, sample_times)))
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"sample_times must be numbers, got {sample_times!r}") from None
+    times = sorted(set(_reals(sample_times, "sample_times")))
     if not times:
         raise ValidationError("sample_times must not be empty")
     ks = [round(t / dt) if 0 < t / dt < math.inf else 0 for t in times]
@@ -431,7 +427,7 @@ def growth_coefficients(stats: EnsembleStats, pick_times) -> dict:
     """
     idx = []
     times = np.asarray(stats.times)
-    for t in pick_times:
+    for t in _reals(pick_times, "pick_times"):
         j = int(np.argmin(np.abs(times - t)))
         if not (math.isfinite(t) and abs(times[j] - t) <= 1e-9 * max(t, 1e-300)):
             raise ValidationError(f"time {t} not among the sampled times")

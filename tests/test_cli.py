@@ -472,6 +472,16 @@ def test_diffuse_rejects_f_where_the_mechanism_ignores_it(capsys, mechanism, gas
     assert err == f"error: --f is not used by --mechanism {mechanism}\n"
 
 
+@pytest.mark.parametrize("body", [
+    ["--sphere-radius", "1e-5"],
+    ["--mode", "rotation", "--disc-radius", "2du", "--disc-thickness", ".5du"]])
+def test_diffuse_rejects_orientation_where_nothing_reads_it(capsys, body):
+    rc, out, err = run(capsys, ["diffuse", *body, "--orientation", "edge",
+                                "--times", "1,100"])
+    assert rc == 3 and out == ""
+    assert err == "error: --orientation is used by a disc in translation only\n"
+
+
 @pytest.mark.parametrize("times", ["--times=", "--times=,"])
 def test_diffuse_rejects_an_empty_times_list(capsys, times):
     rc, out, err = run(capsys, ["diffuse", "--sphere-radius=1e-5", times])

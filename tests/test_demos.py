@@ -62,8 +62,8 @@ def test_demo_runs(demo, tmp_path):
 
 def test_width_ode_runs_without_scipy(tmp_path):
     proc = _run_without_scipy(
-        "from cslwalk import ComplexVariance, sigma_ode_integrate\n"
-        "out = sigma_ode_integrate(ComplexVariance(1e-12), 1e-15, 1e-20, "
+        "from cslwalk import sigma_ode_integrate\n"
+        "out = sigma_ode_integrate(1e-12, 1e-15, 1e-20, "
         "1e-5, [0.5, 1.0])\n"
         "print(len(out))", tmp_path)
     assert proc.returncode == 0, proc.stderr

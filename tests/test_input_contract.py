@@ -126,7 +126,7 @@ CONTRACT = [
     (ge_detector_rate, dict(lam=1e-16, a=1e-5), {"lam": "positive", "a": "positive"}),
     (ge_radiation_threshold, dict(limit_counts=0.05), {"limit_counts": "positive"}),
     (equilibrium_variance, dict(s_inf=1e-6), {"s_inf": "positive"}),
-    (sigma_closed_form, dict(sigma0=1e-12, s_inf=1e-6, tau_s=1.0, t=0.5),
+    (sigma_closed_form, dict(sigma0=1e-12, s_inf=1e-6, tau_s=1.0, t=[0.5]),
      {"s_inf": "positive", "tau_s": "positive"}),
     (sigma_ode_integrate, dict(sigma0=1e-12, M=1e-15, lam_eff=1e-10, a=1e-5,
                                t_grid=[0.5, 1.0]),

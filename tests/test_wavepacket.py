@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cslwalk import (CONSTANTS, ComplexVariance, ConvergenceError, Sphere,
+from cslwalk import (CONSTANTS, ConvergenceError, Sphere,
                      ValidationError, WavepacketEquilibrium, equilibrium_width,
                      f_sphere, growth_coefficients, sigma_closed_form,
                      sigma_ode_integrate, simulate_ensemble)
@@ -30,25 +30,25 @@ def _lam_eff(grw, body, f):
 def test_equilibrium_variance_is_fixed_point(eq_ref):
     sig = equilibrium_variance(eq_ref.s_inf)
     for t in (0.1, 1.0, 25.0):
-        out = sigma_closed_form(sig, eq_ref.s_inf, eq_ref.tau_s, t)
-        assert complex(out) == pytest.approx(complex(sig), rel=1e-12, abs=0)
+        (out,) = sigma_closed_form(sig, eq_ref.s_inf, eq_ref.tau_s, [t])
+        assert out == pytest.approx(sig, rel=1e-12, abs=0)
     # physical width at equilibrium equals s_inf
     assert packet_width_sq(sig) == pytest.approx(eq_ref.s_inf ** 2, rel=1e-12, abs=0)
 
 
 def test_closed_form_relaxes_to_equilibrium(eq_ref):
     s2 = eq_ref.s_inf ** 2
-    for sigma0 in (ComplexVariance(0.3 * s2), ComplexVariance(4.0 * s2 + 1j * s2)):
-        out = sigma_closed_form(sigma0, eq_ref.s_inf, eq_ref.tau_s,
-                                50.0 * eq_ref.tau_s)
-        assert complex(out) == pytest.approx(s2 * (1 + 1j) / 2, rel=1e-6, abs=0)
+    for sigma0 in (0.3 * s2, 4.0 * s2 + 1j * s2):
+        (out,) = sigma_closed_form(sigma0, eq_ref.s_inf, eq_ref.tau_s,
+                                   [50.0 * eq_ref.tau_s])
+        assert out == pytest.approx(s2 * (1 + 1j) / 2, rel=1e-6, abs=0)
 
 
 def test_closed_form_is_stable_at_huge_times(eq_ref):
-    out = sigma_closed_form(ComplexVariance(eq_ref.s_inf ** 2), eq_ref.s_inf,
-                            eq_ref.tau_s, 1e6 * eq_ref.tau_s)
-    assert np.isfinite(complex(out).real)
-    assert complex(out) == pytest.approx(
+    (out,) = sigma_closed_form(eq_ref.s_inf ** 2, eq_ref.s_inf, eq_ref.tau_s,
+                               [1e6 * eq_ref.tau_s])
+    assert np.isfinite(out.real)
+    assert out == pytest.approx(
         eq_ref.s_inf ** 2 * (1 + 1j) / 2, rel=1e-12, abs=0)
 
 
@@ -57,11 +57,10 @@ def test_ode_matches_closed_form(grw, eq_ref):
     lam_eff = _lam_eff(grw, body, f_sphere(1.0).value)
     grid = np.linspace(1e-3 * eq_ref.tau_s, 10 * eq_ref.tau_s, 50)
     for start in (0.01, 0.2, 1.0, 3.0, 5.0):
-        sigma0 = ComplexVariance(start * eq_ref.s_inf ** 2)
+        sigma0 = start * eq_ref.s_inf ** 2
         numeric = sigma_ode_integrate(sigma0, body.mass(), lam_eff, grw.a, grid)
         exact = sigma_closed_form(sigma0, eq_ref.s_inf, eq_ref.tau_s, grid)
-        rel = [abs(complex(n) - complex(e)) / abs(complex(e))
-               for n, e in zip(numeric, exact)]
+        rel = [abs(n - e) / abs(e) for n, e in zip(numeric, exact)]
         assert max(rel) < 1e-10, start
 
 
@@ -72,13 +71,13 @@ def test_ode_one_long_interval_settles_without_warnings(grw, eq_ref):
     lam_eff = _lam_eff(grw, body, f_sphere(1.0).value)
     t = [1e4 * eq_ref.tau_s]
     for start in (0.01, 5.0):
-        sigma0 = ComplexVariance(start * eq_ref.s_inf ** 2)
+        sigma0 = start * eq_ref.s_inf ** 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (numeric,) = sigma_ode_integrate(sigma0, body.mass(), lam_eff,
                                              grw.a, t)
-        exact = sigma_closed_form(sigma0, eq_ref.s_inf, eq_ref.tau_s, t[0])
-        assert complex(numeric) == pytest.approx(complex(exact), rel=1e-10, abs=0)
+        (exact,) = sigma_closed_form(sigma0, eq_ref.s_inf, eq_ref.tau_s, t)
+        assert numeric == pytest.approx(exact, rel=1e-10, abs=0)
 
 
 def test_ode_raises_past_the_substep_cap(grw, eq_ref, monkeypatch):
@@ -86,7 +85,7 @@ def test_ode_raises_past_the_substep_cap(grw, eq_ref, monkeypatch):
     lam_eff = _lam_eff(grw, body, f_sphere(1.0).value)
     monkeypatch.setattr(wavepacket, "_ODE_MAX_SUBSTEPS", 8)
     with pytest.raises(ConvergenceError, match="substeps"):
-        sigma_ode_integrate(ComplexVariance(eq_ref.s_inf ** 2), body.mass(),
+        sigma_ode_integrate(eq_ref.s_inf ** 2, body.mass(),
                             lam_eff, grw.a, [10 * eq_ref.tau_s])
 
 
@@ -115,11 +114,10 @@ def test_ode_stiffness_bound_rejects_no_converging_interval(grw, eq_ref,
         monkeypatch.setattr(wavepacket, "_ODE_MAX_STIFFNESS", bound)
         calls.clear()
         try:
-            (out,) = sigma_ode_integrate(ComplexVariance(s), body.mass(),
-                                         lam_eff, grw.a, [t])
+            (out,) = sigma_ode_integrate(s, body.mass(), lam_eff, grw.a, [t])
         except ConvergenceError:
             return None, len(calls)
-        return complex(out), len(calls)
+        return out, len(calls)
 
     converged = []
     for start in (0.01, 1.0, 5.0, 9.8 + 0.5j):
@@ -150,41 +148,44 @@ def test_ode_too_stiff_interval_fails_at_once(monkeypatch):
 
 def test_ode_free_spreading_when_collapse_off():
     M = 1e-15
-    sigma0 = ComplexVariance(1e-12 + 0j)
     grid = np.array([0.5, 1.0, 2.0])
-    out = sigma_ode_integrate(sigma0, M, 0.0, 1e-5, grid)
+    out = sigma_ode_integrate(1e-12 + 0j, M, 0.0, 1e-5, grid)
     for t, sig in zip(grid, out):
         expect = 1e-12 + 1j * CONSTANTS.hbar * t / (2 * M)
-        assert complex(sig) == pytest.approx(expect, rel=1e-9, abs=0)
+        assert sig == pytest.approx(expect, rel=1e-9, abs=0)
 
 
 def test_ode_keeps_width_positive(grw, eq_ref):
     body = Sphere(1e-5, 1.0)
     lam_eff = _lam_eff(grw, body, f_sphere(1.0).value)
     grid = np.linspace(0.01 * eq_ref.tau_s, 20 * eq_ref.tau_s, 80)
-    out = sigma_ode_integrate(ComplexVariance(0.01 * eq_ref.s_inf ** 2),
-                              body.mass(), lam_eff, grw.a, grid)
-    assert all(complex(s).real > 0 for s in out)
+    out = sigma_ode_integrate(0.01 * eq_ref.s_inf ** 2, body.mass(), lam_eff,
+                              grw.a, grid)
+    assert all(s.real > 0 for s in out)
 
 
-def test_complex_variance_validation():
-    with pytest.raises(ValidationError):
-        ComplexVariance(-1e-12 + 0j)
-    for bad in (complex(1, math.nan), complex(math.inf, 0)):
-        with pytest.raises(ValidationError, match="^sigma_sq "):
-            ComplexVariance(bad)
-        with pytest.raises(ValidationError, match="^sigma "):
-            packet_width_sq(bad)
+def test_width_validation():
+    routes = [("sigma", packet_width_sq),
+              ("sigma0", lambda s: sigma_closed_form(s, 1e-6, 1.0, [0.5])),
+              ("sigma0", lambda s: sigma_ode_integrate(s, 1e-15, 1e-10, 1e-5,
+                                                       [0.5, 1.0]))]
+    for bad in (-1e-12, math.nan, math.inf, "1e-12", None,
+                complex(1, math.nan), complex(math.inf, 0)):
+        for name, call in routes:
+            with pytest.raises(ValidationError, match=f"^{name} "):
+                call(bad)
     # finite, but sigma_I^4 / sigma_R^2 overflows
     with pytest.raises(ValidationError, match="floating-point range"):
         packet_width_sq(complex(1e-300, 1e200))
     with pytest.raises(ValidationError):
-        sigma_ode_integrate(ComplexVariance(1e-12), 1e-15, 0.0, 1e-5,
-                            np.array([1.0, 0.5]))
+        sigma_ode_integrate(1e-12, 1e-15, 0.0, 1e-5, np.array([1.0, 0.5]))
+    # s_inf^2 underflows to 0, no width
+    with pytest.raises(ValidationError):
+        equilibrium_variance(1e-170)
 
 
 def test_width_equation_rejects_bad_inputs_by_name():
-    sig = ComplexVariance(1e-12)
+    sig = 1e-12
     ode = dict(sigma0=sig, M=1e-15, lam_eff=1e-10, a=1e-5, t_grid=[0.5, 1.0])
     bad_ode = [
         (dict(ode, M=0.0), "M"), (dict(ode, M=-1e-15), "M"),
@@ -201,7 +202,7 @@ def test_width_equation_rejects_bad_inputs_by_name():
     for kw, name in bad_ode:
         with pytest.raises(ValidationError, match=f"^{re.escape(name)} "):
             sigma_ode_integrate(**kw)
-    closed = dict(sigma0=sig, s_inf=1e-6, tau_s=1.0, t=0.5)
+    closed = dict(sigma0=sig, s_inf=1e-6, tau_s=1.0, t=[0.5])
     bad_closed = [
         (dict(closed, s_inf=0.0), "s_inf"), (dict(closed, s_inf=math.nan), "s_inf"),
         (dict(closed, s_inf=1e-170), "the s_inf^2"),   # s_inf^2 underflows
@@ -209,6 +210,9 @@ def test_width_equation_rejects_bad_inputs_by_name():
         (dict(closed, tau_s=0.0), "tau_s"), (dict(closed, tau_s=-1.0), "tau_s"),
         (dict(closed, tau_s=math.inf), "tau_s"),
         (dict(closed, t=math.nan), "t"), (dict(closed, t=[0.5, math.inf]), "t"),
+        (dict(closed, t="1"), "t"), (dict(closed, t=[]), "t"),
+        (dict(closed, t=[[0.5, 1.0]]), "t"), (dict(closed, t=[1.0, 0.5]), "t"),
+        (dict(closed, t=[0.5, 0.5]), "t"),
         (dict(closed, sigma0=complex(1e-12, math.nan)), "sigma0"),
     ]
     for kw, name in bad_closed:
@@ -378,6 +382,13 @@ def test_growth_coefficients_rejects_a_time_off_the_samples(pick):
     stats = simulate_ensemble(WavepacketEquilibrium(1e-6, 1.0), 100, 0.01, 1.0)
     with pytest.raises(ValidationError, match="not among the sampled times"):
         growth_coefficients(stats, [0.2, 0.4, pick])
+
+
+@pytest.mark.parametrize("picks", ["abc", [0.2, None, 0.6], 5])
+def test_growth_coefficients_rejects_picks_that_are_not_numbers(picks):
+    stats = simulate_ensemble(WavepacketEquilibrium(1e-6, 1.0), 100, 0.01, 1.0)
+    with pytest.raises(ValidationError, match="^pick_times "):
+        growth_coefficients(stats, picks)
 
 
 def test_single_trajectory_paths(eq_ref):
