@@ -68,15 +68,34 @@ class CollisionStats:
         _positive(tau_c=self.tau_c)
 
 
-def _var_x_bracket(x: float) -> float:
-    """x - (1 - e^-x) - (1 - e^-x)^2 / 2, stable for small x.
+# the Taylor coefficients (-1)^(n+1) (2^(n-1) - 2) / n! of B(x), n = 3..20
+_B_SERIES = tuple((-1) ** (n + 1) * (2 ** (n - 1) - 2) / math.factorial(n)
+                  for n in range(3, 21))
 
-    Series: x^3/3 - x^4/4 + 7x^5/60 - x^6/24 + ...
-    """
-    if x < 1.0e-3:
-        return x ** 3 / 3.0 - x ** 4 / 4.0 + 7.0 * x ** 5 / 60.0 - x ** 6 / 24.0
+
+def _bracket_over_cube(x: float) -> float:
+    """B(x) / x^3 for 0 <= x <= 0.5 by its Taylor series
+    1/3 - x/4 + 7x^2/60 - x^3/24 + ..., summed exactly."""
+    return math.fsum(c * x ** k for k, c in enumerate(_B_SERIES))
+
+
+def _var_x_bracket(x: float) -> float:
+    """B(x) = x - (1 - e^-x) - (1 - e^-x)^2 / 2, accurate at every x >= 0."""
+    if x <= 0.5:
+        return x ** 3 * _bracket_over_cube(x)
     g = -math.expm1(-x)
     return x - g - 0.5 * g * g
+
+
+def _damped_rms(q: float, xi: float, inertia: float, t: float) -> float:
+    """rms position at t from rest under white velocity noise of rate q and
+    damping xi / inertia: the Ornstein-Uhlenbeck variance q tau^3 B(x), with
+    tau = inertia / xi and x = t / tau, as q t^3 B(x) / x^3 up to x = 0.5
+    (so xi = 0 gives q t^3 / 3)."""
+    x = t * xi / inertia
+    if x <= 0.5:
+        return math.sqrt(q * t ** 3 * _bracket_over_cube(x))
+    return math.sqrt(q * (inertia / xi) ** 3 * _var_x_bracket(x))
 
 
 @_in_float_range("moment solution")
@@ -97,23 +116,18 @@ def fp_moments(tau: float, beta: float, v0: float, t: float) -> BrownianMoments:
 
 
 @_in_float_range("thermal rms")
-def thermal_rms(xi: float, inertia: float, temperature: float, t: float,
-                regime: str) -> float:
-    """Asymptotic thermal rms diffusion (translation or rotation).
+def thermal_rms(xi: float, inertia: float, temperature: float, t: float) -> float:
+    """Thermal rms diffusion from rest (translation or rotation), exact at
+    every time: noise rate 2 kT xi / inertia^2 in _damped_rms.
 
     `inertia` is the mass for translation or the moment of inertia for
-    rotation.  regime 'long' gives sqrt(2 kT t / xi) and needs xi > 0;
-    'short' gives sqrt(2 kT xi t^3 / (3 inertia^2)).
+    rotation.  The limits are sqrt(2 kT xi t^3 / (3 inertia^2)) for
+    t << tau = inertia / xi and sqrt(2 kT t / xi) for t >> tau.
     """
     _nonnegative(xi=xi, t=t)
     _positive(temperature=temperature, inertia=inertia)
     kT = CONSTANTS.k_boltzmann * temperature
-    if regime == "long":
-        _positive(xi=xi)     # the long-time form divides by xi
-        return math.sqrt(2.0 * kT * t / xi)
-    if regime == "short":
-        return math.sqrt(2.0 * kT * xi * t ** 3 / (3.0 * inertia ** 2))
-    raise ValidationError(f"unknown regime {regime!r}")
+    return _damped_rms(2.0 * kT * xi / inertia ** 2, xi, inertia, t)
 
 
 # ---------------------------------------------------------------------------

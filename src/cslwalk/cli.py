@@ -283,10 +283,12 @@ def _cmd_diffuse(args):
     mode = args.mode
     if args.f is not None and args.mechanism in ("qm", "brownian"):
         raise ValidationError(f"--f is not used by --mechanism {args.mechanism}")
-    if args.orientation is not None and (isinstance(body, Sphere)
-                                         or mode == "rotation"):
-        raise ValidationError("--orientation is used by a disc in translation only")
-    f = _resolve_factor(args, body, csl)
+    if args.orientation is not None:
+        if isinstance(body, Sphere) or mode == "rotation":
+            raise ValidationError("--orientation is used by a disc in translation only")
+        if mechanism == "csl" and args.f is not None:
+            raise ValidationError("--orientation is not read by --mechanism csl with --f")
+    f = _resolve_factor(args, body, csl) if mechanism in ("csl", "combined") else None
 
     if args.target is not None:
         if mechanism != "csl" or mode != "rotation":
@@ -329,21 +331,21 @@ def _cmd_diffuse(args):
         ("qm-baseline", "translation"): partial(diff.qm_baseline_translation, body),
         ("qm-baseline", "rotation"): partial(diff.qm_baseline_rotation, body),
         ("brownian", "translation"): partial(diff.combined_rms, xi, body, env,
-                                             None, f, regime=args.regime),
+                                             None, 0.0),
         ("combined", "translation"): partial(diff.combined_rms, xi, body, env,
-                                             csl, f, regime=args.regime),
+                                             csl, f),
     }.get((mechanism, mode))
     if rms is None:
         raise ValidationError(f"unsupported mechanism/mode pair {mechanism!r}/{mode!r}")
     samples = [(t, rms(t)) for t in times]
 
-    params = {"mechanism": mechanism, "mode": mode, "f": f,
+    params = {"mechanism": mechanism, "mode": mode,
               "body": {"shape": "sphere" if isinstance(body, Sphere) else "disc",
                        "radius_cm": body.radius, "density_g_cc": body.density}}
     if isinstance(body, Disc):
         params["body"]["thickness_cm"] = body.thickness
     if mechanism in ("csl", "combined"):
-        params.update(lam=csl.lam, a=csl.a)
+        params.update(f=f, lam=csl.lam, a=csl.a)
     if env is not None:
         params["environment"] = {"temperature_K": env.temperature,
                                  "pressure_dyn_cm2": env.pressure,
@@ -465,8 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-times", type=_count, default=25)
     p.add_argument("--realm", choices=("molecular", "viscous"),
                    default="molecular")
-    p.add_argument("--regime", choices=("auto", "short", "long"),
-                   default="auto")
     _add_body_flags(p)
     _add_csl_flags(p)
     _add_env_flags(p)

@@ -2,9 +2,10 @@
 
 Everything here is a closed form in the constants and the collapse
 parameters: undamped collapse noise gives rms displacement growing as
-t^{3/2}; with gas damping the long- and short-time asymptotics pick up the
-drag coefficient; the center-of-mass wavepacket has an equilibrium width
-where collapse narrowing balances free spreading.
+t^{3/2}; with gas damping, thermal and collapse noise add in the exact
+damped-diffusion variance, which runs from the t^{3/2} short-time limit to
+the t^{1/2} long-time limit; the center-of-mass wavepacket has an
+equilibrium width where collapse narrowing balances free spreading.
 """
 
 from __future__ import annotations
@@ -88,50 +89,29 @@ def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float) -> float
 
 @_in_float_range("rms displacement")
 def combined_rms(xi: float, body: Body, env: Environment,
-                 csl: CslParams | None, f: float, t: float,
-                 regime: str = "auto") -> float:
-    """rms displacement with both thermal-gas and collapse noise (one axis).
+                 csl: CslParams | None, f: float, t: float) -> float:
+    """rms displacement from rest with both thermal-gas and collapse noise
+    (one axis), exact at every time.
 
-    Long-time (t >> M/xi): sqrt([2kT/xi + (M/xi)^2 lam hbar^2 f/(2 m^2 a^2)] t).
-    Short-time (t << M/xi): sqrt([2kT xi/(3M^2) + lam hbar^2 f/(6 m^2 a^2)] t^3).
-    regime 'auto' picks a side and refuses the crossover decade
-    [0.1 M/xi, 10 M/xi], where neither asymptote holds (the exact damped
-    moments are available through fp_moments for that window).
-    csl=None drops the collapse term entirely (the lam -> 0 limit).
+    Both are white noise on the velocity, so their rates add,
+    q = 2 kT xi / M^2 + lam hbar^2 f / (2 m^2 a^2), in the damped
+    (Ornstein-Uhlenbeck) variance q tau^3 B(t/tau), tau = M/xi and
+    B(x) = x - (1 - e^-x) - (1 - e^-x)^2 / 2.  Its limits:
+    short-time (t << M/xi): sqrt([2kT xi/(3M^2) + lam hbar^2 f/(6 m^2 a^2)] t^3);
+    long-time (t >> M/xi): sqrt([2kT/xi + (M/xi)^2 lam hbar^2 f/(2 m^2 a^2)] t).
+    csl=None drops the collapse term (the lam -> 0 limit); xi = 0 leaves
+    the undamped collapse walk of csl_rms_translation.
     """
+    from .brownian import _damped_rms   # import cslwalk.diffusion stays free of it
+
     _nonnegative(xi=xi, t=t)
     M = body.mass()
-    kT = env.kT
-    if csl is None:
-        csl_vel_rate = 0.0
-    else:
+    q = 2.0 * env.kT * xi / M ** 2
+    if csl is not None:
         _fraction(f=f)
         m = CONSTANTS.m_nucleon
-        csl_vel_rate = csl.lam * CONSTANTS.hbar ** 2 * f / (2.0 * m ** 2 * csl.a ** 2)
-
-    if regime == "auto":
-        if xi == 0:
-            regime = "short"
-        else:
-            tau = M / xi
-            if 0.1 * tau <= t <= 10.0 * tau:
-                long_val = math.sqrt((2.0 * kT / xi + (M / xi) ** 2 * csl_vel_rate) * t)
-                short_val = math.sqrt((2.0 * kT * xi / (3.0 * M ** 2)
-                                       + csl_vel_rate / 3.0) * t ** 3)
-                raise ValidationError(
-                    f"t = {t:.3g} s is inside the crossover decade around "
-                    f"tau = {tau:.3g} s where neither asymptote applies "
-                    f"(long-time form gives {long_val:.3g} cm, short-time "
-                    f"form {short_val:.3g} cm; use fp_moments for the exact "
-                    "damped solution)")
-            regime = "long" if t > tau else "short"
-
-    if regime == "long":
-        _positive(xi=xi)     # the long-time form divides by xi
-        return math.sqrt((2.0 * kT / xi + (M / xi) ** 2 * csl_vel_rate) * t)
-    if regime == "short":
-        return math.sqrt((2.0 * kT * xi / (3.0 * M ** 2) + csl_vel_rate / 3.0) * t ** 3)
-    raise ValidationError(f"unknown regime {regime!r}")
+        q += csl.lam * CONSTANTS.hbar ** 2 * f / (2.0 * m ** 2 * csl.a ** 2)
+    return _damped_rms(q, xi, M, t)
 
 
 @_in_float_range("translation baseline")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import pytest
@@ -28,6 +29,28 @@ def planck_moment(n: int, z_max: float = 200.0) -> float:
                        ("dielectric-sphere", 1.0, sphere))
     x = kT / (2.0 * math.pi * CONSTANTS.hbar * c)
     return spectral_integral(300.0, target, R, z_max) / (pref * kT / c * x ** (n - 1))
+
+
+def damped_bracket(x) -> decimal.Decimal:
+    """B(x) = x - 3/2 + 2 e^-x - e^-2x / 2 at 60 digits, the damped
+    position variance from rest in units of q tau^3; the code sums the
+    other form, x - (1 - e^-x) - (1 - e^-x)^2 / 2."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(x)
+        return x - decimal.Decimal(1.5) + 2 * (-x).exp() - (-2 * x).exp() / 2
+
+
+def damped_rms(kT, xi, inertia, t, csl_rate=0.0) -> float:
+    """sqrt(q tau^3 B(t/tau)) at 60 digits, with the noise rate
+    q = 2 kT xi / inertia^2 + csl_rate and tau = inertia / xi."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        kT, xi, inertia, t, csl_rate = map(decimal.Decimal,
+                                           (kT, xi, inertia, t, csl_rate))
+        tau = inertia / xi
+        q = 2 * kT * xi / inertia ** 2 + csl_rate
+        return float((q * tau ** 3 * damped_bracket(t / tau)).sqrt())
 
 
 def round_1sf(x: float) -> float:

@@ -248,16 +248,26 @@ def test_criterion_11_property_suite():
     vals = [f_sphere(float(x)).value for x in xs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    # (b) combined rms with collapse off reduces to the thermal forms
+    # (b) combined rms with collapse off is the thermal rms, and reduces to
+    # the short- and long-time forms with the next terms of their ratios,
+    # 1 - 3x/8 and 1 - 3/(4x), x = t/tau
     from cslwalk import Environment
     body = Sphere(1e-5, 1.0)
     env = Environment.from_torr(CONSTANTS.room_temperature_T0, 1e-12)
     xi = xi_molecular(body, env)
-    tau = body.mass() / xi
-    for t, regime in ((1e-3 * tau, "short"), (1e3 * tau, "long")):
-        got = combined_rms(xi, body, env, None, 0.0, t, regime=regime)
-        ref = thermal_rms(xi, body.mass(), env.temperature, t, regime)
-        assert got == pytest.approx(ref, rel=1e-12)
+    M = body.mass()
+    tau = M / xi
+    for x in (1e-3, 1e3):
+        t = x * tau
+        got = combined_rms(xi, body, env, None, 0.0, t)
+        assert got == pytest.approx(thermal_rms(xi, M, env.temperature, t),
+                                    rel=1e-12)
+        if x < 1:
+            short = math.sqrt(2 * env.kT * xi * t ** 3 / (3 * M ** 2))
+            assert abs(got / short - (1 - 3 * x / 8)) <= x ** 2
+        else:
+            long = math.sqrt(2 * env.kT * t / xi)
+            assert abs(got / long - (1 - 3 / (4 * x))) <= 1 / x ** 2
 
     # (c) collapse rms grows with log-log slope exactly 3/2
     r1 = csl_rms_translation(GRW, 0.62, 7.0)

@@ -10,7 +10,7 @@ from cslwalk import (CONSTANTS, Disc, Environment, Sphere, ValidationError,
                      xi_slip_corrected, xi_stokes, xi_viscous_disc)
 from cslwalk.brownian import SLIP_SPECULAR, check_realm
 
-from conftest import planck_moment, spectral_integral
+from conftest import damped_bracket, damped_rms, planck_moment, spectral_integral
 
 T0 = CONSTANTS.room_temperature_T0
 K = CONSTANTS.k_boltzmann
@@ -40,18 +40,15 @@ def test_fp_moments_short_time_cubic():
 
 
 def test_fp_moments_series_matches_direct_evaluation():
-    # the small-x series and the expm1 form must agree through the switch
-    # with x - (1 - e^-x) - (1 - e^-x)^2 / 2 evaluated at 40 digits, where
-    # its cancellation (~1e-7 relative in doubles at x = 1e-3) is harmless
-    tau, beta = 1.0, 1.0
-    for t in (9e-4, 1.1e-3, 5e-3):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 40
-            x = decimal.Decimal(t / tau)
-            e = 1 - (-x).exp()
-            direct = float(x - e - e * e / 2)
-        assert fp_moments(tau, beta, 0.0, t).var_x == pytest.approx(
-            2 * beta * tau * direct, rel=1e-7, abs=0)
+    # the series up to x = 0.5 and the expm1 form above it, against
+    # x - 3/2 + 2 e^-x - e^-2x / 2 at 60 digits, whose cancellation (about
+    # 1e-27 relative at x = 1e-9) is then harmless; var_x is 2 B(x) here
+    xs = [10.0 ** (-9 + 13 * k / 3000) for k in range(3001)]
+    xs += [0.5, math.nextafter(0.5, 1.0), 1e-3, 2e-3, 0.01, 0.1]
+    for x in xs:
+        var_x = fp_moments(1.0, 1.0, 0.0, x).var_x
+        assert var_x == pytest.approx(2 * float(damped_bracket(x)), rel=4e-15,
+                                      abs=0), x
 
 
 def test_fp_moments_equipartition():
@@ -80,9 +77,9 @@ def test_fp_moments_rejects_nonfinite_initial_velocity(v0):
 
 
 @pytest.mark.parametrize("args,bad", [
-    ((1e-9, 1e-15, -300.0, 1.0, "short"), "temperature"),
-    ((1e-9, 1e-15, 300.0, -1.0, "short"), "t must"),
-    ((0.0, 1e-15, 300.0, 1.0, "long"), "xi"),
+    ((1e-9, 1e-15, -300.0, 1.0), "temperature"),
+    ((1e-9, 1e-15, 300.0, -1.0), "t must"),
+    ((-1.0, 1e-15, 300.0, 1.0), "xi"),
 ])
 def test_thermal_rms_rejects_bad_inputs_by_name(args, bad):
     with pytest.raises(ValidationError, match=bad):
@@ -90,10 +87,22 @@ def test_thermal_rms_rejects_bad_inputs_by_name(args, bad):
 
 
 def test_thermal_rms_rejects_results_beyond_float_range():
-    # t^3 overflows
+    # tau = 1e15 s, so t = 1e300 s is long, and 2 kT t / xi overflows
     with pytest.raises(ValidationError, match="floating-point range"):
-        thermal_rms(1e-9, 1e-15, 300.0, 1e300, "short")
+        thermal_rms(1e-30, 1e-15, 300.0, 1e300)
 
+
+def test_thermal_rms_is_exact_at_every_time():
+    # the reference sphere at 1 pTorr, t / tau from 1e-8 to 1e4, and either
+    # side of the decade the asymptotes left out
+    body = Sphere(1e-5, 1.0)
+    xi = xi_molecular(body, Environment.from_torr(T0, 1e-12))
+    M = body.mass()
+    xs = [10.0 ** (-8 + 12 * k / 240) for k in range(241)] + [1.0, 0.0999, 10.01]
+    for x in xs:
+        t = x * M / xi
+        assert thermal_rms(xi, M, T0, t) == pytest.approx(
+            damped_rms(K * T0, xi, M, t), rel=4e-15, abs=0), x
 
 # ---------------------------------------------------------------------------
 # drag coefficients
@@ -209,7 +218,7 @@ def test_rotational_brownian_short_time_coefficient():
     env = Environment.from_torr(T0, 1e-12)
     xi = xi_rotational(disc, env, "molecular")
     inertia = 0.25 * disc.mass() * disc.radius ** 2   # thin-disc inertia
-    val = thermal_rms(xi, inertia, T0, 1.0, "short")
+    val = thermal_rms(xi, inertia, T0, 1.0)
     assert val == pytest.approx(80.0 / 2.0, rel=0.05)
 
 
@@ -240,11 +249,11 @@ def test_radiation_relaxation_time_and_displacement():
     tau = body.mass() / xi
     assert 2.5e13 < tau < 2.5e14          # quoted 1e14, same factor-2.5 caveat
     # a day of room-temperature radiation kicks: centimeters
-    dx = thermal_rms(xi, body.mass(), T0, 86400.0, "short")
+    dx = thermal_rms(xi, body.mass(), T0, 86400.0)
     assert 4.0 < dx < 15.0
     # liquid-helium temperature: utterly negligible (about 4e-8 cm quoted)
     xi_cold = xi_radiation(1e-5, 4.2)
-    dx_cold = thermal_rms(xi_cold, body.mass(), 4.2, 86400.0, "short")
+    dx_cold = thermal_rms(xi_cold, body.mass(), 4.2, 86400.0)
     assert dx_cold == pytest.approx(4e-8, rel=0.5)
 
 

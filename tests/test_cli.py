@@ -220,7 +220,10 @@ def test_fig2_readme_line_keeps_its_bytes(tmp_path):
             for k, v in got.items()} == FIG2_README_SHA256
 
 # sha256 of json.dumps([exit code, stdout, stderr]) of `diffuse` lines, as CSV
-# and as --json, captured before the mechanism dispatch moved into the CLI
+# and as --json, captured before the mechanism dispatch moved into the CLI.
+# The qm and brownian --json pins were captured again when those documents
+# dropped the unread `params.f`, and the viscous brownian line when its rms
+# became the exact damped form (t = 1 s is about 800 tau there)
 SPHERE = "--sphere-radius 1e-5"
 DISC = "--disc-radius 2du --disc-thickness .5du"
 GAS = "--temperature 4.2K --pressure 5e-17Torr"
@@ -239,7 +242,7 @@ DIFFUSE_SHA256 = [
      "a25cfd4db60fffec2fbb6d5b8cc3490bf99ae4824ec3967ebc5247e115ec9458"),
     (f"--mechanism qm {SPHERE} --times 1,100",
      "b43b04483fd22c7a112a9ba8dcf4436237622c346f0135b0c54670991a151ed1",
-     "890a95c1fb591eb432829ebac6a5850ea92d704dded702833c9489c0799a9079"),
+     "c9ca4cd9962684c275324b1e196f40a0351db5be49e3aa12cd6636605ba19870"),
     (f"--mechanism qm {DISC} --times 1,100",
      "2471fa45a854d207e0a899ea38da96e3a5344178c7a5fbe4fa66417904f928cb",
      "2471fa45a854d207e0a899ea38da96e3a5344178c7a5fbe4fa66417904f928cb"),
@@ -248,13 +251,13 @@ DIFFUSE_SHA256 = [
      "a6da91b9aff0215c140c23c418b2b64a9ee317cb62e292e7ec169c66e5df0e70"),
     (f"--mechanism qm --mode rotation {DISC} --times 1,100",
      "7d9ba309fa50f7782906833e233a09f683efd7f65090bf979336315d848730b4",
-     "0d37224323ab7e3e7971e278922877b76f6bdcd2774bbba16fe1f2e9a7a28447"),
+     "ac56d4eab96ce89e9dacc446a33efeab63cae0d9d0149681bb7ccfc19d52feb3"),
     (f"--mechanism brownian {SPHERE} {GAS} --times 1,100",
      "d0279fd77a8d9ffb5a5a81001f9eb131a60a4359f3b8987687c6eb247cbbc030",
-     "8d8bf85ade5cc4e86c5a7c3eb65d7ee16df7750cd5d322f753708c077788a145"),
+     "a6fa36b9b1e30818f23bbcfb04f18e9e96927b76f646ff10bcc0995e2aaa9f04"),
     (f"--mechanism brownian {DISC} {GAS} --times 1,100",
      "d0d46c95858d7fda8123e8883e559a28c9ad3a73f3a8ce3d8346eec629591a41",
-     "0f04a596bb821a85e346695e5c2a8945ddb98c2944d9b795d73173e4eeda60b6"),
+     "b1d4a53693cfe0d7d46c1620b1887e76fc467f96ae98bc50e3d09fa1b219f94d"),
     (f"--mechanism combined {SPHERE} {GAS} --times 1,100",
      "752b02e09fb273ac6d3addc1ea18b852ed5d3d6fc130b310e01b65f223f4fb72",
      "7144fb2b9d4368d307105ee9e88bda467727b2e19efedf8c8c4f2acd27bb7a6d"),
@@ -263,8 +266,8 @@ DIFFUSE_SHA256 = [
      "1de843a9a2b8706a7ab87b8e764a889ec06b8a536367fb25e75486191fcce618"),
     ("--mechanism brownian --sphere-radius 1e-3 --pressure 760Torr "
      "--viscosity 1.8e-4 --realm viscous --times 1,100",
-     "ed40bced67094272181948ce72e95ca597215b750ed1b8317b4beae1c323c9d0",
-     "7479bc13cbd31327d957a94f492c64eba6d9966d3f9e09eb26ede7f510dc2466"),
+     "af076c329bcc715b24dd930969dc5677e9b17103c16e5843c264326db622d7fe",
+     "50f01c3970445535d6049e4da4026100cb1a7b0af82ae08a313699d56e6d6789"),
     (f"{SPHERE} --f 0.5 --lambda-inv 1e10 --times 10,1000",
      "bbbed534de02f77d8857114190ec2a058ff1f103e335eacd820655e42f8f613e",
      "481f66e921057a07284299a57f8d2429ff998c137245e4fe09088bdfb43e7b04"),
@@ -396,7 +399,7 @@ def test_exit_code_precondition(capsys):
     ["diffuse", "--mode", "rotation", "--disc-radius", "2du",
      "--disc-thickness", ".5du", "--target", "1e300"],
     ["diffuse", "--mechanism", "brownian", "--sphere-radius", "1e-5",
-     "--pressure", "1e-10Torr", "--times", "1e300", "--regime", "short"],
+     "--pressure", "1e-10Torr", "--times", "1e308"],
     ["diffuse", "--mechanism", "combined", "--sphere-radius", "1e-5",
      "--pressure", "1e-10Torr", "--times", "1", "--a", "1e-300"],
     ["collide", "--sphere-radius", "1e300", "--temperature", "4.2K",
@@ -472,14 +475,59 @@ def test_diffuse_rejects_f_where_the_mechanism_ignores_it(capsys, mechanism, gas
     assert err == f"error: --f is not used by --mechanism {mechanism}\n"
 
 
-@pytest.mark.parametrize("body", [
-    ["--sphere-radius", "1e-5"],
-    ["--mode", "rotation", "--disc-radius", "2du", "--disc-thickness", ".5du"]])
-def test_diffuse_rejects_orientation_where_nothing_reads_it(capsys, body):
+@pytest.mark.parametrize("body,message", [
+    (["--sphere-radius", "1e-5"], "is used by a disc in translation only"),
+    (["--mode", "rotation", "--disc-radius", "2du", "--disc-thickness", ".5du"],
+     "is used by a disc in translation only"),
+    # the given factor replaces the one the orientation picks, and csl
+    # translation takes no drag
+    (["--disc-radius", "2du", "--disc-thickness", ".5du", "--f", "0.3"],
+     "is not read by --mechanism csl with --f")])
+def test_diffuse_rejects_orientation_where_nothing_reads_it(capsys, body, message):
     rc, out, err = run(capsys, ["diffuse", *body, "--orientation", "edge",
                                 "--times", "1,100"])
     assert rc == 3 and out == ""
-    assert err == "error: --orientation is used by a disc in translation only\n"
+    assert err == f"error: --orientation {message}\n"
+
+
+def test_diffuse_combined_reads_orientation_with_f():
+    # the drag still reads it
+    rms = {}
+    for orientation in ("perp", "edge"):
+        args = build_parser().parse_args([
+            "diffuse", "--mechanism=combined", "--disc-radius=2du",
+            "--disc-thickness=.5du", "--f=0.3", "--temperature=4.2K",
+            "--pressure=5e-17Torr", f"--orientation={orientation}",
+            "--times=1e12"])
+        rms[orientation] = args.func(args)[1]["samples"][0]["rms"]
+    assert rms["perp"] != rms["edge"]
+
+
+def test_diffuse_has_no_regime_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["diffuse", "--mechanism", "brownian", "--sphere-radius", "1e-5",
+              "--pressure", "1e-12Torr", "--times", "1", "--regime", "short"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_diffuse_is_exact_across_the_former_crossover_decade():
+    # tau = M/xi is about 1.4e8 s at 1 pTorr; every time in [0.1 tau, 10 tau]
+    # was refused, and now gives the library's exact damped rms
+    from cslwalk import (CONSTANTS, Environment, Sphere, combined_rms,
+                         xi_molecular)
+
+    body = Sphere(1e-5, 1.0)
+    env = Environment.from_torr(CONSTANTS.room_temperature_T0, 1e-12)
+    xi = xi_molecular(body, env)
+    times = [x * body.mass() / xi for x in (0.1, 1.0, 10.0)]
+    args = build_parser().parse_args([
+        "diffuse", "--mechanism=brownian", "--sphere-radius=1e-5",
+        "--pressure=1e-12Torr", "--times=" + ",".join(map(repr, times))])
+    doc = args.func(args)[1]
+    assert [s["rms"] for s in doc["samples"]] == [
+        combined_rms(xi, body, env, None, 0.0, t) for t in times]
+    assert "f" not in doc["params"]
 
 
 @pytest.mark.parametrize("times", ["--times=", "--times=,"])
@@ -607,6 +655,18 @@ def test_import_floor_loads_no_numpy():
         assert _modules_after(_CLI.format(argv=argv), "numpy") == [], argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["diffuse", "--mechanism", "brownian", "--disc-radius", "2du",
+     "--disc-thickness", ".5du", "--temperature", "4.2K", "--pressure",
+     "5e-17Torr", "--times", "1,100"],
+    ["diffuse", "--mechanism", "qm", "--mode", "rotation", "--disc-radius",
+     "2du", "--disc-thickness", ".5du", "--times", "1,100"]])
+def test_diffuse_computes_no_unread_disc_factor(argv):
+    # qm and brownian read no geometry factor, so a disc there runs no
+    # disc quadrature and loads no numpy
+    assert _modules_after(_CLI.format(argv=argv), "numpy") == []
+
+
 # every README "Command line" line
 README_LINES = NUMPY_FREE_README_LINES + (
     ["diffuse", "--mode", "rotation", "--disc-radius", "2du",
@@ -696,7 +756,6 @@ _DIFFUSE = {
     "--mode": st.sampled_from(["translation", "rotation"]),
     "--orientation": st.sampled_from(["perp", "edge"]),
     "--realm": st.sampled_from(["molecular", "viscous"]),
-    "--regime": st.sampled_from(["auto", "short", "long"]),
 }
 # Out-of-domain values, which are rejected before any work is done.  The
 # valid draws below are bounded so that each example stays fast: fig1 sizes
@@ -781,8 +840,8 @@ def test_cli_exit_code_contract_holds_for_drawn_flags(argv):
 
 
 # one line per (mechanism, mode) pair that `diffuse` draws, and the viscous
-# realm's long-time form; in the gas lines tau = M/xi is about 3e11 s, so
-# every drawn time takes the short-time form
+# realm; in the gas lines tau = M/xi is about 3e11 s, and in the viscous
+# line about 1e-3 s, so the drawn times lie on both sides of tau
 _CURVES = [
     ["--sphere-radius=1e-5"],
     ["--mode=rotation", *_DISC, "--f=0.3"],
@@ -791,7 +850,7 @@ _CURVES = [
     ["--mechanism=brownian", "--sphere-radius=1e-5", *_GAS],
     ["--mechanism=combined", *_DISC, "--f=0.6", *_GAS],
     ["--mechanism=brownian", "--sphere-radius=1e-3", "--pressure=760Torr",
-     "--viscosity=1.8e-4", "--realm=viscous", "--regime=long"],
+     "--viscosity=1.8e-4", "--realm=viscous"],
 ]
 
 

@@ -14,7 +14,7 @@ from cslwalk import (CONSTANTS, CslParams, Disc, Environment, Sphere,
 from cslwalk.brownian import SLIP_SPECULAR
 from cslwalk.diffusion import WavepacketEquilibrium
 
-from conftest import matches_1sf
+from conftest import damped_rms, matches_1sf
 
 DAY = 86400.0
 T0 = CONSTANTS.room_temperature_T0
@@ -66,7 +66,7 @@ def test_entry_points_reject_nonfinite_inputs(grw, bad):
              lambda: csl_rms_rotation(grw, bad, 1.0),
              lambda: csl_rms_rotation(grw, 0.3, 1.0, initial_term=bad),
              lambda: combined_rms(1e-9, sphere, Environment(temperature=T0),
-                                  grw, 0.6, bad, regime="short"),
+                                  grw, 0.6, bad),
              lambda: qm_baseline_translation(sphere, bad),
              lambda: qm_baseline_rotation(disc, bad),
              lambda: equilibrium_series_rms(eq, bad)]
@@ -77,7 +77,9 @@ def test_entry_points_reject_nonfinite_inputs(grw, bad):
 
 
 def test_entry_points_reject_results_beyond_float_range(grw):
-    # t^3 or the target angle squared overflows, or a^2 underflows to 0
+    # t^3 or the target angle squared overflows, or a^2 underflows to 0;
+    # combined_rms overflows past tau (tau = 4e15 s, and the collapse part
+    # (M/xi)^2 c t is 2e318) and before it (tau = 4e285 s, c t^3 / 3 is 4e316)
     tiny_a = CslParams(lam=1e-16, a=1e-300)
     sphere, env = Sphere(1e-5, 1.0), Environment(temperature=T0)
     calls = [lambda: csl_rms_translation(grw, 1.0, 1e300),
@@ -86,12 +88,9 @@ def test_entry_points_reject_results_beyond_float_range(grw):
              lambda: csl_rms_rotation(tiny_a, 0.3, 1.0),
              lambda: time_to_rotation(grw, 0.3, 1e300),
              lambda: time_to_rotation(tiny_a, 0.3, 1.0),
-             lambda: combined_rms(1e-9, sphere, env, grw, 0.6, 1e300,
-                                  regime="short"),
-             lambda: combined_rms(1e-300, sphere, env, grw, 0.6, 1.0,
-                                  regime="long"),
-             lambda: combined_rms(1e-9, sphere, env, tiny_a, 0.6, 1.0,
-                                  regime="short")]
+             lambda: combined_rms(1e-30, sphere, env, grw, 0.6, 1e300),
+             lambda: combined_rms(1e-300, sphere, env, grw, 0.6, 1e110),
+             lambda: combined_rms(1e-9, sphere, env, tiny_a, 0.6, 1.0)]
     for k, call in enumerate(calls):
         with pytest.raises(ValidationError, match="floating-point range"):
             call()
@@ -205,21 +204,55 @@ def test_equilibrium_validity_flags(grw):
 # combined gas + collapse diffusion
 
 def test_combined_reduces_to_brownian_when_lambda_off():
+    # the short- and long-time forms are the limits of the exact rms, with
+    # the next terms of their ratios, 1 - 3x/8 and 1 - 3/(4x), x = t/tau
     body = Sphere(1e-5, 1.0)
     env = Environment.from_torr(T0, 1e-12)
     xi = xi_molecular(body, env)
     tau = body.mass() / xi
-    kT = CONSTANTS.k_boltzmann * T0
-    for t, regime in ((1e-3 * tau, "short"), (1e3 * tau, "long")):
-        got = combined_rms(xi, body, env, None, 0.0, t, regime=regime)
-        if regime == "short":
-            expect = math.sqrt(2 * kT * xi * t ** 3 / (3 * body.mass() ** 2))
-        else:
-            expect = math.sqrt(2 * kT * t / xi)
-        assert got == pytest.approx(expect, rel=1e-12)
-        # and the exact damped moments agree in the asymptotic regimes
+    kT = env.kT
+    for x in (1e-3, 1e-2):
+        t = x * tau
+        got = combined_rms(xi, body, env, None, 0.0, t)
+        short = math.sqrt(2 * kT * xi * t ** 3 / (3 * body.mass() ** 2))
+        assert abs(got / short - (1 - 3 * x / 8)) <= x ** 2, x
+    for x in (1e2, 1e3):
+        t = x * tau
+        got = combined_rms(xi, body, env, None, 0.0, t)
+        long = math.sqrt(2 * kT * t / xi)
+        assert abs(got / long - (1 - 3 / (4 * x))) <= 1 / x ** 2, x
+    # and the exact damped moments give the same variance
+    for t in (1e-3 * tau, tau, 1e3 * tau):
         exact = math.sqrt(fp_moments(tau, kT / xi, 0.0, t).var_x)
-        assert got == pytest.approx(exact, rel=0.02)
+        assert combined_rms(xi, body, env, None, 0.0, t) == pytest.approx(
+            exact, rel=1e-14)
+
+
+def test_combined_is_exact_at_every_time(grw):
+    # collapse off, t / tau from 1e-8 to 1e4 and either side of the decade
+    # the asymptotes left out; collapse on, the same at the crossover
+    body = Sphere(1e-5, 1.0)
+    env = Environment.from_torr(T0, 1e-12)
+    xi, M = xi_molecular(body, env), body.mass()
+    xs = [10.0 ** (-8 + 12 * k / 240) for k in range(241)] + [1.0, 0.0999, 10.01]
+    for x in xs:
+        t = x * M / xi
+        assert combined_rms(xi, body, env, None, 0.0, t) == pytest.approx(
+            damped_rms(env.kT, xi, M, t), rel=4e-15, abs=0), x
+    m, f = CONSTANTS.m_nucleon, 0.62
+    rate = grw.lam * CONSTANTS.hbar ** 2 * f / (2 * m ** 2 * grw.a ** 2)
+    for x in (0.0999, 1.0, 10.01):
+        t = x * M / xi
+        assert combined_rms(xi, body, env, grw, f, t) == pytest.approx(
+            damped_rms(env.kT, xi, M, t, rate), rel=4e-15, abs=0), x
+
+
+def test_combined_without_drag_is_the_collapse_walk(grw):
+    body, env = Sphere(1e-5, 1.0), Environment(temperature=T0)
+    for t in (1e-3, 1.0, 10.0, DAY, 1e9):
+        want = csl_rms_translation(grw, 0.62, t)
+        got = combined_rms(0.0, body, env, grw, 0.62, t)
+        assert abs(got - want) <= 2 * math.ulp(want), t
 
 
 def test_combined_viscous_realm_collapse_part(grw):
@@ -237,8 +270,8 @@ def test_combined_viscous_realm_collapse_part(grw):
         csl_part = (body.mass() / xi) * math.sqrt(vel_rate * DAY)
         assert csl_part == pytest.approx(3e-11, rel=0.25), R
         # and the combined quadrature sum is consistent with its two pieces
-        brown = combined_rms(xi, body, env, None, 0.0, DAY, regime="long")
-        both = combined_rms(xi, body, env, grw, f, DAY, regime="long")
+        brown = combined_rms(xi, body, env, None, 0.0, DAY)
+        both = combined_rms(xi, body, env, grw, f, DAY)
         assert both ** 2 == pytest.approx(brown ** 2 + csl_part ** 2, rel=1e-9, abs=0)
 
 
@@ -247,11 +280,11 @@ def test_combined_viscous_realm_brownian_part():
     env = Environment(temperature=T0, gas_viscosity=2e-4)
     body = Sphere(1e-5, 1.0)
     xi = xi_slip_corrected(1e-5, 2e-4, 0.6e-5, *SLIP_SPECULAR)
-    assert combined_rms(xi, body, env, None, 0.0, DAY, regime="long") == \
+    assert combined_rms(xi, body, env, None, 0.0, DAY) == \
         pytest.approx(0.6, rel=0.05)
     big = Sphere(1.0, 1.0)
     xi_big = 6 * math.pi * 2e-4 * 1.0
-    assert combined_rms(xi_big, big, env, None, 0.0, DAY, regime="long") == \
+    assert combined_rms(xi_big, big, env, None, 0.0, DAY) == \
         pytest.approx(1.4e-3, rel=0.05)
 
 
@@ -262,50 +295,57 @@ def test_combined_molecular_realm_parts(grw):
     env = Environment.from_torr(T0, 1e-12)
     xi = xi_molecular(body, env)
     t = 10.0
-    brown = combined_rms(xi, body, env, None, 0.0, t, regime="short")
+    brown = combined_rms(xi, body, env, None, 0.0, t)
     assert brown / t ** 1.5 == pytest.approx(2e-4, rel=0.1)
     csl_only = csl_rms_translation(grw, 0.62, t)
     assert csl_only / t ** 1.5 == pytest.approx(2e-7, rel=0.03)
 
 
 def test_molecular_short_time_scaling_exponents():
-    # rms scales as p^{1/2} T^{1/4} / D in the free-molecular short-time form
+    # rms scales as p^{1/2} T^{1/4} / D in the free-molecular short-time
+    # form, times its first correction 1 - 3x/8, x = t xi / M (about 7e-8)
     def rms(p_torr, T, D):
         body = Sphere(1e-5, D)
         env = Environment.from_torr(T, p_torr)
         xi = xi_molecular(body, env)
-        return combined_rms(xi, body, env, None, 0.0, 10.0, regime="short")
+        return (combined_rms(xi, body, env, None, 0.0, 10.0),
+                1 - 3 * 10.0 * xi / (8 * body.mass()))
 
-    base = rms(1e-12, T0, 1.0)
-    assert rms(4e-12, T0, 1.0) / base == pytest.approx(2.0, rel=1e-9)
-    assert rms(1e-12, 16 * T0, 1.0) / base == pytest.approx(2.0, rel=1e-9)
-    assert rms(1e-12, T0, 2.0) / base == pytest.approx(0.5, rel=1e-9)
+    base, base_corr = rms(1e-12, T0, 1.0)
+    for args, ratio in (((4e-12, T0, 1.0), 2.0), ((1e-12, 16 * T0, 1.0), 2.0),
+                        ((1e-12, T0, 2.0), 0.5)):
+        got, corr = rms(*args)
+        assert got / base == pytest.approx(ratio * corr / base_corr, rel=1e-9)
 
 
 def test_radiation_walk_temperature_scaling():
-    # drag ~ T^8, so the short-time thermal walk scales as T^{9/2}
+    # drag ~ T^8, so the short-time thermal walk scales as T^{9/2}, times its
+    # first correction 1 - 3x/8, x = t xi / M (about 6e-7 at 2 T0)
     from cslwalk import xi_radiation
     body = Sphere(1e-5, 1.0)
 
     def walk(T):
-        return thermal_rms(xi_radiation(body.radius, T), body.mass(),
-                           T, 1e5, "short")
+        xi = xi_radiation(body.radius, T)
+        return (thermal_rms(xi, body.mass(), T, 1e5),
+                1 - 3 * 1e5 * xi / (8 * body.mass()))
 
-    assert walk(2 * T0) / walk(T0) == pytest.approx(2 ** 4.5, rel=1e-9)
+    (hot, hot_corr), (cold, cold_corr) = walk(2 * T0), walk(T0)
+    assert hot / cold == pytest.approx(2 ** 4.5 * hot_corr / cold_corr, rel=1e-9)
 
 
-def test_combined_auto_refuses_crossover():
+def test_combined_at_the_crossover():
+    # t = tau, where neither asymptote holds: sqrt(2 kT M B(1)) / xi
     body = Sphere(1e-5, 1.0)
     env = Environment.from_torr(T0, 1e-12)
     xi = xi_molecular(body, env)
     tau = body.mass() / xi
-    with pytest.raises(ValidationError) as err:
-        combined_rms(xi, body, env, None, 0.0, tau, regime="auto")
-    # both asymptotes are reported in the rejection
-    assert "long-time" in str(err.value) and "short-time" in str(err.value)
-    # outside the decade, auto picks the matching side
-    got = combined_rms(xi, body, env, None, 0.0, 20 * tau, regime="auto")
-    assert got == combined_rms(xi, body, env, None, 0.0, 20 * tau, regime="long")
+    got = combined_rms(xi, body, env, None, 0.0, tau)
+    assert got == pytest.approx(damped_rms(env.kT, xi, body.mass(), tau),
+                                rel=4e-15, abs=0)
+    # B(1) = 1 - 3/2 + 2/e - 1/(2 e^2), about 0.168
+    b1 = -0.5 + 2 / math.e - 0.5 / math.e ** 2
+    assert got == pytest.approx(math.sqrt(2 * env.kT * body.mass() * b1) / xi,
+                                rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,7 @@ CONTRACT = [
     # v0 may have either sign: tests/test_brownian.py checks it is finite
     (fp_moments, dict(tau=1.0, beta=1.0, v0=0.0, t=1.0),
      {"tau": "positive", "beta": "nonnegative", "t": "nonnegative"}),
-    (thermal_rms, dict(xi=1e-9, inertia=1e-15, temperature=300.0, t=1.0,
-                       regime="short"),
+    (thermal_rms, dict(xi=1e-9, inertia=1e-15, temperature=300.0, t=1.0),
      {"xi": "nonnegative", "inertia": "positive", "temperature": "positive",
       "t": "nonnegative"}),
     (xi_stokes, dict(R=1e-5, eta=1.8e-4), {"R": "positive", "eta": "positive"}),
@@ -107,8 +106,7 @@ CONTRACT = [
      {"f_rot": "nonnegative", "t": "nonnegative", "initial_term": "nonnegative"}),
     (time_to_rotation, dict(csl=GRW, f_rot=0.5, target_angle=2 * math.pi),
      {"f_rot": "positive", "target_angle": "positive"}),
-    (combined_rms, dict(xi=1e-9, body=SPHERE, env=ENV, csl=GRW, f=0.5, t=1e6,
-                        regime="long"),
+    (combined_rms, dict(xi=1e-9, body=SPHERE, env=ENV, csl=GRW, f=0.5, t=1e6),
      {"xi": "nonnegative", "f": "fraction", "t": "nonnegative"}),
     (qm_baseline_translation, dict(body=SPHERE, t=1.0), {"t": "nonnegative"}),
     (qm_baseline_rotation, dict(body=DISC, t=1.0), {"t": "nonnegative"}),
