@@ -7,9 +7,9 @@ A room-temperature photon bath also jiggles the grain; at liquid-helium
 temperature it is irrelevant.
 """
 
-from cslwalk import (CONSTANTS, Disc, Environment, Sphere,
-                     collision_stats, molecular_flux, thermal_rms,
-                     xi_molecular, xi_radiation, xi_slip_corrected, xi_stokes)
+from cslwalk import (CONSTANTS, Disc, Environment, Sphere, collision_stats,
+                     combined_rms, molecular_flux, xi_molecular, xi_radiation,
+                     xi_slip_corrected, xi_stokes)
 from cslwalk.brownian import SLIP_SPECULAR
 
 T0 = CONSTANTS.room_temperature_T0
@@ -20,7 +20,7 @@ body = Sphere(radius=1e-5, density=1.0)
 eta = 2e-4                        # air viscosity, g/(cm s)
 l_m = 0.6e-5                      # mean free path at STP, comparable to R
 xi_v = xi_slip_corrected(body.radius, eta, l_m, *SLIP_SPECULAR)
-dx_day = thermal_rms(xi_v, body.mass(), T0, DAY)
+dx_day = combined_rms(xi_v, body, Environment(T0), None, 0.0, DAY)
 print(f"air at STP: slip-corrected drag {xi_v:.3g} g/s "
       f"(Stokes {xi_stokes(body.radius, eta):.3g}),")
 print(f"  thermal walk {dx_day:.2g} cm/day -- the collapse part is ~3e-11 cm"
@@ -30,7 +30,7 @@ print(f"  thermal walk {dx_day:.2g} cm/day -- the collapse part is ~3e-11 cm"
 env_pT = Environment.from_torr(T0, 1e-12)
 xi_m = xi_molecular(body, env_pT)
 tau = body.mass() / xi_m
-dx = thermal_rms(xi_m, body.mass(), T0, 100.0)
+dx = combined_rms(xi_m, body, env_pT, None, 0.0, 100.0)
 print(f"\nat 1 pT: drag {xi_m:.3g} g/s, velocity relaxation tau = "
       f"{tau:.2g} s,")
 print(f"  thermal walk {dx:.2g} cm in 100 s vs collapse {2e-7 * 1e3:.2g} cm "
@@ -51,7 +51,7 @@ print(f"  one molecule kicks the disc by {dsc.omega_kick:.1f} rad/s -- a "
 # --- thermal radiation ---------------------------------------------------------
 for T in (T0, 4.2):
     xi_r = xi_radiation(body.radius, T)
-    dx_r = thermal_rms(xi_r, body.mass(), T, DAY)
+    dx_r = combined_rms(xi_r, body, Environment(T), None, 0.0, DAY)
     print(f"\nphoton bath at {T:g} K: drag {xi_r:.2g} g/s, walk "
           f"{dx_r:.2g} cm/day")
 print("\nconclusion: cold and empty wins -- the impact realm at liquid-helium"

@@ -32,8 +32,7 @@ _EXPORTS = {
              "Body", "Environment", "body_derived", "convert_unit"),
     "errors": ("CslwalkError", "ValidationError", "ConvergenceError",
                "ValidityWarning"),
-    "brownian": ("BrownianMoments", "CollisionStats", "fp_moments",
-                 "thermal_rms", "xi_stokes", "xi_slip_corrected",
+    "brownian": ("CollisionStats", "xi_stokes", "xi_slip_corrected",
                  "xi_molecular", "xi_viscous_disc", "xi_rotational",
                  "xi_radiation", "xi_mirror", "spectral_xi",
                  "collision_stats", "molecular_flux"),

@@ -1,10 +1,10 @@
-"""Classical Brownian motion: Fokker-Planck moments, drag coefficients
-in every realm (hydrodynamic, slip-corrected, free-molecular, thermal
-radiation), and discrete-collision statistics.
+"""Classical Brownian motion: drag coefficients in every realm
+(hydrodynamic, slip-corrected, free-molecular, thermal radiation) and
+discrete-collision statistics.  The damped walk these drags drive is
+cslwalk.diffusion.combined_rms.
 
 Drag conventions: the damping force is -xi * v (translation, xi in g/s) or
-the torque is -xi * omega (rotation, xi in g cm^2/s).  The moment solutions
-use tau = M/xi (or I/xi) and beta = kT/xi.
+the torque is -xi * omega (rotation, xi in g cm^2/s).
 
 spectral_xi, the frequency density of the radiation drags xi_mirror and
 xi_radiation, is one expression in g(z) = z^2 e^z / (e^z - 1)^2, z = h nu / kT;
@@ -23,10 +23,7 @@ from .errors import (ValidationError, ValidityWarning, _in_float_range,
                      _nonnegative, _positive)
 
 __all__ = [
-    "BrownianMoments",
     "CollisionStats",
-    "fp_moments",
-    "thermal_rms",
     "xi_stokes",
     "xi_slip_corrected",
     "SLIP_MEASURED",
@@ -44,18 +41,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BrownianMoments:
-    """Moment solution of the damped-diffusion Fokker-Planck equation."""
-
-    t: float
-    mean_v: float
-    var_v: float
-    var_x: float
-    tau: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class CollisionStats:
     """Impact-realm statistics: mean time between individual gas-molecule
     strikes and the size of the per-collision kick."""
@@ -66,68 +51,6 @@ class CollisionStats:
 
     def __post_init__(self):
         _positive(tau_c=self.tau_c)
-
-
-# the Taylor coefficients (-1)^(n+1) (2^(n-1) - 2) / n! of B(x), n = 3..20
-_B_SERIES = tuple((-1) ** (n + 1) * (2 ** (n - 1) - 2) / math.factorial(n)
-                  for n in range(3, 21))
-
-
-def _bracket_over_cube(x: float) -> float:
-    """B(x) / x^3 for 0 <= x <= 0.5 by its Taylor series
-    1/3 - x/4 + 7x^2/60 - x^3/24 + ..., summed exactly."""
-    return math.fsum(c * x ** k for k, c in enumerate(_B_SERIES))
-
-
-def _var_x_bracket(x: float) -> float:
-    """B(x) = x - (1 - e^-x) - (1 - e^-x)^2 / 2, accurate at every x >= 0."""
-    if x <= 0.5:
-        return x ** 3 * _bracket_over_cube(x)
-    g = -math.expm1(-x)
-    return x - g - 0.5 * g * g
-
-
-def _damped_rms(q: float, xi: float, inertia: float, t: float) -> float:
-    """rms position at t from rest under white velocity noise of rate q and
-    damping xi / inertia: the Ornstein-Uhlenbeck variance q tau^3 B(x), with
-    tau = inertia / xi and x = t / tau, as q t^3 B(x) / x^3 up to x = 0.5
-    (so xi = 0 gives q t^3 / 3)."""
-    x = t * xi / inertia
-    if x <= 0.5:
-        return math.sqrt(q * t ** 3 * _bracket_over_cube(x))
-    return math.sqrt(q * (inertia / xi) ** 3 * _var_x_bracket(x))
-
-
-@_in_float_range("moment solution")
-def fp_moments(tau: float, beta: float, v0: float, t: float) -> BrownianMoments:
-    """Exact one-axis moments of damped Brownian motion started at x=0, v=v0.
-
-    mean velocity decays as e^{-t/tau}; the velocity variance saturates at
-    beta/tau (equipartition when beta = kT tau / M); the position variance
-    grows as (2 beta / 3 tau^2) t^3 for t << tau and as 2 beta t for t >> tau.
-    """
-    _positive(tau=tau)
-    _nonnegative(beta=beta, t=t, **{"|v0|": abs(v0)})
-    x = t / tau
-    return BrownianMoments(t=t, mean_v=v0 * math.exp(-x),
-                           var_v=(beta / tau) * (-math.expm1(-2.0 * x)),
-                           var_x=2.0 * beta * tau * _var_x_bracket(x),
-                           tau=tau, beta=beta)
-
-
-@_in_float_range("thermal rms")
-def thermal_rms(xi: float, inertia: float, temperature: float, t: float) -> float:
-    """Thermal rms diffusion from rest (translation or rotation), exact at
-    every time: noise rate 2 kT xi / inertia^2 in _damped_rms.
-
-    `inertia` is the mass for translation or the moment of inertia for
-    rotation.  The limits are sqrt(2 kT xi t^3 / (3 inertia^2)) for
-    t << tau = inertia / xi and sqrt(2 kT t / xi) for t >> tau.
-    """
-    _nonnegative(xi=xi, t=t)
-    _positive(temperature=temperature, inertia=inertia)
-    kT = CONSTANTS.k_boltzmann * temperature
-    return _damped_rms(2.0 * kT * xi / inertia ** 2, xi, inertia, t)
 
 
 # ---------------------------------------------------------------------------

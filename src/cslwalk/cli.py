@@ -34,7 +34,7 @@ from functools import partial
 from . import diffusion as diff
 from . import factors
 from .brownian import (check_realm, collision_stats, molecular_flux,
-                       xi_molecular, xi_stokes, xi_viscous_disc)
+                       xi_molecular, xi_rotational, xi_stokes, xi_viscous_disc)
 from .core import (CslParams, Disc, Environment, N2_MOLECULAR_MASS,
                    Sphere, _csv, constants_summary, convert_unit)
 from .errors import ConvergenceError, ValidationError, ValidityWarning, _nonnegative
@@ -157,16 +157,16 @@ def _add_csl_flags(p):
                    help="collapse rate in 1/s (default GRW 1e-16)")
     p.add_argument("--lambda-inv", type=_time, default=None,
                    help="inverse collapse rate in s (alternative to --lam)")
-    p.add_argument("--a", type=_length, default=_GRW.a,
+    p.add_argument("--a", type=_length, default=None,
                    help="collapse length (cm or du, default 1e-5 cm)")
 
 
 def _add_env_flags(p):
-    p.add_argument("--temperature", type=_temperature, default=293.15,
+    p.add_argument("--temperature", type=_temperature, default=None,
                    help="gas temperature (K, default 293.15)")
     p.add_argument("--pressure", type=_pressure, default=None,
                    help="gas pressure (Torr, pT or dyn/cm2)")
-    p.add_argument("--gas-mass", type=float, default=N2_MOLECULAR_MASS,
+    p.add_argument("--gas-mass", type=float, default=None,
                    help="gas molecular mass in g (default N2)")
     p.add_argument("--viscosity", type=float, default=None,
                    help="gas viscosity in g/(cm s), for the viscous realm")
@@ -187,18 +187,22 @@ def _body_from(args):
 def _csl_from(args) -> CslParams:
     if args.lam is not None and args.lambda_inv is not None:
         raise ValidationError("give --lam or --lambda-inv, not both")
+    a = _GRW.a if args.a is None else args.a
     if args.lambda_inv is not None:
         if not args.lambda_inv > 0:
             raise ValidationError("--lambda-inv must be positive")
-        return CslParams(lam=1.0 / args.lambda_inv, a=args.a)
+        return CslParams(lam=1.0 / args.lambda_inv, a=a)
     lam = args.lam if args.lam is not None else _GRW.lam
-    return CslParams(lam=lam, a=args.a)
+    return CslParams(lam=lam, a=a)
 
 
 def _env_from(args) -> Environment:
-    return Environment(temperature=args.temperature, pressure=args.pressure,
-                       gas_molecular_mass=args.gas_mass,
-                       gas_viscosity=args.viscosity)
+    return Environment(
+        temperature=293.15 if args.temperature is None else args.temperature,
+        pressure=args.pressure,
+        gas_molecular_mass=(N2_MOLECULAR_MASS if args.gas_mass is None
+                            else args.gas_mass),
+        gas_viscosity=args.viscosity)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +280,27 @@ def _resolve_factor(args, body, csl):
     return factors.f_disc_perp(aspect).value
 
 
+def _reject_given(args, names, why: str) -> None:
+    """Reject the first of these flags (each defaults to None) that the
+    command line gives: nothing reads it `why`, e.g. "by --mechanism qm"."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValidationError(f"--{name.replace('_', '-')} is not used {why}")
+
+
 def _cmd_diffuse(args):
     body = _body_from(args)
-    csl = _csl_from(args)
     mechanism = {"qm": "qm-baseline"}.get(args.mechanism, args.mechanism)
     mode = args.mode
-    if args.f is not None and args.mechanism in ("qm", "brownian"):
-        raise ValidationError(f"--f is not used by --mechanism {args.mechanism}")
+    if args.mechanism in ("qm", "brownian"):
+        _reject_given(args, ("f", "lam", "lambda_inv", "a"),
+                      f"by --mechanism {args.mechanism}")
+        csl = None
+    else:
+        csl = _csl_from(args)
+    if args.mechanism in ("csl", "qm"):
+        _reject_given(args, ("temperature", "pressure", "gas_mass", "viscosity",
+                             "realm"), f"by --mechanism {args.mechanism}")
     if args.orientation is not None:
         if isinstance(body, Sphere) or mode == "rotation":
             raise ValidationError("--orientation is used by a disc in translation only")
@@ -293,6 +311,7 @@ def _cmd_diffuse(args):
     if args.target is not None:
         if mechanism != "csl" or mode != "rotation":
             raise ValidationError("--target is defined for csl rotation only")
+        _reject_given(args, ("times", "t_end", "n_times"), "with --target")
         t_hit = diff.time_to_rotation(csl, f, args.target)
         csv_text = _csv(["target_rad", "f_rot", "time_s"],
                         [[f"{v:.6g}" for v in (args.target, f, t_hit)]])
@@ -300,28 +319,33 @@ def _cmd_diffuse(args):
                           "target_rad": args.target, "time_s": t_hit}
 
     if args.times is not None:
+        _reject_given(args, ("t_end", "n_times"), "with --times")
         if not args.times:
             raise ValidationError("--times needs at least one time")
         times = args.times
     else:
-        n = args.n_times
-        times = [args.t_end * (k + 1) / n for k in range(n)]
+        n = 25 if args.n_times is None else args.n_times
+        t_end = 1.0e3 if args.t_end is None else args.t_end
+        times = [t_end * (k + 1) / n for k in range(n)]
 
     xi = None
     env = None
     if mechanism in ("brownian", "combined"):
         env = _env_from(args)
+        realm = args.realm or "molecular"
+        if realm == "viscous" and env.gas_viscosity is None:
+            raise ValidationError("viscous realm needs --viscosity")
         orientation = None if isinstance(body, Sphere) else args.orientation or "perp"
-        if args.realm == "viscous":
-            if env.gas_viscosity is None:
-                raise ValidationError("viscous realm needs --viscosity")
+        if mode == "rotation":
+            xi = xi_rotational(body, env, realm)
+        elif realm == "viscous":
             eta = env.gas_viscosity
             xi = (xi_stokes(body.radius, eta) if isinstance(body, Sphere) else
                   xi_viscous_disc(body.radius, body.thickness, eta, orientation))
         else:
             xi = xi_molecular(body, env, orientation)
         if env.pressure is not None:
-            check_realm(body, env, args.realm)   # warns if dubious
+            check_realm(body, env, realm)   # warns if dubious
 
     for t in times:
         _nonnegative(times=t)
@@ -330,13 +354,11 @@ def _cmd_diffuse(args):
         ("csl", "rotation"): partial(diff.csl_rms_rotation, csl, f),
         ("qm-baseline", "translation"): partial(diff.qm_baseline_translation, body),
         ("qm-baseline", "rotation"): partial(diff.qm_baseline_rotation, body),
-        ("brownian", "translation"): partial(diff.combined_rms, xi, body, env,
-                                             None, 0.0),
-        ("combined", "translation"): partial(diff.combined_rms, xi, body, env,
-                                             csl, f),
-    }.get((mechanism, mode))
-    if rms is None:
-        raise ValidationError(f"unsupported mechanism/mode pair {mechanism!r}/{mode!r}")
+        ("brownian", mode): partial(diff.combined_rms, xi, body, env, None,
+                                    0.0, mode=mode),
+        ("combined", mode): partial(diff.combined_rms, xi, body, env, csl, f,
+                                    mode=mode),
+    }[mechanism, mode]
     samples = [(t, rms(t)) for t in times]
 
     params = {"mechanism": mechanism, "mode": mode,
@@ -463,10 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report the time to reach this angle (rad, or '2pi')")
     p.add_argument("--times", type=_csv_floats, default=None,
                    help="comma list of times in s")
-    p.add_argument("--t-end", type=_time, default=1.0e3)
-    p.add_argument("--n-times", type=_count, default=25)
-    p.add_argument("--realm", choices=("molecular", "viscous"),
-                   default="molecular")
+    p.add_argument("--t-end", type=_time, default=None)
+    p.add_argument("--n-times", type=_count, default=None)
+    p.add_argument("--realm", choices=("molecular", "viscous"), default=None)
     _add_body_flags(p)
     _add_csl_flags(p)
     _add_env_flags(p)

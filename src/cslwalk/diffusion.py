@@ -1,11 +1,13 @@
 """Collapse-driven diffusion observables and their standard-QM baselines.
 
 Everything here is a closed form in the constants and the collapse
-parameters: undamped collapse noise gives rms displacement growing as
-t^{3/2}; with gas damping, thermal and collapse noise add in the exact
-damped-diffusion variance, which runs from the t^{3/2} short-time limit to
-the t^{1/2} long-time limit; the center-of-mass wavepacket has an
-equilibrium width where collapse narrowing balances free spreading.
+parameters: undamped collapse noise gives rms displacement and rotation
+growing as t^{3/2}; with gas damping, thermal and collapse noise add in one
+exact damped-diffusion variance, for translation and rotation alike, which
+runs from the t^{3/2} short-time limit to the t^{1/2} long-time limit (the
+thermal walk alone is its collapse-free case); the center-of-mass
+wavepacket has an equilibrium width where collapse narrowing balances free
+spreading.
 """
 
 from __future__ import annotations
@@ -87,31 +89,65 @@ def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float) -> float
             / (csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f_rot)) ** (1.0 / 3.0)
 
 
+# the Taylor coefficients (-1)^(n+1) (2^(n-1) - 2) / n! of B(x), n = 3..20
+_B_SERIES = tuple((-1) ** (n + 1) * (2 ** (n - 1) - 2) / math.factorial(n)
+                  for n in range(3, 21))
+
+
+def _bracket_over_cube(x: float) -> float:
+    """B(x) / x^3 for 0 <= x <= 0.5 by its Taylor series
+    1/3 - x/4 + 7x^2/60 - x^3/24 + ..., summed exactly."""
+    return math.fsum(c * x ** k for k, c in enumerate(_B_SERIES))
+
+
+def _damped_rms(q: float, xi: float, inertia: float, t: float) -> float:
+    """rms position at t from rest under white velocity noise of rate q and
+    damping xi / inertia: the Ornstein-Uhlenbeck variance q tau^3 B(x), with
+    tau = inertia / xi, x = t / tau and
+    B(x) = x - (1 - e^-x) - (1 - e^-x)^2 / 2, as q t^3 B(x) / x^3 up to
+    x = 0.5 (so xi = 0 gives q t^3 / 3)."""
+    x = t * xi / inertia
+    if x <= 0.5:
+        return math.sqrt(q * t ** 3 * _bracket_over_cube(x))
+    g = -math.expm1(-x)
+    return math.sqrt(q * (inertia / xi) ** 3 * (x - g - 0.5 * g * g))
+
+
 @_in_float_range("rms displacement")
 def combined_rms(xi: float, body: Body, env: Environment,
-                 csl: CslParams | None, f: float, t: float) -> float:
-    """rms displacement from rest with both thermal-gas and collapse noise
-    (one axis), exact at every time.
+                 csl: CslParams | None, f: float, t: float,
+                 mode: str = "translation") -> float:
+    """rms displacement (one axis) or rotation angle (about one axis) from
+    rest with both thermal-gas and collapse noise, exact at every time.
 
-    Both are white noise on the velocity, so their rates add,
-    q = 2 kT xi / M^2 + lam hbar^2 f / (2 m^2 a^2), in the damped
-    (Ornstein-Uhlenbeck) variance q tau^3 B(t/tau), tau = M/xi and
-    B(x) = x - (1 - e^-x) - (1 - e^-x)^2 / 2.  Its limits:
-    short-time (t << M/xi): sqrt([2kT xi/(3M^2) + lam hbar^2 f/(6 m^2 a^2)] t^3);
-    long-time (t >> M/xi): sqrt([2kT/xi + (M/xi)^2 lam hbar^2 f/(2 m^2 a^2)] t).
-    csl=None drops the collapse term (the lam -> 0 limit); xi = 0 leaves
-    the undamped collapse walk of csl_rms_translation.
+    Both are white noise on the velocity, so their rates add in the damped
+    (Ornstein-Uhlenbeck) variance q tau^3 B(t/tau), tau = I/xi and
+    B(x) = x - (1 - e^-x) - (1 - e^-x)^2 / 2, with q = 2 kT xi / I^2 + c:
+    translation: I = M, c = lam hbar^2 f / (2 m^2 a^2), f in [0, 1];
+    rotation: I = the moment of inertia, c = lam (hbar / m a^2)^2 f / 4,
+    f = f_rot >= 0, and xi the rotational drag (torque = -xi omega).
+    Its limits: short-time (t << tau): sqrt((2 kT xi / I^2 + c) t^3 / 3);
+    long-time (t >> tau): sqrt((2 kT / xi + tau^2 c) t).
+    csl=None drops the collapse term (the lam -> 0 limit, the thermal walk
+    alone); xi = 0 leaves the undamped collapse walk of csl_rms_translation
+    or csl_rms_rotation.
     """
-    from .brownian import _damped_rms   # import cslwalk.diffusion stays free of it
-
     _nonnegative(xi=xi, t=t)
-    M = body.mass()
-    q = 2.0 * env.kT * xi / M ** 2
+    if mode not in ("translation", "rotation"):
+        raise ValidationError(
+            f"mode must be 'translation' or 'rotation', got {mode!r}")
+    rotation = mode == "rotation"
+    inertia = body.moment_of_inertia() if rotation else body.mass()
+    q = 2.0 * env.kT * xi / inertia ** 2
     if csl is not None:
-        _fraction(f=f)
         m = CONSTANTS.m_nucleon
-        q += csl.lam * CONSTANTS.hbar ** 2 * f / (2.0 * m ** 2 * csl.a ** 2)
-    return _damped_rms(q, xi, M, t)
+        if rotation:
+            _nonnegative(f=f)
+            q += csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f / 4.0
+        else:
+            _fraction(f=f)
+            q += csl.lam * CONSTANTS.hbar ** 2 * f / (2.0 * m ** 2 * csl.a ** 2)
+    return _damped_rms(q, xi, inertia, t)
 
 
 @_in_float_range("translation baseline")

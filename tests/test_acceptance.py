@@ -20,11 +20,11 @@ from cslwalk import (CONSTANTS, CslParams, Disc, Sphere,
                      fig2_dataset, growth_coefficients, lambda_gravitational,
                      qm_baseline_rotation, qm_baseline_translation,
                      sigma_closed_form, sigma_ode_integrate,
-                     simulate_ensemble, thermal_rms, time_to_rotation,
+                     simulate_ensemble, time_to_rotation,
                      vacuum_diffusion_table, xi_molecular, xi_radiation)
 from cslwalk.factors import DiscAspect
 
-from conftest import matches_1sf, planck_moment, spectral_integral
+from conftest import damped_rms, matches_1sf, planck_moment, spectral_integral
 
 GRW = CslParams.grw()
 DAY = 86400.0
@@ -248,9 +248,9 @@ def test_criterion_11_property_suite():
     vals = [f_sphere(float(x)).value for x in xs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    # (b) combined rms with collapse off is the thermal rms, and reduces to
-    # the short- and long-time forms with the next terms of their ratios,
-    # 1 - 3x/8 and 1 - 3/(4x), x = t/tau
+    # (b) combined rms with collapse off is the exact thermal rms (at 60
+    # digits), and reduces to the short- and long-time forms with the next
+    # terms of their ratios, 1 - 3x/8 and 1 - 3/(4x), x = t/tau
     from cslwalk import Environment
     body = Sphere(1e-5, 1.0)
     env = Environment.from_torr(CONSTANTS.room_temperature_T0, 1e-12)
@@ -260,8 +260,8 @@ def test_criterion_11_property_suite():
     for x in (1e-3, 1e3):
         t = x * tau
         got = combined_rms(xi, body, env, None, 0.0, t)
-        assert got == pytest.approx(thermal_rms(xi, M, env.temperature, t),
-                                    rel=1e-12)
+        assert got == pytest.approx(damped_rms(env.kT, xi, M, t),
+                                    rel=4e-15, abs=0)
         if x < 1:
             short = math.sqrt(2 * env.kT * xi * t ** 3 / (3 * M ** 2))
             assert abs(got / short - (1 - 3 * x / 8)) <= x ** 2

@@ -4,105 +4,88 @@ import math
 import pytest
 
 from cslwalk import (CONSTANTS, Disc, Environment, Sphere, ValidationError,
-                     ValidityWarning, collision_stats, fp_moments,
-                     molecular_flux, spectral_xi, thermal_rms, xi_mirror,
-                     xi_molecular, xi_radiation, xi_rotational,
-                     xi_slip_corrected, xi_stokes, xi_viscous_disc)
+                     ValidityWarning, collision_stats, combined_rms,
+                     molecular_flux, spectral_xi, xi_mirror, xi_molecular,
+                     xi_radiation, xi_rotational, xi_slip_corrected,
+                     xi_stokes, xi_viscous_disc)
 from cslwalk.brownian import SLIP_SPECULAR, check_realm
 
-from conftest import damped_bracket, damped_rms, planck_moment, spectral_integral
+from conftest import damped_rms, planck_moment, spectral_integral
 
 T0 = CONSTANTS.room_temperature_T0
 K = CONSTANTS.k_boltzmann
 
 
 # ---------------------------------------------------------------------------
-# Fokker-Planck moments
+# the thermal walk: combined_rms without collapse
 
-def test_fp_moments_initial_condition():
-    m = fp_moments(tau=2.0, beta=3.0, v0=1.5, t=0.0)
-    assert m.var_x == 0.0 and m.var_v == 0.0 and m.mean_v == 1.5
-
-
-def test_fp_moments_long_time_limit():
-    tau, beta = 0.7, 2.3
-    t = 100 * tau
-    m = fp_moments(tau, beta, 0.0, t)
-    assert m.var_x == pytest.approx(2 * beta * t, rel=0.02)
-    assert m.var_v == pytest.approx(beta / tau, rel=1e-12)
+SPHERE = Sphere(1e-5, 1.0)
+PTORR = Environment.from_torr(T0, 1e-12)
 
 
-def test_fp_moments_short_time_cubic():
-    tau, beta = 0.7, 2.3
-    t = 0.01 * tau
-    m = fp_moments(tau, beta, 0.0, t)
-    assert m.var_x == pytest.approx(2 * beta * t ** 3 / (3 * tau ** 2), rel=0.01)
+def thermal_walk(t, xi=None, body=SPHERE, env=PTORR, mode="translation"):
+    """combined_rms with collapse off; xi defaults to the free-molecular
+    drag on the reference sphere at 1 pTorr, where tau = M/xi is 1.4e8 s."""
+    if xi is None:
+        xi = xi_molecular(SPHERE, PTORR)
+    return combined_rms(xi, body, env, None, 0.0, t, mode=mode)
 
 
-def test_fp_moments_series_matches_direct_evaluation():
-    # the series up to x = 0.5 and the expm1 form above it, against
+def test_thermal_walk_starts_at_rest():
+    assert thermal_walk(0.0) == 0.0
+
+
+def test_thermal_walk_long_time_limit():
+    xi = xi_molecular(SPHERE, PTORR)
+    t = 100 * SPHERE.mass() / xi
+    rms = thermal_walk(t)
+    assert rms == pytest.approx(damped_rms(PTORR.kT, xi, SPHERE.mass(), t),
+                                rel=4e-15, abs=0)
+    assert rms ** 2 == pytest.approx(2 * PTORR.kT * t / xi, rel=0.02)
+
+
+def test_thermal_walk_short_time_cubic():
+    xi = xi_molecular(SPHERE, PTORR)
+    M = SPHERE.mass()
+    t = 0.01 * M / xi
+    rms = thermal_walk(t)
+    assert rms == pytest.approx(damped_rms(PTORR.kT, xi, M, t), rel=4e-15, abs=0)
+    assert rms ** 2 == pytest.approx(2 * PTORR.kT * xi * t ** 3 / (3 * M ** 2),
+                                     rel=0.01)
+
+
+def test_thermal_walk_series_matches_direct_evaluation():
+    # the series up to x = t/tau = 0.5 and the expm1 form above it, against
     # x - 3/2 + 2 e^-x - e^-2x / 2 at 60 digits, whose cancellation (about
-    # 1e-27 relative at x = 1e-9) is then harmless; var_x is 2 B(x) here
+    # 1e-27 relative at x = 1e-9) is then harmless; the rms within 2e-15 is
+    # the variance within 4e-15
+    xi, M = xi_molecular(SPHERE, PTORR), SPHERE.mass()
     xs = [10.0 ** (-9 + 13 * k / 3000) for k in range(3001)]
     xs += [0.5, math.nextafter(0.5, 1.0), 1e-3, 2e-3, 0.01, 0.1]
     for x in xs:
-        var_x = fp_moments(1.0, 1.0, 0.0, x).var_x
-        assert var_x == pytest.approx(2 * float(damped_bracket(x)), rel=4e-15,
-                                      abs=0), x
-
-
-def test_fp_moments_equipartition():
-    # with beta = kT tau / M the stationary velocity variance is kT/M exactly
-    M, T, xi = 4.18879e-15, 293.15, 1e-8
-    tau, beta = M / xi, K * T / xi
-    m = fp_moments(tau, beta, 0.0, 1e9 * tau)
-    assert m.var_v == pytest.approx(K * T / M, rel=1e-12)
-
-
-def test_fp_moments_rejects_bad_tau():
-    with pytest.raises(ValidationError):
-        fp_moments(tau=0.0, beta=1.0, v0=0.0, t=1.0)
-
-
-def test_fp_moments_rejects_variance_beyond_float_range():
-    # t / tau overflows to inf, and with it the position variance
-    with pytest.raises(ValidationError, match="floating-point range"):
-        fp_moments(tau=1e-300, beta=1.0, v0=0.0, t=1e300)
-
-
-@pytest.mark.parametrize("v0", [math.inf, math.nan])
-def test_fp_moments_rejects_nonfinite_initial_velocity(v0):
-    with pytest.raises(ValidationError, match="v0"):
-        fp_moments(1.0, 1.0, v0, 1.0)
-
-
-@pytest.mark.parametrize("args,bad", [
-    ((1e-9, 1e-15, -300.0, 1.0), "temperature"),
-    ((1e-9, 1e-15, 300.0, -1.0), "t must"),
-    ((-1.0, 1e-15, 300.0, 1.0), "xi"),
-])
-def test_thermal_rms_rejects_bad_inputs_by_name(args, bad):
-    with pytest.raises(ValidationError, match=bad):
-        thermal_rms(*args)
-
-
-def test_thermal_rms_rejects_results_beyond_float_range():
-    # tau = 1e15 s, so t = 1e300 s is long, and 2 kT t / xi overflows
-    with pytest.raises(ValidationError, match="floating-point range"):
-        thermal_rms(1e-30, 1e-15, 300.0, 1e300)
-
-
-def test_thermal_rms_is_exact_at_every_time():
-    # the reference sphere at 1 pTorr, t / tau from 1e-8 to 1e4, and either
-    # side of the decade the asymptotes left out
-    body = Sphere(1e-5, 1.0)
-    xi = xi_molecular(body, Environment.from_torr(T0, 1e-12))
-    M = body.mass()
-    xs = [10.0 ** (-8 + 12 * k / 240) for k in range(241)] + [1.0, 0.0999, 10.01]
-    for x in xs:
         t = x * M / xi
-        assert thermal_rms(xi, M, T0, t) == pytest.approx(
-            damped_rms(K * T0, xi, M, t), rel=4e-15, abs=0), x
+        assert thermal_walk(t) == pytest.approx(
+            damped_rms(PTORR.kT, xi, M, t), rel=2e-15, abs=0), x
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: thermal_walk(1.0, env=Environment(-300.0)), "temperature"),
+    (lambda: thermal_walk(-1.0), "t must"),
+    (lambda: thermal_walk(1.0, xi=-1.0), "xi"),
+])
+def test_thermal_walk_rejects_bad_inputs_by_name(call, bad):
+    with pytest.raises(ValidationError, match=bad):
+        call()
+
+
+@pytest.mark.parametrize("xi,t", [
+    (1e-30, 1e300),    # tau = 4e15 s, so t is long, and 2 kT t / xi overflows
+    (1e10, 1e300),     # t / tau overflows to inf, and with it the variance
+])
+def test_thermal_walk_rejects_results_beyond_float_range(xi, t):
+    with pytest.raises(ValidationError, match="floating-point range"):
+        thermal_walk(t, xi=xi, env=Environment(300.0))
+
 
 # ---------------------------------------------------------------------------
 # drag coefficients
@@ -217,8 +200,7 @@ def test_rotational_brownian_short_time_coefficient():
     disc = Disc(radius=2e-5, thickness=0.5e-5, density=1.0)
     env = Environment.from_torr(T0, 1e-12)
     xi = xi_rotational(disc, env, "molecular")
-    inertia = 0.25 * disc.mass() * disc.radius ** 2   # thin-disc inertia
-    val = thermal_rms(xi, inertia, T0, 1.0)
+    val = thermal_walk(1.0, xi, disc, env, mode="rotation")
     assert val == pytest.approx(80.0 / 2.0, rel=0.05)
 
 
@@ -249,11 +231,11 @@ def test_radiation_relaxation_time_and_displacement():
     tau = body.mass() / xi
     assert 2.5e13 < tau < 2.5e14          # quoted 1e14, same factor-2.5 caveat
     # a day of room-temperature radiation kicks: centimeters
-    dx = thermal_rms(xi, body.mass(), T0, 86400.0)
+    dx = thermal_walk(86400.0, xi, body, Environment(T0))
     assert 4.0 < dx < 15.0
     # liquid-helium temperature: utterly negligible (about 4e-8 cm quoted)
     xi_cold = xi_radiation(1e-5, 4.2)
-    dx_cold = thermal_rms(xi_cold, body.mass(), 4.2, 86400.0)
+    dx_cold = thermal_walk(86400.0, xi_cold, body, Environment(4.2))
     assert dx_cold == pytest.approx(4e-8, rel=0.5)
 
 

@@ -223,7 +223,11 @@ def test_fig2_readme_line_keeps_its_bytes(tmp_path):
 # and as --json, captured before the mechanism dispatch moved into the CLI.
 # The qm and brownian --json pins were captured again when those documents
 # dropped the unread `params.f`, and the viscous brownian line when its rms
-# became the exact damped form (t = 1 s is about 800 tau there)
+# became the exact damped form (t = 1 s is about 800 tau there).  The
+# brownian sphere-rotation line was captured again when rotation got its
+# drag: it still exits 3 with an empty stdout, but the error is now
+# xi_rotational's (a sphere has no rotational drag outside the viscous
+# realm) in place of "unsupported mechanism/mode pair"
 SPHERE = "--sphere-radius 1e-5"
 DISC = "--disc-radius 2du --disc-thickness .5du"
 GAS = "--temperature 4.2K --pressure 5e-17Torr"
@@ -275,8 +279,18 @@ DIFFUSE_SHA256 = [
      "45740408047d3584746c420c432aa2144123dcfd1e03a09b4c2ed592a8eb7052",
      "45740408047d3584746c420c432aa2144123dcfd1e03a09b4c2ed592a8eb7052"),
     (f"--mechanism brownian --mode rotation {SPHERE} {GAS} --times 1",
-     "4642177964e05ab5a0912cb7f488ac51379a03c31e366fb030c90a173b3f8ffe",
-     "4642177964e05ab5a0912cb7f488ac51379a03c31e366fb030c90a173b3f8ffe"),
+     "c8ab3f2194b740a64f319690e9a0569749c6d4de0bec983125405638887c378d",
+     "c8ab3f2194b740a64f319690e9a0569749c6d4de0bec983125405638887c378d"),
+    (f"--mechanism brownian --mode rotation {DISC} {GAS} --times 1,100",
+     "ad766a4d5763d7a6646bedbc1b54c951900d418b50de4bf7f5f23fa863383919",
+     "c1fd4383db1322131814fffb95646ad5a094d5048d22e1d4f58c767a0aa4f1f8"),
+    (f"--mechanism combined --mode rotation {DISC} {GAS} --times 1,100",
+     "eb9e119b18de37327e5925d526595d4e5abc9f1d4fce5166c231628d3141d7de",
+     "8967b158ca30289b0c590d963fe3c2fcc7c3a3ff65b8f5a0e750404c3be26167"),
+    ("--mechanism brownian --mode rotation --sphere-radius 1e-3 "
+     "--pressure 760Torr --viscosity 1.8e-4 --realm viscous --times 1,100",
+     "1854130ac3994fbd2cc6af7e4dceb455ecf5fc90da0e8efcfb00f9c8d23a1f96",
+     "85d6987b67198a868a852af72c30c65a6b8946f4e17dcf027af506709c8c63ed"),
 ]
 
 
@@ -659,6 +673,9 @@ def test_import_floor_loads_no_numpy():
     ["diffuse", "--mechanism", "brownian", "--disc-radius", "2du",
      "--disc-thickness", ".5du", "--temperature", "4.2K", "--pressure",
      "5e-17Torr", "--times", "1,100"],
+    ["diffuse", "--mechanism", "brownian", "--mode", "rotation",
+     "--disc-radius", "2du", "--disc-thickness", ".5du", "--temperature",
+     "4.2K", "--pressure", "5e-17Torr", "--times", "1,100"],
     ["diffuse", "--mechanism", "qm", "--mode", "rotation", "--disc-radius",
      "2du", "--disc-thickness", ".5du", "--times", "1,100"]])
 def test_diffuse_computes_no_unread_disc_factor(argv):
@@ -796,7 +813,9 @@ _GAS = ["--temperature=4.2K", "--pressure=5e-17Torr"]
 _PACKET = ["--s-inf=1e-6", "--tau-s=1", "--n-traj=100"]
 _COMMANDS = {
     "diffuse": (_DIFFUSE, [["--sphere-radius=1e-5"], ["--mode=rotation", *_DISC],
-                           ["--mechanism=combined", "--sphere-radius=1e-5", *_GAS]]),
+                           ["--mechanism=combined", "--sphere-radius=1e-5", *_GAS],
+                           ["--mechanism=brownian", "--mode=rotation", *_DISC,
+                            *_GAS]]),
     "collide": (_BODY_ENV, [["--sphere-radius=1e-5", *_GAS], [*_DISC, *_GAS]]),
     "fig1": ({"--alphas": _ASPECTS, "--betas": _ASPECTS},
              [["--alphas=0.5,1", "--betas=0.25"]]),
@@ -840,8 +859,9 @@ def test_cli_exit_code_contract_holds_for_drawn_flags(argv):
 
 
 # one line per (mechanism, mode) pair that `diffuse` draws, and the viscous
-# realm; in the gas lines tau = M/xi is about 3e11 s, and in the viscous
-# line about 1e-3 s, so the drawn times lie on both sides of tau
+# realm; in the gas lines tau = M/xi is about 3e11 s (tau_rot = I/xi about
+# 7e10 s), and in the viscous line about 1e-3 s, so the drawn times lie on
+# both sides of tau
 _CURVES = [
     ["--sphere-radius=1e-5"],
     ["--mode=rotation", *_DISC, "--f=0.3"],
@@ -849,6 +869,8 @@ _CURVES = [
     ["--mechanism=qm", "--mode=rotation", *_DISC],
     ["--mechanism=brownian", "--sphere-radius=1e-5", *_GAS],
     ["--mechanism=combined", *_DISC, "--f=0.6", *_GAS],
+    ["--mechanism=brownian", "--mode=rotation", *_DISC, *_GAS],
+    ["--mechanism=combined", "--mode=rotation", *_DISC, *_GAS],
     ["--mechanism=brownian", "--sphere-radius=1e-3", "--pressure=760Torr",
      "--viscosity=1.8e-4", "--realm=viscous"],
 ]
@@ -863,3 +885,137 @@ def test_diffuse_rms_is_nonnegative_and_nondecreasing(line, times):
     rms = [sample["rms"] for sample in args.func(args)[1]["samples"]]
     assert rms[0] >= 0.0 and rms == sorted(rms), (line, times)
 
+
+def _library_cases():
+    """(diffuse flags, rms at t) for each (mechanism, mode) pair and each
+    shape that it takes, composed as the README's `diffuse` table says."""
+    from cslwalk import (CslParams, Disc, DiscAspect, Environment, Sphere,
+                         combined_rms, csl_rms_rotation, csl_rms_translation,
+                         f_disc_edge, f_disc_perp, f_rot_disc, f_sphere,
+                         qm_baseline_rotation, qm_baseline_translation,
+                         xi_molecular, xi_rotational, xi_stokes,
+                         xi_viscous_disc)
+
+    grw = CslParams.grw()
+    sphere, disc = Sphere(1e-5, 1.0), Disc(2e-5, 0.5e-5, 1.0)
+    gas = Environment.from_torr(4.2, 5e-17)
+    air = Environment.from_torr(293.15, 760.0, gas_viscosity=1.8e-4)
+    aspect = DiscAspect.from_disc(disc, grw)
+    f_perp, f_edge = f_disc_perp(aspect).value, f_disc_edge(aspect).value
+    f_rot, f_ball = f_rot_disc(aspect).value, f_sphere(1e-5 / grw.a).value
+    S = ["--sphere-radius=1e-5"]
+    G = ["--temperature=4.2K", "--pressure=5e-17Torr"]
+    A = ["--pressure=760Torr", "--viscosity=1.8e-4", "--realm=viscous"]
+    R = ["--mode=rotation"]
+
+    def walk(xi, body, env, csl=None, f=0.0, mode="translation"):
+        return lambda t: combined_rms(xi, body, env, csl, f, t, mode=mode)
+
+    return {
+        "csl-translation-sphere": (
+            S, lambda t: csl_rms_translation(grw, f_ball, t)),
+        "csl-translation-disc": (
+            _DISC, lambda t: csl_rms_translation(grw, f_perp, t)),
+        "csl-translation-disc-edge": (
+            [*_DISC, "--orientation=edge"],
+            lambda t: csl_rms_translation(grw, f_edge, t)),
+        "csl-rotation-sphere": (R + S, lambda t: csl_rms_rotation(grw, 0.0, t)),
+        "csl-rotation-disc": (R + _DISC, lambda t: csl_rms_rotation(grw, f_rot, t)),
+        "qm-translation-sphere": (
+            ["--mechanism=qm", *S], lambda t: qm_baseline_translation(sphere, t)),
+        "qm-rotation-disc": (
+            ["--mechanism=qm", *R, *_DISC], lambda t: qm_baseline_rotation(disc, t)),
+        "brownian-translation-sphere": (
+            ["--mechanism=brownian", *S, *G],
+            walk(xi_molecular(sphere, gas), sphere, gas)),
+        "brownian-translation-disc-edge": (
+            ["--mechanism=brownian", *_DISC, "--orientation=edge", *G],
+            walk(xi_molecular(disc, gas, "edge"), disc, gas)),
+        "brownian-translation-sphere-viscous": (
+            ["--mechanism=brownian", *S, *A],
+            walk(xi_stokes(1e-5, 1.8e-4), sphere, air)),
+        "brownian-translation-disc-viscous": (
+            ["--mechanism=brownian", *_DISC, *A],
+            walk(xi_viscous_disc(2e-5, 0.5e-5, 1.8e-4, "perp"), disc, air)),
+        "brownian-rotation-disc": (
+            ["--mechanism=brownian", *R, *_DISC, *G],
+            walk(xi_rotational(disc, gas, "molecular"), disc, gas,
+                 mode="rotation")),
+        "brownian-rotation-sphere-viscous": (
+            ["--mechanism=brownian", *R, *S, *A],
+            walk(xi_rotational(sphere, air, "viscous"), sphere, air,
+                 mode="rotation")),
+        "combined-translation-sphere": (
+            ["--mechanism=combined", *S, *G],
+            walk(xi_molecular(sphere, gas), sphere, gas, grw, f_ball)),
+        "combined-translation-disc": (
+            ["--mechanism=combined", *_DISC, *G],
+            walk(xi_molecular(disc, gas, "perp"), disc, gas, grw, f_perp)),
+        "combined-translation-disc-edge-viscous": (
+            ["--mechanism=combined", *_DISC, "--orientation=edge", *A],
+            walk(xi_viscous_disc(2e-5, 0.5e-5, 1.8e-4, "edge"), disc, air,
+                 grw, f_edge)),
+        "combined-rotation-disc": (
+            ["--mechanism=combined", *R, *_DISC, *G],
+            walk(xi_rotational(disc, gas, "molecular"), disc, gas, grw, f_rot,
+                 "rotation")),
+        "combined-rotation-sphere-viscous": (
+            ["--mechanism=combined", *R, *S, *A],
+            walk(xi_rotational(sphere, air, "viscous"), sphere, air, grw, 0.0,
+                 "rotation")),
+    }
+
+
+_LIBRARY_CASES = _library_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_LIBRARY_CASES))
+def test_diffuse_equals_the_library_for_every_pair(case):
+    line, rms = _LIBRARY_CASES[case]
+    times = [0.0, 1.0, 100.0, 1e6, 1e12]
+    rc, out, _ = _readme_stdout(["diffuse", *line, "--times=0,1,100,1e6,1e12",
+                                 "--json"])
+    assert rc == 0
+    assert json.loads(out)["samples"] == [
+        {"t_s": t, "rms": float(f"{rms(t):.6g}")} for t in times]
+
+
+_GAS_FLAGS = ["--temperature=4.2K", "--pressure=1e-10Torr", "--gas-mass=1e-23",
+              "--realm=viscous", "--viscosity=1.8e-4"]
+_CSL_FLAGS = ["--lam=1e-17", "--lambda-inv=1e10", "--a=2e-5"]
+
+
+@pytest.mark.parametrize("argv,flag,why", [
+    *[(["--sphere-radius=1e-5", "--times=1,2", f"--mechanism={mechanism}", flag],
+       flag, f"by --mechanism {mechanism}")
+      for mechanism in ("csl", "qm") for flag in _GAS_FLAGS],
+    *[(["--sphere-radius=1e-5", "--temperature=4.2K", "--pressure=5e-17Torr",
+        "--times=1,2", f"--mechanism={mechanism}", flag],
+       flag, f"by --mechanism {mechanism}")
+      for mechanism in ("qm", "brownian") for flag in _CSL_FLAGS],
+    *[(["--sphere-radius=1e-5", "--times=1,2", flag], flag, "with --times")
+      for flag in ("--t-end=50", "--n-times=3")],
+    *[(["--mode=rotation", *_DISC, "--target=2pi", flag], flag, "with --target")
+      for flag in ("--times=1,2", "--t-end=50", "--n-times=3")],
+])
+def test_diffuse_rejects_flags_it_never_reads(capsys, argv, flag, why):
+    # each flag here once changed no byte of the output
+    rc, out, err = run(capsys, ["diffuse", *argv])
+    assert rc == 3 and out == ""
+    assert err == f"error: {flag.partition('=')[0]} is not used {why}\n"
+
+
+@pytest.mark.parametrize("line,defaults", [
+    (["--sphere-radius=1e-5"], ["--t-end=1e3", "--n-times=25", "--a=1e-5"]),
+    (["--mechanism=brownian", "--sphere-radius=1e-5", "--pressure=5e-17Torr",
+      "--times=1,100"],
+     ["--temperature=293.15", "--gas-mass=N2", "--realm=molecular"]),
+])
+def test_diffuse_reads_its_documented_defaults(line, defaults):
+    # the defaults the help text gives, which apply only where a flag is
+    # read: 25 times up to 1000 s, a = 1e-5 cm, 293.15 K and N2
+    from cslwalk.core import N2_MOLECULAR_MASS
+
+    defaults = [d.replace("N2", repr(N2_MOLECULAR_MASS)) for d in defaults]
+    argv = ["diffuse", *line, "--json"]
+    assert _readme_stdout(argv) == _readme_stdout(argv + defaults)

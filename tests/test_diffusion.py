@@ -7,10 +7,10 @@ from cslwalk import (CONSTANTS, CslParams, Disc, Environment, Sphere,
                      ValidationError, ValidityWarning, combined_rms,
                      csl_rms_rotation, csl_rms_translation, energy_gain_rates,
                      equilibrium_series_rms, equilibrium_table,
-                     equilibrium_width, f_sphere, fp_moments,
-                     qm_baseline_rotation, qm_baseline_translation,
-                     thermal_rms, time_to_rotation, vacuum_diffusion_table,
-                     xi_molecular, xi_slip_corrected)
+                     equilibrium_width, f_sphere, qm_baseline_rotation,
+                     qm_baseline_translation, time_to_rotation,
+                     vacuum_diffusion_table, xi_molecular, xi_rotational,
+                     xi_slip_corrected)
 from cslwalk.brownian import SLIP_SPECULAR
 from cslwalk.diffusion import WavepacketEquilibrium
 
@@ -221,30 +221,70 @@ def test_combined_reduces_to_brownian_when_lambda_off():
         got = combined_rms(xi, body, env, None, 0.0, t)
         long = math.sqrt(2 * kT * t / xi)
         assert abs(got / long - (1 - 3 / (4 * x))) <= 1 / x ** 2, x
-    # and the exact damped moments give the same variance
+    # and the exact damped variance at 60 digits is the same
     for t in (1e-3 * tau, tau, 1e3 * tau):
-        exact = math.sqrt(fp_moments(tau, kT / xi, 0.0, t).var_x)
+        exact = damped_rms(kT, xi, body.mass(), t)
         assert combined_rms(xi, body, env, None, 0.0, t) == pytest.approx(
-            exact, rel=1e-14)
+            exact, rel=4e-15, abs=0)
+
+
+# t / tau from 1e-8 to 1e4, and either side of the decade the asymptotes
+# left out
+EXACT_XS = [10.0 ** (-8 + 12 * k / 240) for k in range(241)] + [1.0, 0.0999, 10.01]
 
 
 def test_combined_is_exact_at_every_time(grw):
-    # collapse off, t / tau from 1e-8 to 1e4 and either side of the decade
-    # the asymptotes left out; collapse on, the same at the crossover
+    # collapse off and on, against the 60-digit reference
     body = Sphere(1e-5, 1.0)
     env = Environment.from_torr(T0, 1e-12)
     xi, M = xi_molecular(body, env), body.mass()
-    xs = [10.0 ** (-8 + 12 * k / 240) for k in range(241)] + [1.0, 0.0999, 10.01]
-    for x in xs:
+    m, f = CONSTANTS.m_nucleon, 0.62
+    rate = grw.lam * CONSTANTS.hbar ** 2 * f / (2 * m ** 2 * grw.a ** 2)
+    for x in EXACT_XS:
         t = x * M / xi
         assert combined_rms(xi, body, env, None, 0.0, t) == pytest.approx(
             damped_rms(env.kT, xi, M, t), rel=4e-15, abs=0), x
-    m, f = CONSTANTS.m_nucleon, 0.62
-    rate = grw.lam * CONSTANTS.hbar ** 2 * f / (2 * m ** 2 * grw.a ** 2)
-    for x in (0.0999, 1.0, 10.01):
-        t = x * M / xi
         assert combined_rms(xi, body, env, grw, f, t) == pytest.approx(
             damped_rms(env.kT, xi, M, t, rate), rel=4e-15, abs=0), x
+
+
+def test_combined_rotation_is_exact_at_every_time(grw):
+    # the reference disc in 4.2 K gas at 1e-6 Torr, where tau_rot = I/xi is
+    # 3.3 s (at 5e-17 Torr it is 6.7e10 s); collapse off and on
+    disc = Disc(2e-5, 0.5e-5, 1.0)
+    env = Environment.from_torr(4.2, 1e-6)
+    xi, inertia = xi_rotational(disc, env, "molecular"), disc.moment_of_inertia()
+    m, f_rot = CONSTANTS.m_nucleon, 0.3
+    rate = grw.lam * (CONSTANTS.hbar / (m * grw.a ** 2)) ** 2 * f_rot / 4
+    for x in EXACT_XS:
+        t = x * inertia / xi
+        assert combined_rms(xi, disc, env, None, 0.0, t, mode="rotation") == \
+            pytest.approx(damped_rms(env.kT, xi, inertia, t), rel=4e-15, abs=0), x
+        assert combined_rms(xi, disc, env, grw, f_rot, t, mode="rotation") == \
+            pytest.approx(damped_rms(env.kT, xi, inertia, t, rate),
+                          rel=4e-15, abs=0), x
+
+
+def test_combined_rotation_limits(grw):
+    # the short- and long-time forms sqrt(q t^3 / 3) and sqrt(q tau^2 t),
+    # q = 2 kT xi / I^2 + c, with the next terms of their ratios,
+    # 1 - 3x/8 and 1 - 3/(4x), x = t / tau; collapse off and on
+    disc = Disc(2e-5, 0.5e-5, 1.0)
+    env = Environment.from_torr(4.2, 1e-6)
+    xi, inertia = xi_rotational(disc, env, "molecular"), disc.moment_of_inertia()
+    tau = inertia / xi
+    c = grw.lam * (CONSTANTS.hbar / (CONSTANTS.m_nucleon * grw.a ** 2)) ** 2 * 0.3 / 4
+    for csl, rate in ((None, 0.0), (grw, c)):
+        q = 2 * env.kT * xi / inertia ** 2 + rate
+        for x in (1e-3, 1e-2, 1e2, 1e3):
+            t = x * tau
+            got = combined_rms(xi, disc, env, csl, 0.3, t, mode="rotation")
+            if x < 1:
+                assert abs(got / math.sqrt(q * t ** 3 / 3)
+                           - (1 - 3 * x / 8)) <= x ** 2, x
+            else:
+                assert abs(got / math.sqrt(q * tau ** 2 * t)
+                           - (1 - 3 / (4 * x))) <= 1 / x ** 2, x
 
 
 def test_combined_without_drag_is_the_collapse_walk(grw):
@@ -253,6 +293,31 @@ def test_combined_without_drag_is_the_collapse_walk(grw):
         want = csl_rms_translation(grw, 0.62, t)
         got = combined_rms(0.0, body, env, grw, 0.62, t)
         assert abs(got - want) <= 2 * math.ulp(want), t
+
+
+def test_combined_rotation_without_drag_is_the_collapse_rotation(grw):
+    disc, env = Disc(2e-5, 0.5e-5, 1.0), Environment(temperature=T0)
+    for t in (1e-3, 1.0, 10.0, DAY, 1e9):
+        want = csl_rms_rotation(grw, 0.3, t)
+        got = combined_rms(0.0, disc, env, grw, 0.3, t, mode="rotation")
+        assert abs(got - want) <= 2 * math.ulp(want), t
+
+
+def test_combined_checks_the_factor_of_its_mode(grw):
+    # a translation factor lies in [0, 1]; a rotation factor is nonnegative
+    disc, env = Disc(2e-5, 0.5e-5, 1.0), Environment(temperature=T0)
+    with pytest.raises(ValidationError, match="^f "):
+        combined_rms(1e-20, disc, env, grw, 1.5, 1.0)
+    assert combined_rms(1e-20, disc, env, grw, 1.5, 1.0, mode="rotation") > 0
+    with pytest.raises(ValidationError, match="^f "):
+        combined_rms(1e-20, disc, env, grw, -0.1, 1.0, mode="rotation")
+
+
+@pytest.mark.parametrize("mode", ["spin", "Rotation", None])
+def test_combined_rejects_an_unknown_mode(grw, mode):
+    with pytest.raises(ValidationError, match="mode must be"):
+        combined_rms(1e-9, Sphere(1e-5, 1.0), Environment(T0), grw, 0.6, 1.0,
+                     mode=mode)
 
 
 def test_combined_viscous_realm_collapse_part(grw):
@@ -326,7 +391,7 @@ def test_radiation_walk_temperature_scaling():
 
     def walk(T):
         xi = xi_radiation(body.radius, T)
-        return (thermal_rms(xi, body.mass(), T, 1e5),
+        return (combined_rms(xi, body, Environment(T), None, 0.0, 1e5),
                 1 - 3 * 1e5 * xi / (8 * body.mass()))
 
     (hot, hot_corr), (cold, cold_corr) = walk(2 * T0), walk(T0)

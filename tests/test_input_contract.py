@@ -22,10 +22,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cslwalk.brownian import (CollisionStats, fp_moments, spectral_xi,
-                              thermal_rms, xi_mirror, xi_molecular, xi_radiation,
-                              xi_rotational, xi_slip_corrected, xi_stokes,
-                              xi_viscous_disc)
+from cslwalk.brownian import (CollisionStats, spectral_xi, xi_mirror,
+                              xi_molecular, xi_radiation, xi_rotational,
+                              xi_slip_corrected, xi_stokes, xi_viscous_disc)
 from cslwalk.constraints import (ThermalRelation, evaluate_constraints,
                                  fu_radiation_rate, ge_detector_rate,
                                  ge_radiation_threshold, lambda_gravitational)
@@ -63,6 +62,15 @@ def thermal_line_at(a):
     return ThermalRelation(10.0).lambda_inv(a)
 
 
+def thermal_walk(xi, temperature, t):
+    """combined_rms with collapse off, the temperature given as a scalar"""
+    return combined_rms(xi, SPHERE, Environment(temperature), None, 0.0, t)
+
+
+def combined_rms_rotation(**kwargs):
+    return combined_rms(mode="rotation", **kwargs)
+
+
 # (callable, valid keyword arguments, {argument: kind}); a kind is a key of
 # BAD or ("count", minimum)
 CONTRACT = [
@@ -82,12 +90,9 @@ CONTRACT = [
     (FactorResult, dict(value=0.5, method="analytic", est_error=0.0),
      {"value": "finite", "est_error": "nonnegative"}),
     (CollisionStats, dict(tau_c=1.0), {"tau_c": "positive"}),
-    # v0 may have either sign: tests/test_brownian.py checks it is finite
-    (fp_moments, dict(tau=1.0, beta=1.0, v0=0.0, t=1.0),
-     {"tau": "positive", "beta": "nonnegative", "t": "nonnegative"}),
-    (thermal_rms, dict(xi=1e-9, inertia=1e-15, temperature=300.0, t=1.0),
-     {"xi": "nonnegative", "inertia": "positive", "temperature": "positive",
-      "t": "nonnegative"}),
+    # the inertia is the body's, and Sphere and Disc check it above
+    (thermal_walk, dict(xi=1e-9, temperature=300.0, t=1.0),
+     {"xi": "nonnegative", "temperature": "positive", "t": "nonnegative"}),
     (xi_stokes, dict(R=1e-5, eta=1.8e-4), {"R": "positive", "eta": "positive"}),
     (xi_slip_corrected, dict(R=1e-5, eta=1.8e-4, l_m=1e-5),
      {"R": "positive", "eta": "positive", "l_m": "positive", "alpha": "positive",
@@ -108,6 +113,9 @@ CONTRACT = [
      {"f_rot": "positive", "target_angle": "positive"}),
     (combined_rms, dict(xi=1e-9, body=SPHERE, env=ENV, csl=GRW, f=0.5, t=1e6),
      {"xi": "nonnegative", "f": "fraction", "t": "nonnegative"}),
+    (combined_rms_rotation, dict(xi=1e-20, body=DISC, env=ENV, csl=GRW, f=0.3,
+                                 t=1e6),
+     {"xi": "nonnegative", "f": "nonnegative", "t": "nonnegative"}),
     (qm_baseline_translation, dict(body=SPHERE, t=1.0), {"t": "nonnegative"}),
     (qm_baseline_rotation, dict(body=DISC, t=1.0), {"t": "nonnegative"}),
     (equilibrium_width, dict(csl=GRW, body=DISC, f=0.5), {"f": "factor"}),
