@@ -4,12 +4,13 @@ Subcommands reproduce the reference tables and figure datasets and expose
 ad-hoc prediction queries.  All flags are long-form; no environment
 variables are consulted, so a command line fully determines its output.
 
-Each subcommand returns its CSV text and its JSON document (fig2 also its
-boundary polylines) and writes nothing; `main` alone writes.  It sends
-the CSV, or the JSON document under --json, to stdout or to --output, and
-then any fig2 boundary files.  On stderr it writes one `warning: <message>`
-line per distinct warning, in the order raised, and one `error: <message>`
-line on failure.
+Importing this module loads only the standard library and `errors`.  A
+subcommand imports the cslwalk modules it calls when it runs, and returns
+only what `main` writes: its JSON document under --json, else its CSV text
+(fig2 also, under --output, one boundary-polyline CSV per constraint id).
+`main` alone writes, to stdout or --output and then any fig2 boundary files;
+on stderr one `warning: <message>` line per distinct warning, in the order
+raised, and one `error: <message>` line on failure.
 
 Exit codes: 0 success, 2 flag error, 3 precondition rejection or an output
 file that cannot be written, 4 numerical non-convergence.  A count
@@ -31,16 +32,9 @@ import sys
 import warnings
 from functools import partial
 
-from . import diffusion as diff
-from . import factors
-from .brownian import (check_realm, collision_stats, molecular_flux,
-                       xi_molecular, xi_rotational, xi_stokes, xi_viscous_disc)
-from .core import (CslParams, Disc, Environment, N2_MOLECULAR_MASS,
-                   Sphere, _csv, constants_summary, convert_unit)
 from .errors import ConvergenceError, ValidationError, ValidityWarning, _nonnegative
 
 SCHEMA_VERSION = 1
-_GRW = CslParams.grw()   # the default collapse parameters
 
 # the largest count a flag may ask for (--n-times, a grid's COUNT)
 _MAX_COUNT = 10 ** 6
@@ -50,6 +44,7 @@ _QTY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*(.*?)\s*$")
 
 def _quantity(kind: str, base: str):
     def parse(text: str) -> float:
+        from .core import convert_unit
         m = _QTY_RE.match(text)
         if not m:
             raise argparse.ArgumentTypeError(f"cannot parse quantity {text!r}")
@@ -71,13 +66,10 @@ _temperature = _quantity("temperature", "K")
 
 
 def _angle(text: str) -> float:
+    """An angle in rad, or a multiple of pi: "pi", "2pi", "0.5*pi"."""
     t = text.strip().lower().replace(" ", "")
-    if t in ("2pi", "2*pi"):
-        return 2.0 * math.pi
-    if t in ("pi",):
-        return math.pi
     if t.endswith("pi"):
-        return float(t[:-2]) * math.pi
+        return float(t[:-2].removesuffix("*") if t != "pi" else 1) * math.pi
     return float(t)
 
 
@@ -112,26 +104,18 @@ def _log_grid(text: str) -> list[float]:
     return [lo + k * step for k in range(n)]
 
 
-def _round6(value):
-    if isinstance(value, bool) or not isinstance(value, float):
-        return value
-    return float(f"{value:.6g}")
-
-
 def _jsonable(obj):
+    """`obj` with each float rounded to 6 significant figures."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    return _round6(obj)
+    return float(f"{obj:.6g}") if isinstance(obj, float) else obj
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _fmt(value: float, paper_format: bool) -> str:
-    return f"{value:.0e}" if paper_format else f"{value:.6g}"
+    return json.dumps({"schema_version": SCHEMA_VERSION, **doc},
+                      sort_keys=True, indent=2) + "\n"
 
 
 def _add_io_flags(p):
@@ -148,7 +132,7 @@ def _add_body_flags(p):
                    help="disc radius (cm or du)")
     p.add_argument("--disc-thickness", type=_length, default=None,
                    help="disc thickness (cm or du)")
-    p.add_argument("--density", type=float, default=1.0,
+    p.add_argument("--density", type=float, default=None,
                    help="mass density in g/cm^3 (default 1)")
 
 
@@ -173,30 +157,37 @@ def _add_env_flags(p):
 
 
 def _body_from(args):
+    from .core import Disc, Sphere
+
+    density = 1.0 if args.density is None else args.density
     if args.sphere_radius is not None:
         if args.disc_radius is not None or args.disc_thickness is not None:
             raise ValidationError("give either a sphere or a disc, not both")
-        return Sphere(radius=args.sphere_radius, density=args.density)
+        return Sphere(radius=args.sphere_radius, density=density)
     if args.disc_radius is not None and args.disc_thickness is not None:
         return Disc(radius=args.disc_radius, thickness=args.disc_thickness,
-                    density=args.density)
+                    density=density)
     raise ValidationError(
         "specify --sphere-radius or both --disc-radius and --disc-thickness")
 
 
-def _csl_from(args) -> CslParams:
+def _csl_from(args):
+    from .core import CslParams
+
     if args.lam is not None and args.lambda_inv is not None:
         raise ValidationError("give --lam or --lambda-inv, not both")
-    a = _GRW.a if args.a is None else args.a
+    grw = CslParams.grw()
+    a = grw.a if args.a is None else args.a
     if args.lambda_inv is not None:
         if not args.lambda_inv > 0:
             raise ValidationError("--lambda-inv must be positive")
         return CslParams(lam=1.0 / args.lambda_inv, a=a)
-    lam = args.lam if args.lam is not None else _GRW.lam
-    return CslParams(lam=lam, a=a)
+    return CslParams(lam=grw.lam if args.lam is None else args.lam, a=a)
 
 
-def _env_from(args) -> Environment:
+def _env_from(args):
+    from .core import N2_MOLECULAR_MASS, Environment
+
     return Environment(
         temperature=293.15 if args.temperature is None else args.temperature,
         pressure=args.pressure,
@@ -208,71 +199,76 @@ def _env_from(args) -> Environment:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _reference_csv(rows, columns, paper_format: bool) -> str:
-    """A reference table: R_cm to 1 significant figure, then columns."""
-    return _csv(["R_cm", *columns],
-                [[_fmt(row["R_cm"], True)]
-                 + [_fmt(row[c], paper_format) for c in columns]
-                 for row in rows])
+def _cmd_table(args):
+    """A reference table at the GRW point, table1 (collapse-only rms) or
+    table2 (equilibrium widths): R_cm to 1 significant figure, then columns."""
+    from . import diffusion as diff
+    from .core import CslParams, _csv
 
-
-def _cmd_table1(args):
-    rows = diff.vacuum_diffusion_table()
-    columns = [f"dq_cm_t{t:g}" for t in diff.TABLE_TIMES]
-    doc = {"params": {"lam": _GRW.lam, "a": _GRW.a, "density_independent": True},
-           "rows": rows}
-    return _reference_csv(rows, columns, args.paper_format), doc
-
-
-def _cmd_table2(args):
-    rows = diff.equilibrium_table()
-    doc = {"params": {"lam": _GRW.lam, "a": _GRW.a, "density_g_cc": 1.0},
-           "rows": rows}
-    return _reference_csv(rows, ["s_inf_cm", "tau_s_s"], args.paper_format), doc
+    if args.command == "table1":
+        rows = diff.vacuum_diffusion_table()
+        columns = [f"dq_cm_t{t:g}" for t in diff.TABLE_TIMES]
+        extra = {"density_independent": True}
+    else:
+        rows = diff.equilibrium_table()
+        columns, extra = ["s_inf_cm", "tau_s_s"], {"density_g_cc": 1.0}
+    if args.json:
+        grw = CslParams.grw()
+        return {"params": {"lam": grw.lam, "a": grw.a, **extra}, "rows": rows}
+    fmt = "{:.0e}" if args.paper_format else "{:.6g}"
+    return _csv(["R_cm", *columns], [[f"{row['R_cm']:.0e}"]
+                                     + [fmt.format(row[c]) for c in columns]
+                                     for row in rows])
 
 
 def _cmd_fig1(args):
-    dataset = factors.fig1_dataset(args.alphas, args.betas)
-    csv_text = factors.fig1_to_csv(dataset)
-    doc = {"params": {"alphas": args.alphas, "betas": args.betas},
-           "rows": [{"alpha": a, "beta": b, "f_rot": v, "est_error": e}
-                    for a, b, v, e in dataset["rows"]],
-           "monotonic_in_alpha": {str(k): v for k, v in
-                                  dataset["monotonic_in_alpha"].items()}}
-    return csv_text, doc
+    from .factors import fig1_dataset, fig1_to_csv
+
+    dataset = fig1_dataset(args.alphas, args.betas)
+    if not args.json:
+        return fig1_to_csv(dataset)
+    return {"params": {"alphas": args.alphas, "betas": args.betas},
+            "rows": [{"alpha": a, "beta": b, "f_rot": v, "est_error": e}
+                     for a, b, v, e in dataset["rows"]],
+            "monotonic_in_alpha": {str(k): v for k, v in
+                                   dataset["monotonic_in_alpha"].items()}}
 
 
 def _cmd_fig2(args):
-    """Also returns one boundary-polyline CSV per constraint id."""
+    """As CSV: the lattice CSV and, under --output, {id: polyline CSV}."""
     from . import constraints as cons
+    from .core import _csv
 
     which = tuple(args.which.split(",")) if args.which else cons.DEFAULT_MAP_IDS
     cmap = cons.fig2_dataset(args.a_grid, args.lambda_inv_grid, which=which)
-    boundaries = cons.boundary_polylines(cmap)
-    polylines = {cid: _csv(["log10_a", "log10_lambda_inv"],
-                           [[f"{x:.6g}", f"{y:.6g}"] for x, y in pts])
-                 for cid, pts in boundaries.items()}
+    if not args.json:
+        boundaries = cons.boundary_polylines(cmap) if args.output else {}
+        return cons.map_to_csv(cmap), {
+            cid: _csv(["log10_a", "log10_lambda_inv"],
+                      [[f"{x:.6g}", f"{y:.6g}"] for x, y in pts])
+            for cid, pts in boundaries.items()}
     # one {id: pass} dict per distinct pass/fail pattern of the lattice
     named = {p: dict(zip(cmap.ids, map(bool, p))) for p in set().union(*cmap.passed)}
-    doc = {"params": {"a_grid_log10": args.a_grid,
-                      "lambda_inv_grid_log10": args.lambda_inv_grid,
-                      "ids": list(which)},
-           "metadata": cmap.metadata(),
-           "boundaries": boundaries,
-           "rows": [{"log10_a": la, "log10_lambda_inv": ll, **named[p]}
-                    for la, row in zip(cmap.log10_a, cmap.passed)
-                    for ll, p in zip(cmap.log10_lambda_inv, row)]}
-    return cons.map_to_csv(cmap), doc, polylines
+    return {"params": {"a_grid_log10": args.a_grid,
+                       "lambda_inv_grid_log10": args.lambda_inv_grid,
+                       "ids": list(which)},
+            "metadata": cmap.metadata(),
+            "boundaries": cons.boundary_polylines(cmap),
+            "rows": [{"log10_a": la, "log10_lambda_inv": ll, **named[p]}
+                     for la, row in zip(cmap.log10_a, cmap.passed)
+                     for ll, p in zip(cmap.log10_lambda_inv, row)]}
 
 
 def _resolve_factor(args, body, csl):
+    from . import factors
+
     if args.f is not None:
         return args.f
     if args.mode == "rotation":
-        if isinstance(body, Sphere):
+        if args.sphere_radius is not None:
             return 0.0
         return factors.f_rot_disc(factors.DiscAspect.from_disc(body, csl)).value
-    if isinstance(body, Sphere):
+    if args.sphere_radius is not None:
         return factors.f_sphere(body.radius / csl.a).value
     aspect = factors.DiscAspect.from_disc(body, csl)
     if args.orientation == "edge":
@@ -289,20 +285,22 @@ def _reject_given(args, names, why: str) -> None:
 
 
 def _cmd_diffuse(args):
-    body = _body_from(args)
+    from . import diffusion as diff
+    from .core import _csv
+
+    body = _body_from(args)   # a sphere exactly when --sphere-radius is given
+    sphere = args.sphere_radius is not None
     mechanism = {"qm": "qm-baseline"}.get(args.mechanism, args.mechanism)
     mode = args.mode
-    if args.mechanism in ("qm", "brownian"):
-        _reject_given(args, ("f", "lam", "lambda_inv", "a"),
-                      f"by --mechanism {args.mechanism}")
-        csl = None
-    else:
-        csl = _csl_from(args)
-    if args.mechanism in ("csl", "qm"):
-        _reject_given(args, ("temperature", "pressure", "gas_mass", "viscosity",
-                             "realm"), f"by --mechanism {args.mechanism}")
+    collapse = ("f", "lam", "lambda_inv", "a")
+    gas = ("temperature", "pressure", "gas_mass", "viscosity", "realm")
+    # the flags each mechanism never reads (the collapse rms reads no mass)
+    unread = {"csl": gas + ("density",), "qm": collapse + gas,
+              "brownian": collapse, "combined": ()}[args.mechanism]
+    _reject_given(args, unread, f"by --mechanism {args.mechanism}")
+    csl = None if args.mechanism in ("qm", "brownian") else _csl_from(args)
     if args.orientation is not None:
-        if isinstance(body, Sphere) or mode == "rotation":
+        if sphere or mode == "rotation":
             raise ValidationError("--orientation is used by a disc in translation only")
         if mechanism == "csl" and args.f is not None:
             raise ValidationError("--orientation is not read by --mechanism csl with --f")
@@ -313,10 +311,11 @@ def _cmd_diffuse(args):
             raise ValidationError("--target is defined for csl rotation only")
         _reject_given(args, ("times", "t_end", "n_times"), "with --target")
         t_hit = diff.time_to_rotation(csl, f, args.target)
-        csv_text = _csv(["target_rad", "f_rot", "time_s"],
-                        [[f"{v:.6g}" for v in (args.target, f, t_hit)]])
-        return csv_text, {"params": {"lam": csl.lam, "a": csl.a, "f_rot": f},
-                          "target_rad": args.target, "time_s": t_hit}
+        if args.json:
+            return {"params": {"lam": csl.lam, "a": csl.a, "f_rot": f},
+                    "target_rad": args.target, "time_s": t_hit}
+        return _csv(["target_rad", "f_rot", "time_s"],
+                    [[f"{v:.6g}" for v in (args.target, f, t_hit)]])
 
     if args.times is not None:
         _reject_given(args, ("t_end", "n_times"), "with --times")
@@ -328,19 +327,20 @@ def _cmd_diffuse(args):
         t_end = 1.0e3 if args.t_end is None else args.t_end
         times = [t_end * (k + 1) / n for k in range(n)]
 
-    xi = None
-    env = None
+    xi = env = None
     if mechanism in ("brownian", "combined"):
+        from .brownian import (check_realm, xi_molecular, xi_rotational,
+                               xi_stokes, xi_viscous_disc)
         env = _env_from(args)
         realm = args.realm or "molecular"
         if realm == "viscous" and env.gas_viscosity is None:
             raise ValidationError("viscous realm needs --viscosity")
-        orientation = None if isinstance(body, Sphere) else args.orientation or "perp"
+        orientation = None if sphere else args.orientation or "perp"
         if mode == "rotation":
             xi = xi_rotational(body, env, realm)
         elif realm == "viscous":
             eta = env.gas_viscosity
-            xi = (xi_stokes(body.radius, eta) if isinstance(body, Sphere) else
+            xi = (xi_stokes(body.radius, eta) if sphere else
                   xi_viscous_disc(body.radius, body.thickness, eta, orientation))
         else:
             xi = xi_molecular(body, env, orientation)
@@ -360,11 +360,14 @@ def _cmd_diffuse(args):
                                     mode=mode),
     }[mechanism, mode]
     samples = [(t, rms(t)) for t in times]
+    if not args.json:
+        return _csv(["t_s", "rms", "mechanism", "mode"],
+                    [[f"{t:.6g}", f"{r:.6g}", mechanism, mode] for t, r in samples])
 
     params = {"mechanism": mechanism, "mode": mode,
-              "body": {"shape": "sphere" if isinstance(body, Sphere) else "disc",
+              "body": {"shape": "sphere" if sphere else "disc",
                        "radius_cm": body.radius, "density_g_cc": body.density}}
-    if isinstance(body, Disc):
+    if not sphere:
         params["body"]["thickness_cm"] = body.thickness
     if mechanism in ("csl", "combined"):
         params.update(f=f, lam=csl.lam, a=csl.a)
@@ -372,60 +375,63 @@ def _cmd_diffuse(args):
         params["environment"] = {"temperature_K": env.temperature,
                                  "pressure_dyn_cm2": env.pressure,
                                  "gas_mass_g": env.gas_molecular_mass}
-        params["xi_g_per_s"] = xi
-    csv_text = _csv(["t_s", "rms", "mechanism", "mode"],
-                    [[f"{t:.6g}", f"{r:.6g}", mechanism, mode] for t, r in samples])
-    return csv_text, {"params": params,
-                      "samples": [{"t_s": t, "rms": r} for t, r in samples]}
+        # a torque coefficient in rotation
+        params["xi_g_cm2_per_s" if mode == "rotation" else "xi_g_per_s"] = xi
+    return {"params": params, "samples": [{"t_s": t, "rms": r} for t, r in samples]}
 
 
 def _cmd_simulate(args):
+    from .diffusion import WavepacketEquilibrium, equilibrium_width
     from .wavepacket import simulate_ensemble, stats_to_csv
 
     if args.s_inf is not None or args.tau_s is not None:
         if args.s_inf is None or args.tau_s is None:
             raise ValidationError("give both --s-inf and --tau-s or neither")
-        eq = diff.WavepacketEquilibrium(s_inf=args.s_inf, tau_s=args.tau_s)
+        _reject_given(args, ("sphere_radius", "disc_radius", "disc_thickness",
+                             "density", "lam", "lambda_inv", "a"),
+                      "with --s-inf and --tau-s")
+        eq = WavepacketEquilibrium(s_inf=args.s_inf, tau_s=args.tau_s)
     else:
         body = _body_from(args)
         csl = _csl_from(args)
-        eq = diff.equilibrium_width(csl, body)   # warns outside its range
+        eq = equilibrium_width(csl, body)   # warns outside its range
     dt = args.dt if args.dt is not None else eq.tau_s / 100.0
     t_end = args.t_end if args.t_end is not None else 10.0 * eq.tau_s
     stats = simulate_ensemble(eq, n_traj=args.n_traj, dt=dt, t_end=t_end,
                               seed=args.seed, method=args.method,
                               workers=args.workers)
-    doc = {"params": {"s_inf_cm": eq.s_inf, "tau_s_s": eq.tau_s, "dt_s": dt,
-                      "t_end_s": t_end, "n_traj": args.n_traj,
-                      "seed": args.seed, "method": args.method},
-           "rows": [{"t_s": t, "mean_Q": q, "mean_sq_Q": q2,
-                     "se_mean_sq_Q": se2, "mean_sq_P": p2, "se_mean_sq_P": sep}
-                    for t, q, q2, se2, p2, sep in zip(
-                        stats.times, stats.mean_Q, stats.mean_sq_Q,
-                        stats.se_mean_sq_Q, stats.mean_sq_P,
-                        stats.se_mean_sq_P)]}
-    return stats_to_csv(stats), doc
+    if not args.json:
+        return stats_to_csv(stats)
+    columns = ("mean_Q", "mean_sq_Q", "se_mean_sq_Q", "mean_sq_P", "se_mean_sq_P")
+    return {"params": {"s_inf_cm": eq.s_inf, "tau_s_s": eq.tau_s, "dt_s": dt,
+                       "t_end_s": t_end, "n_traj": args.n_traj,
+                       "seed": args.seed, "method": args.method},
+            "rows": [dict(zip(("t_s", *columns), row)) for row in
+                     zip(stats.times, *(getattr(stats, c) for c in columns))]}
 
 
 def _cmd_collide(args):
+    from .brownian import collision_stats, molecular_flux
+    from .core import _csv
+
     body = _body_from(args)
+    _reject_given(args, ("viscosity",), "by collide")
     if args.pressure is None:
         raise ValidationError("collision statistics need --pressure")
     env = _env_from(args)
     stats = collision_stats(body, env)
-    flux = molecular_flux(env)
     fields = {"tau_c_s": stats.tau_c, "tau_c_min": stats.tau_c / 60.0,
-              "flux_per_cm2_s": flux}
+              "flux_per_cm2_s": molecular_flux(env)}
     if stats.delta_v is not None:
         fields["delta_v_cm_s"] = stats.delta_v
     if stats.omega_kick is not None:
         fields["omega_kick_rad_s"] = stats.omega_kick
-    csv_text = _csv(fields, [[f"{v:.6g}" for v in fields.values()]])
-    doc = {"params": {"temperature_K": env.temperature,
-                      "pressure_dyn_cm2": env.pressure,
-                      "gas_mass_g": env.gas_molecular_mass},
-           "result": fields}
-    return csv_text, doc
+    if not args.json:
+        return _csv(fields, [[f"{v:.6g}" for v in fields.values()]])
+    return {"params": {"temperature_K": env.temperature,
+                       "pressure_dyn_cm2": env.pressure,
+                       "gas_mass_g": env.gas_molecular_mass},
+            "result": fields}
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "in use, then exit")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("table1", help="collapse-only rms displacement table")
-    p.add_argument("--paper-format", action="store_true",
-                   help="round entries to 1 significant figure")
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("table2", help="equilibrium packet width table")
-    p.add_argument("--paper-format", action="store_true")
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_table2)
+    for name, what in (("table1", "collapse-only rms displacement"),
+                       ("table2", "equilibrium packet width")):
+        p = sub.add_parser(name, help=f"{what} table")
+        p.add_argument("--paper-format", action="store_true",
+                       help="round entries to 1 significant figure")
+        _add_io_flags(p)
+        p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("fig1", help="rotation factor grid dataset")
     p.add_argument("--alphas", type=_csv_floats,
@@ -525,20 +528,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _outputs(args) -> list[tuple[str | None, str]]:
     """(path, text) of each output in writing order; path None is stdout."""
     if args.constants:
-        return [(None, _json_text({"schema_version": SCHEMA_VERSION,
-                                   **constants_summary()}))]
-    csv_text, doc, *polylines = args.func(args)
+        from .core import constants_summary
+        return [(None, _json_text(constants_summary()))]
+    out = args.func(args)
     if args.json:
-        return [(args.output, _json_text({"schema_version": SCHEMA_VERSION,
-                                          "command": args.command,
-                                          **_jsonable(doc)}))]
-    outputs = [(args.output, csv_text)]
-    if args.output and polylines:
-        # one polyline file per constraint next to the lattice CSV
-        stem = args.output[:-4] if args.output.endswith(".csv") else args.output
-        outputs += [(f"{stem}_boundary_{cid}.csv", text)
-                    for cid, text in polylines[0].items()]
-    return outputs
+        return [(args.output, _json_text({"command": args.command,
+                                          **_jsonable(out)}))]
+    csv_text, polylines = out if isinstance(out, tuple) else (out, {})
+    # fig2: one polyline file per constraint next to the lattice CSV
+    stem = args.output and args.output.removesuffix(".csv")
+    return [(args.output, csv_text)] + [(f"{stem}_boundary_{cid}.csv", text)
+                                        for cid, text in polylines.items()]
 
 
 def main(argv=None) -> int:

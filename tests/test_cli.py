@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -38,6 +39,13 @@ def run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def _json_doc(argv):
+    """The JSON document a subcommand returns under --json, before `main`
+    rounds it to 6 significant figures."""
+    args = build_parser().parse_args([*argv, "--json"])
+    return args.func(args)
 
 
 def test_table1_golden_bytes(capsys):
@@ -113,6 +121,24 @@ def test_diffuse_rotation_target(capsys):
                               ".5du", "--target", "2pi"])
     assert rc == 0
     assert out == "target_rad,f_rot,time_s\r\n6.28319,0.301935,73.352\r\n"
+
+
+@pytest.mark.parametrize("text,angle", [
+    ("2pi", 2 * math.pi), ("2*pi", 2 * math.pi), (" 2 PI", 2 * math.pi),
+    ("pi", math.pi), ("0.5pi", 0.5 * math.pi), ("3*pi", 3 * math.pi),
+    ("6.283", 6.283)])
+def test_target_reads_a_multiple_of_pi(text, angle):
+    args = build_parser().parse_args(["diffuse", f"--target={text}"])
+    assert args.target == angle
+
+
+@pytest.mark.parametrize("text", ["*pi", "-pi", "xpi", "2**pi"])
+def test_target_rejects_a_malformed_angle(capsys, text):
+    with pytest.raises(SystemExit) as err:
+        main(["diffuse", "--mode=rotation", "--disc-radius=2du",
+              "--disc-thickness=.5du", f"--target={text}"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_diffuse_csl_curve(capsys):
@@ -227,7 +253,9 @@ def test_fig2_readme_line_keeps_its_bytes(tmp_path):
 # brownian sphere-rotation line was captured again when rotation got its
 # drag: it still exits 3 with an empty stdout, but the error is now
 # xi_rotational's (a sphere has no rotational drag outside the viscous
-# realm) in place of "unsupported mechanism/mode pair"
+# realm) in place of "unsupported mechanism/mode pair".  The three rotation
+# --json pins with a drag were captured again when its key became
+# `xi_g_cm2_per_s`, the unit of a torque coefficient
 SPHERE = "--sphere-radius 1e-5"
 DISC = "--disc-radius 2du --disc-thickness .5du"
 GAS = "--temperature 4.2K --pressure 5e-17Torr"
@@ -283,14 +311,14 @@ DIFFUSE_SHA256 = [
      "c8ab3f2194b740a64f319690e9a0569749c6d4de0bec983125405638887c378d"),
     (f"--mechanism brownian --mode rotation {DISC} {GAS} --times 1,100",
      "ad766a4d5763d7a6646bedbc1b54c951900d418b50de4bf7f5f23fa863383919",
-     "c1fd4383db1322131814fffb95646ad5a094d5048d22e1d4f58c767a0aa4f1f8"),
+     "e41372ff575496e9e4dd5cece88e564e64434dbbe297c6d5c0d6033830a7ee03"),
     (f"--mechanism combined --mode rotation {DISC} {GAS} --times 1,100",
      "eb9e119b18de37327e5925d526595d4e5abc9f1d4fce5166c231628d3141d7de",
-     "8967b158ca30289b0c590d963fe3c2fcc7c3a3ff65b8f5a0e750404c3be26167"),
+     "43d940c57953fb8888ada12053db959ab52233e7815158497aecb534d7166f91"),
     ("--mechanism brownian --mode rotation --sphere-radius 1e-3 "
      "--pressure 760Torr --viscosity 1.8e-4 --realm viscous --times 1,100",
      "1854130ac3994fbd2cc6af7e4dceb455ecf5fc90da0e8efcfb00f9c8d23a1f96",
-     "85d6987b67198a868a852af72c30c65a6b8946f4e17dcf027af506709c8c63ed"),
+     "ac2d88fcfdf21cf5136305896a4c79c1f9fe1f5ce755a5b3e25d17e08fce23a7"),
 ]
 
 
@@ -470,12 +498,31 @@ def test_exit_code_out_of_domain_values(capsys, argv, bad):
 def test_diffuse_viscous_disc_takes_the_thin_disc_drag(mechanism, orientation):
     from cslwalk.brownian import xi_viscous_disc
 
-    args = build_parser().parse_args([
+    xi = _json_doc([
         "diffuse", f"--mechanism={mechanism}", "--disc-radius=1e-3",
         "--disc-thickness=1e-4", "--pressure=760Torr", "--viscosity=1.8e-4",
-        "--realm=viscous", f"--orientation={orientation}", "--times=1,100"])
-    xi = args.func(args)[1]["params"]["xi_g_per_s"]
+        "--realm=viscous", f"--orientation={orientation}", "--times=1,100"]
+    )["params"]["xi_g_per_s"]
     assert xi == xi_viscous_disc(1e-3, 1e-4, 1.8e-4, orientation)
+
+
+@pytest.mark.parametrize("mechanism", ["brownian", "combined"])
+@pytest.mark.parametrize("body,gas,realm", [
+    (["--disc-radius=2du", "--disc-thickness=.5du"],
+     ["--temperature=4.2K", "--pressure=5e-17Torr"], "molecular"),
+    (["--sphere-radius=1e-3"],
+     ["--pressure=760Torr", "--viscosity=1.8e-4", "--realm=viscous"], "viscous")])
+def test_diffuse_rotation_names_its_drag_a_torque_coefficient(mechanism, body, gas,
+                                                              realm):
+    from cslwalk import Disc, Environment, Sphere, xi_rotational
+
+    params = _json_doc(["diffuse", f"--mechanism={mechanism}", "--mode=rotation",
+                        *body, *gas, "--times=1,100"])["params"]
+    shape = (Disc(2e-5, 0.5e-5, 1.0) if realm == "molecular" else Sphere(1e-3, 1.0))
+    env = (Environment.from_torr(4.2, 5e-17) if realm == "molecular" else
+           Environment.from_torr(293.15, 760.0, gas_viscosity=1.8e-4))
+    assert "xi_g_per_s" not in params
+    assert params["xi_g_cm2_per_s"] == xi_rotational(shape, env, realm)
 
 
 @pytest.mark.parametrize("mechanism,gas", [
@@ -508,12 +555,11 @@ def test_diffuse_combined_reads_orientation_with_f():
     # the drag still reads it
     rms = {}
     for orientation in ("perp", "edge"):
-        args = build_parser().parse_args([
+        rms[orientation] = _json_doc([
             "diffuse", "--mechanism=combined", "--disc-radius=2du",
             "--disc-thickness=.5du", "--f=0.3", "--temperature=4.2K",
             "--pressure=5e-17Torr", f"--orientation={orientation}",
-            "--times=1e12"])
-        rms[orientation] = args.func(args)[1]["samples"][0]["rms"]
+            "--times=1e12"])["samples"][0]["rms"]
     assert rms["perp"] != rms["edge"]
 
 
@@ -535,10 +581,9 @@ def test_diffuse_is_exact_across_the_former_crossover_decade():
     env = Environment.from_torr(CONSTANTS.room_temperature_T0, 1e-12)
     xi = xi_molecular(body, env)
     times = [x * body.mass() / xi for x in (0.1, 1.0, 10.0)]
-    args = build_parser().parse_args([
+    doc = _json_doc([
         "diffuse", "--mechanism=brownian", "--sphere-radius=1e-5",
         "--pressure=1e-12Torr", "--times=" + ",".join(map(repr, times))])
-    doc = args.func(args)[1]
     assert [s["rms"] for s in doc["samples"]] == [
         combined_rms(xi, body, env, None, 0.0, t) for t in times]
     assert "f" not in doc["params"]
@@ -667,6 +712,20 @@ def test_import_floor_loads_no_numpy():
     assert _modules_after("import cslwalk.cli", "numpy") == []
     for argv in NUMPY_FREE_README_LINES:
         assert _modules_after(_CLI.format(argv=argv), "numpy") == [], argv
+
+
+def test_cli_loads_only_the_modules_a_line_calls():
+    # building the parser imports no cslwalk module beyond the CLI's own
+    # errors, and each README line adds only the modules whose code it runs
+    floor = ["cslwalk", "cslwalk.cli", "cslwalk.errors"]
+    assert _modules_after("import cslwalk.cli\ncslwalk.cli.build_parser()",
+                          "cslwalk") == floor
+    table = ["core", "diffusion", "factors"]
+    called = {"table1": table, "table2": table, "collide": ["brownian", "core"],
+              "--constants": ["core"], "fig2": ["constraints", "core"]}
+    for argv in NUMPY_FREE_README_LINES:
+        assert _modules_after(_CLI.format(argv=argv), "cslwalk") == sorted(
+            floor + [f"cslwalk.{m}" for m in called[argv[0]]]), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -881,8 +940,8 @@ _CURVES = [
        st.lists(st.floats(0.0, 1e9), min_size=1, max_size=20))
 def test_diffuse_rms_is_nonnegative_and_nondecreasing(line, times):
     times = ",".join(map(repr, sorted(times)))
-    args = build_parser().parse_args(["diffuse", *line, f"--times={times}"])
-    rms = [sample["rms"] for sample in args.func(args)[1]["samples"]]
+    rms = [sample["rms"] for sample in
+           _json_doc(["diffuse", *line, f"--times={times}"])["samples"]]
     assert rms[0] >= 0.0 and rms == sorted(rms), (line, times)
 
 
@@ -997,12 +1056,41 @@ _CSL_FLAGS = ["--lam=1e-17", "--lambda-inv=1e10", "--a=2e-5"]
       for flag in ("--t-end=50", "--n-times=3")],
     *[(["--mode=rotation", *_DISC, "--target=2pi", flag], flag, "with --target")
       for flag in ("--times=1,2", "--t-end=50", "--n-times=3")],
+    # the collapse rms reads no mass
+    *[([*body, "--density=2", *extra], "--density=2", "by --mechanism csl")
+      for body in (["--sphere-radius=1e-5"], ["--mode=rotation", *_DISC])
+      for extra in (["--times=1,2"], ["--mechanism=csl", "--t-end=50"])],
+    (["--mode=rotation", *_DISC, "--density=2", "--target=2pi"], "--density=2",
+     "by --mechanism csl"),
 ])
 def test_diffuse_rejects_flags_it_never_reads(capsys, argv, flag, why):
     # each flag here once changed no byte of the output
     rc, out, err = run(capsys, ["diffuse", *argv])
     assert rc == 3 and out == ""
     assert err == f"error: {flag.partition('=')[0]} is not used {why}\n"
+
+
+@pytest.mark.parametrize("flag", ["--sphere-radius=1e-3", "--disc-radius=2du",
+                                  "--disc-thickness=.5du", "--density=5",
+                                  "--lam=1e-10", "--lambda-inv=1e10", "--a=3e-5"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_simulate_rejects_flags_it_never_reads(capsys, flag, json_flag):
+    # a given equilibrium replaces the one the body and collapse flags set
+    rc, out, err = run(capsys, ["simulate", *_PACKET, "--dt=0.01", "--t-end=1",
+                                flag, *json_flag])
+    assert rc == 3 and out == ""
+    assert err == (f"error: {flag.partition('=')[0]} is not used with "
+                   "--s-inf and --tau-s\n")
+
+
+@pytest.mark.parametrize("body", [["--sphere-radius=1e-5"], _DISC])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_collide_rejects_flags_it_never_reads(capsys, body, json_flag):
+    # the collision statistics take no viscosity
+    rc, out, err = run(capsys, ["collide", *body, *_GAS, "--viscosity=1.8e-4",
+                                *json_flag])
+    assert rc == 3 and out == ""
+    assert err == "error: --viscosity is not used by collide\n"
 
 
 @pytest.mark.parametrize("line,defaults", [
