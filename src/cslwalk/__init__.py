@@ -16,11 +16,12 @@ for table and dataset reproduction.
 numpy is the only run-time dependency.  Every public name below is
 resolved from its submodule on first access, so `import cslwalk` does not
 load it.  The closed forms of the reference tables, the sphere factor, the
-collision statistics and the constraint map never need numpy, apart from
-`ConstraintMap.mask()`; the disc factors, the oracle and the wavepacket
-ensembles load it when first called or imported.  Nothing loads scipy: the
-disc rotation factor's i1e is a Cephes port in `cslwalk._cephes`, and the
-width-ODE cross-check steps RK4 itself.
+drag coefficients and collision statistics (`brownian`) and the constraint
+map run on the standard library alone, apart from `ConstraintMap.mask()`;
+the disc factors, the oracle and the wavepacket ensembles load numpy when
+first called or imported.  Nothing loads scipy: the disc rotation factor's
+i1e is a Cephes port in `cslwalk._cephes`, and the width-ODE cross-check
+steps RK4 itself.
 """
 
 import importlib
@@ -34,8 +35,7 @@ _EXPORTS = {
                "ValidityWarning"),
     "brownian": ("CollisionStats", "xi_stokes", "xi_slip_corrected",
                  "xi_molecular", "xi_viscous_disc", "xi_rotational",
-                 "xi_radiation", "xi_mirror", "spectral_xi",
-                 "collision_stats", "molecular_flux"),
+                 "xi_radiation", "collision_stats", "molecular_flux"),
     "factors": ("FactorResult", "DiscAspect", "f_sphere", "f_disc_perp",
                 "f_disc_edge", "f_rot_disc", "fig1_dataset"),
     "oracle": ("f_mc_oracle",),

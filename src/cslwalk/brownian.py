@@ -5,11 +5,6 @@ cslwalk.diffusion.combined_rms.
 
 Drag conventions: the damping force is -xi * v (translation, xi in g/s) or
 the torque is -xi * omega (rotation, xi in g cm^2/s).
-
-spectral_xi, the frequency density of the radiation drags xi_mirror and
-xi_radiation, is one expression in g(z) = z^2 e^z / (e^z - 1)^2, z = h nu / kT;
-int_0^inf z^n e^z / (e^z - 1)^2 dz = n! zeta(n) (n = 4 mirror, 8 sphere)
-integrates it to them.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import CONSTANTS, Body, Disc, Environment, Sphere
+from .core import CONSTANTS, Body, Environment, Sphere
 from .errors import (ValidationError, ValidityWarning, _in_float_range,
                      _nonnegative, _positive)
 
@@ -32,8 +27,6 @@ __all__ = [
     "xi_viscous_disc",
     "xi_rotational",
     "xi_radiation",
-    "xi_mirror",
-    "spectral_xi",
     "collision_stats",
     "molecular_flux",
     "check_realm",
@@ -164,62 +157,6 @@ def xi_radiation(R: float, T: float) -> float:
     hbar, c = CONSTANTS.hbar, CONSTANTS.c
     kT = CONSTANTS.k_boltzmann * T
     return (4.0 * (2.0 * math.pi) ** 7 / 135.0) * hbar * R ** 6 * (kT / (hbar * c)) ** 8
-
-
-@_in_float_range("drag coefficient")
-def xi_mirror(area: float, T: float) -> float:
-    """Radiation drag on a perfect mirror of the given area.
-
-    xi = (2 pi^2 / 15) hbar (kT / hbar c)^4 A.
-    """
-    _positive(area=area, T=T)
-    hbar, c = CONSTANTS.hbar, CONSTANTS.c
-    kT = CONSTANTS.k_boltzmann * T
-    return (2.0 * math.pi ** 2 / 15.0) * hbar * (kT / (hbar * c)) ** 4 * area
-
-
-@_in_float_range("spectral drag density")
-def spectral_xi(nu, T: float, target: str = "mirror-per-area",
-                R: float | None = None):
-    """Spectral density d(xi)/d(nu) of the radiation drag.
-
-    With z = h nu / kT and the Planck factor g(z) = z^2 e^z / (e^z - 1)^2
-    (1 at z = 0, the classical equipartition limit):
-
-    target 'mirror-per-area': per unit mirror area, 4 pi kT nu^2 g / c^4.
-    target 'dielectric-sphere' (R required): the long-wavelength scattering
-    cross-section (8 pi/3)(2 pi nu / c)^4 R^6 in the large-dielectric-constant
-    limit gives (2 pi)^4 (8 pi/3)^2 kT R^6 nu^6 g / c^8.
-
-    Over nu in (0, inf) these integrate to xi_mirror (per unit area) and
-    xi_radiation through int z^n e^z / (e^z - 1)^2 dz = n! zeta(n), which
-    is 4 pi^4 / 15 for n = 4 and (2 pi)^8 / 60 for n = 8.
-    """
-    import numpy as np
-
-    _positive(T=T)
-    nu = np.asarray(nu, dtype=float)
-    if not np.all(np.isfinite(nu) & (nu >= 0)):
-        raise ValidationError("nu must be finite and nonnegative")
-    h = 2.0 * math.pi * CONSTANTS.hbar
-    c = CONSTANTS.c
-    kT = CONSTANTS.k_boltzmann * T
-    # each density is the square of a product whose factors stay near its
-    # square root, so no factor leaves the float range before the result does;
-    # sqrt(g) = z e^{-z/2} / -expm1(-z) never overflows, and is 1 at z = 0
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        z = h * nu / kT
-        d = -np.expm1(-z)
-        amp = np.divide(z * np.exp(-0.5 * z), d, out=np.ones_like(z), where=d > 0)
-        if target == "mirror-per-area":
-            return (math.sqrt(4.0 * math.pi * kT) / c * amp * (nu / c)) ** 2
-        if target == "dielectric-sphere":
-            if R is None:
-                raise ValidationError("dielectric-sphere target needs a radius R")
-            _positive(R=R)
-            pref = (2.0 * math.pi) ** 4 * (8.0 * math.pi / 3.0) ** 2
-            return (math.sqrt(pref * kT) / c * amp * (nu * R / c) ** 3) ** 2
-    raise ValidationError(f"unknown spectral target {target!r}")
 
 
 # ---------------------------------------------------------------------------

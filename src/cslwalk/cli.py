@@ -325,6 +325,8 @@ def _cmd_diffuse(args):
     else:
         n = 25 if args.n_times is None else args.n_times
         t_end = 1.0e3 if args.t_end is None else args.t_end
+        if not t_end > 0:
+            raise ValidationError("--t-end must be positive")
         times = [t_end * (k + 1) / n for k in range(n)]
 
     xi = env = None
@@ -471,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_log_grid("0:22:89"),
                    help="log10 lambda_inv grid as MIN:MAX:COUNT")
     p.add_argument("--which", default=None,
-                   help="comma list of constraint ids (default the 5 drawn)")
+                   help="comma list of distinct constraint ids (default the 5 drawn)")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_fig2)
 
@@ -488,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report the time to reach this angle (rad, or '2pi')")
     p.add_argument("--times", type=_csv_floats, default=None,
                    help="comma list of times in s")
-    p.add_argument("--t-end", type=_time, default=None)
+    p.add_argument("--t-end", type=_time, default=None,
+                   help="last time of the grid, > 0 (default 1000 s)")
     p.add_argument("--n-times", type=_count, default=None)
     p.add_argument("--realm", choices=("molecular", "viscous"), default=None)
     _add_body_flags(p)

@@ -24,13 +24,11 @@ from .core import CONSTANTS, ERG_PER_EV, _csv
 from .errors import ValidationError, _in_float_range, _positive
 
 __all__ = [
-    "ConstraintLine",
     "CONSTRAINT_LINES",
     "DEFAULT_MAP_IDS",
     "evaluate_constraints",
     "lambda_gravitational",
     "ThermalRelation",
-    "thermal_bath_energies",
     "fu_radiation_rate",
     "ge_detector_rate",
     "ge_radiation_threshold",
@@ -54,48 +52,31 @@ def _pow(x: float, p: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class ConstraintLine:
-    """One viability bound: lambda_inv * a^a_power  (sense)  threshold."""
-
-    id: str
-    a_power: int
-    threshold: float
-    sense: str          # 'min' (left side must exceed) or 'max' (stay below)
-    description: str
-
-    def satisfied(self, lambda_inv: float, a: float) -> bool:
-        value = lambda_inv * _pow(a, self.a_power)
-        return value > self.threshold if self.sense == "min" else value < self.threshold
-
-    def boundary_log10_lambda_inv(self, log10_a: float) -> float:
-        """log10 lambda_inv on the boundary, linear in log10 a."""
-        return math.log10(self.threshold) - self.a_power * log10_a
-
-
+# id: (a_power, threshold, sense, description), the bound
+# lambda_inv * a^a_power > threshold (sense 'min') or < threshold ('max')
 CONSTRAINT_LINES = {
-    "ge-radiation": ConstraintLine(
-        "ge-radiation", 2, 0.4, "min",
+    "ge-radiation": (
+        2, 0.4, "min",
         "photon-count limit from shielded germanium: collapse-shaken free "
         "electrons may not radiate above the measured pulse rate"),
-    "rot-null": ConstraintLine(
-        "rot-null", 4, 1.0e2, "min",
+    "rot-null": (
+        4, 1.0e2, "min",
         "would-be null result of a rotational diffusion experiment able to "
         "see a quarter turn in 45 minutes"),
-    "perception-time": ConstraintLine(
-        "perception-time", 0, 4.0e19, "max",
+    "perception-time": (
+        0, 4.0e19, "max",
         "a just-visible sphere split over more than a must collapse faster "
         "than human perception time (~0.1 s)"),
-    "small-displacement": ConstraintLine(
-        "small-displacement", 2, 1.6e10, "max",
+    "small-displacement": (
+        2, 1.6e10, "max",
         "a just-visible sphere split by the smallest discernible displacement "
         "must collapse faster than perception time"),
-    "trans-null": ConstraintLine(
-        "trans-null", 2, 1.0e12, "min",
+    "trans-null": (
+        2, 1.0e12, "min",
         "would-be null result of a translational diffusion experiment 1000x "
         "more sensitive than the canonical prediction"),
-    "nucleon-excitation": ConstraintLine(
-        "nucleon-excitation", 4, 2.0e-15, "min",
+    "nucleon-excitation": (
+        4, 2.0e-15, "min",
         "older germanium bound from spontaneous nucleon excitation (weaker "
         "than ge-radiation; kept for reference, not drawn by default)"),
 }
@@ -120,7 +101,9 @@ def evaluate_constraints(lambda_inv: float, a: float,
     for cid in ids:
         if cid not in CONSTRAINT_LINES:
             raise ValidationError(f"unknown constraint id {cid!r}")
-        out[cid] = CONSTRAINT_LINES[cid].satisfied(lambda_inv, a)
+        a_power, threshold, sense, _ = CONSTRAINT_LINES[cid]
+        value = lambda_inv * _pow(a, a_power)
+        out[cid] = value > threshold if sense == "min" else value < threshold
     return out
 
 
@@ -174,15 +157,6 @@ class ThermalRelation:
     def lambda_inv(self, a: float) -> float:
         _positive(a=a)
         return self.lambda_inv_a_sq / a ** 2
-
-
-def thermal_bath_energies() -> dict:
-    """kT of the 2.7 K cosmic bath and the collapse momentum-scale energy
-    at the GRW length a = 1e-5 cm, in eV."""
-    kT_ev = CONSTANTS.k_boltzmann * 2.7 / ERG_PER_EV
-    scale_ev = CONSTANTS.hbar ** 2 / (CONSTANTS.m_nucleon * 1.0e-5 ** 2) / ERG_PER_EV
-    return {"kT_eV": kT_ev, "collapse_scale_eV": scale_ev,
-            "implied_gamma": kT_ev / (50.0 * scale_ev)}
 
 
 @_in_float_range("photon emission rate")
@@ -257,8 +231,7 @@ class ConstraintMap:
             "convention": "raw CGS numbers: lambda_inv in s, a in cm",
             "grid": "log10-spaced lattice, sorted ascending",
             "ids": list(self.ids),
-            "descriptions": {cid: CONSTRAINT_LINES[cid].description
-                             for cid in self.ids},
+            "descriptions": {cid: CONSTRAINT_LINES[cid][3] for cid in self.ids},
             "note": "bounds are order-of-magnitude statements; boundary "
                     "lines have slope -(a exponent) in log-log",
         }
@@ -281,9 +254,11 @@ def fig2_dataset(a_range, lambda_inv_range, which=DEFAULT_MAP_IDS) -> Constraint
     if any(b <= a for a, b in zip(la, la[1:])) or any(b <= a for a, b in zip(ll, ll[1:])):
         raise ValidationError("grids must be strictly increasing")
     ids = tuple(which)
-    for cid in ids:
+    for k, cid in enumerate(ids):
         if cid not in CONSTRAINT_LINES:
             raise ValidationError(f"unknown constraint id {cid!r}")
+        if cid in ids[:k]:
+            raise ValidationError(f"constraint id {cid!r} is repeated")
     # 10.0 ** v and a ** a_power are the Python pow calls evaluate_constraints
     # makes, inf where they overflow.  On one a-row, ap = a ** a_power is
     # >= 0 or inf and the lambda_inv values do not decrease, so neither do the
@@ -299,14 +274,13 @@ def fig2_dataset(a_range, lambda_inv_range, which=DEFAULT_MAP_IDS) -> Constraint
         _positive(a=a)
     for lambda_inv in lam_vals:
         _positive(lambda_inv=lambda_inv)
-    distinct = list(dict.fromkeys(ids))
     # one shared tuple per pass/fail pattern instead of one per lattice point
-    bits = [1 << distinct.index(cid) for cid in ids]
-    patterns = [tuple(code & bit != 0 for bit in bits)
-                for code in range(2 ** len(distinct))]
-    flips = [(bisect_right if line.sense == "min" else bisect_left,
-              line.a_power, line.threshold, 1 << k)
-             for k, line in enumerate(CONSTRAINT_LINES[cid] for cid in distinct)]
+    patterns = [tuple(code >> k & 1 == 1 for k in range(len(ids)))
+                for code in range(2 ** len(ids))]
+    flips = [(bisect_right if sense == "min" else bisect_left, a_power, threshold,
+              1 << k)
+             for k, (a_power, threshold, sense, _)
+             in enumerate(CONSTRAINT_LINES[cid] for cid in ids)]
     # ahead of every flip the 'max' bounds hold and the 'min' ones do not
     first_code = sum(bit for find, _, _, bit in flips if find is bisect_left)
     rows = []
@@ -338,6 +312,9 @@ def map_to_csv(cmap: ConstraintMap) -> str:
 def boundary_polylines(cmap: ConstraintMap) -> dict:
     """Boundary of each bound as a polyline over the map's a-grid."""
     xs = [float(x) for x in cmap.log10_a]
-    return {cid: [(x, CONSTRAINT_LINES[cid].boundary_log10_lambda_inv(x))
-                  for x in xs]
-            for cid in cmap.ids}
+    lines = {}
+    for cid in cmap.ids:
+        # log10 lambda_inv on the boundary, linear in log10 a
+        a_power, threshold, _, _ = CONSTRAINT_LINES[cid]
+        lines[cid] = [(x, math.log10(threshold) - a_power * x) for x in xs]
+    return lines

@@ -15,6 +15,8 @@ import math
 import operator
 from functools import partial, wraps
 
+__all__ = ["CslwalkError", "ValidationError", "ConvergenceError", "ValidityWarning"]
+
 
 class CslwalkError(Exception):
     """Base class for all package-specific errors."""

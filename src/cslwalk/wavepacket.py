@@ -32,7 +32,6 @@ from .errors import (ConvergenceError, ValidationError, _count, _in_float_range,
 __all__ = [
     "TrajectoryState",
     "EnsembleStats",
-    "equilibrium_variance",
     "packet_width_sq",
     "sigma_closed_form",
     "sigma_ode_integrate",
@@ -90,13 +89,6 @@ def _time_grid(t, name: str) -> list[float]:
         raise ValidationError(f"{name} must be a nonempty, strictly increasing "
                               f"list of finite nonnegative times, got {t!r}")
     return ts
-
-
-@_in_float_range("equilibrium width parameter")
-def equilibrium_variance(s_inf: float) -> complex:
-    """The stationary width parameter, s_inf^2 (1 + i) / 2 (cm^2)."""
-    _positive(s_inf=s_inf)
-    return _width(s_inf ** 2 * (1.0 + 1.0j) / 2.0, "s_inf^2 (1 + i)/2")
 
 
 @_in_float_range("packet width")

@@ -5,13 +5,72 @@ from __future__ import annotations
 import decimal
 import math
 
+import numpy as np
 import pytest
+
+from cslwalk.core import CONSTANTS
+from cslwalk.errors import ValidationError, _in_float_range, _positive
+
+# The radiation drag's reference routes: the frequency integral of
+# spectral_xi checks xi_radiation (sphere) and xi_mirror (mirror).
+
+@_in_float_range("drag coefficient")
+def xi_mirror(area: float, T: float) -> float:
+    """Radiation drag on a perfect mirror of the given area.
+
+    xi = (2 pi^2 / 15) hbar (kT / hbar c)^4 A.
+    """
+    _positive(area=area, T=T)
+    hbar, c = CONSTANTS.hbar, CONSTANTS.c
+    kT = CONSTANTS.k_boltzmann * T
+    return (2.0 * math.pi ** 2 / 15.0) * hbar * (kT / (hbar * c)) ** 4 * area
+
+
+@_in_float_range("spectral drag density")
+def spectral_xi(nu, T: float, target: str = "mirror-per-area",
+                R: float | None = None):
+    """Spectral density d(xi)/d(nu) of the radiation drag.
+
+    With z = h nu / kT and the Planck factor g(z) = z^2 e^z / (e^z - 1)^2
+    (1 at z = 0, the classical equipartition limit):
+
+    target 'mirror-per-area': per unit mirror area, 4 pi kT nu^2 g / c^4.
+    target 'dielectric-sphere' (R required): the long-wavelength scattering
+    cross-section (8 pi/3)(2 pi nu / c)^4 R^6 in the large-dielectric-constant
+    limit gives (2 pi)^4 (8 pi/3)^2 kT R^6 nu^6 g / c^8.
+
+    Over nu in (0, inf) these integrate to xi_mirror (per unit area) and
+    xi_radiation through int z^n e^z / (e^z - 1)^2 dz = n! zeta(n), which
+    is 4 pi^4 / 15 for n = 4 and (2 pi)^8 / 60 for n = 8.
+    """
+    _positive(T=T)
+    nu = np.asarray(nu, dtype=float)
+    if not np.all(np.isfinite(nu) & (nu >= 0)):
+        raise ValidationError("nu must be finite and nonnegative")
+    h = 2.0 * math.pi * CONSTANTS.hbar
+    c = CONSTANTS.c
+    kT = CONSTANTS.k_boltzmann * T
+    # each density is the square of a product whose factors stay near its
+    # square root, so no factor leaves the float range before the result does;
+    # sqrt(g) = z e^{-z/2} / -expm1(-z) never overflows, and is 1 at z = 0
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        z = h * nu / kT
+        d = -np.expm1(-z)
+        amp = np.divide(z * np.exp(-0.5 * z), d, out=np.ones_like(z), where=d > 0)
+        if target == "mirror-per-area":
+            return (math.sqrt(4.0 * math.pi * kT) / c * amp * (nu / c)) ** 2
+        if target == "dielectric-sphere":
+            if R is None:
+                raise ValidationError("dielectric-sphere target needs a radius R")
+            _positive(R=R)
+            pref = (2.0 * math.pi) ** 4 * (8.0 * math.pi / 3.0) ** 2
+            return (math.sqrt(pref * kT) / c * amp * (nu * R / c) ** 3) ** 2
+    raise ValidationError(f"unknown spectral target {target!r}")
 
 
 def spectral_integral(T, target="mirror-per-area", R=None, z_max=200.0):
     """Frequency integral of spectral_xi over z = h nu / kT in [0, z_max];
     past z = 200 less than 1e-12 of it is left."""
-    from cslwalk import CONSTANTS, spectral_xi
     from cslwalk.quadrature import integrate_1d
 
     nu_max = z_max * CONSTANTS.k_boltzmann * T / (2.0 * math.pi * CONSTANTS.hbar)
@@ -21,8 +80,6 @@ def spectral_integral(T, target="mirror-per-area", R=None, z_max=200.0):
 def planck_moment(n: int, z_max: float = 200.0) -> float:
     """int_0^z_max z^n e^z / (e^z - 1)^2 dz for n = 4 or 8: the spectral
     integral of a mirror or a unit sphere over its prefactor."""
-    from cslwalk import CONSTANTS
-
     kT, c = CONSTANTS.k_boltzmann * 300.0, CONSTANTS.c
     sphere = (2 * math.pi) ** 4 * (8 * math.pi / 3) ** 2
     target, R, pref = (("mirror-per-area", None, 4 * math.pi) if n == 4 else

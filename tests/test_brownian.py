@@ -5,12 +5,12 @@ import pytest
 
 from cslwalk import (CONSTANTS, Disc, Environment, Sphere, ValidationError,
                      ValidityWarning, collision_stats, combined_rms,
-                     molecular_flux, spectral_xi, xi_mirror, xi_molecular,
-                     xi_radiation, xi_rotational, xi_slip_corrected,
-                     xi_stokes, xi_viscous_disc)
+                     molecular_flux, xi_molecular, xi_radiation, xi_rotational,
+                     xi_slip_corrected, xi_stokes, xi_viscous_disc)
 from cslwalk.brownian import SLIP_SPECULAR, check_realm
 
-from conftest import damped_rms, planck_moment, spectral_integral
+from conftest import (damped_rms, planck_moment, spectral_integral, spectral_xi,
+                      xi_mirror)
 
 T0 = CONSTANTS.room_temperature_T0
 K = CONSTANTS.k_boltzmann

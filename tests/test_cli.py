@@ -485,6 +485,12 @@ def test_equilibrium_out_of_range_fails_before_it_warns(capsys):
       "--disc-thickness", ".5du", "--a", "1e-30"], "at most 128"),
     (["diffuse", "--sphere-radius", "1e-5", "--times=-1,2"],
      "times must be finite and nonnegative"),
+    (["diffuse", "--sphere-radius", "1e-5", "--n-times=3", "--t-end=0"],
+     "error: --t-end must be positive\n"),
+    (["diffuse", "--sphere-radius", "1e-5", "--t-end=-1day"],
+     "error: --t-end must be positive\n"),
+    (["fig2", "--which=ge-radiation,ge-radiation"],
+     "error: constraint id 'ge-radiation' is repeated\n"),
 ])
 def test_exit_code_out_of_domain_values(capsys, argv, bad):
     rc, out, err = run(capsys, argv)
@@ -767,6 +773,18 @@ def test_public_names_resolve_to_their_home_objects():
     for name in cslwalk.__all__:
         home = importlib.import_module(f"cslwalk.{cslwalk._HOME[name]}")
         assert getattr(cslwalk, name) is getattr(home, name), name
+        assert name in home.__all__, name
+
+
+def test_every_all_entry_names_an_object_of_its_module():
+    import importlib
+    import pkgutil
+
+    import cslwalk
+    for info in pkgutil.iter_modules(cslwalk.__path__):
+        mod = importlib.import_module(f"cslwalk.{info.name}")
+        stale = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert stale == [], info.name
 
 
 def test_dir_covers_all_before_any_name_is_resolved():

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from cslwalk import (CslParams, ThermalRelation, ValidationError,
+from cslwalk import (CONSTANTS, CslParams, ThermalRelation, ValidationError,
                      csl_rms_rotation, evaluate_constraints, fig2_dataset,
                      fu_radiation_rate, ge_detector_rate,
                      ge_radiation_threshold, lambda_gravitational)
 from cslwalk.constraints import (CONSTRAINT_LINES, DEFAULT_MAP_IDS,
-                                 boundary_polylines, map_to_csv,
-                                 thermal_bath_energies)
+                                 boundary_polylines, map_to_csv)
+from cslwalk.core import ERG_PER_EV
 
 GRW_LAMBDA_INV = 1e16
 GRW_A = 1e-5
@@ -29,7 +29,7 @@ def test_rot_null_would_exclude_canonical_values():
     # a null rotation experiment 1e3 times more sensitive than the canonical
     # prediction demands lambda_inv a^4 > 1e2; the canonical point gives 1e-4
     assert GRW_LAMBDA_INV * GRW_A ** 4 == pytest.approx(1e-4)
-    assert not CONSTRAINT_LINES["rot-null"].satisfied(GRW_LAMBDA_INV, GRW_A)
+    assert not evaluate_constraints(GRW_LAMBDA_INV, GRW_A, ("rot-null",))["rot-null"]
 
 
 def test_trans_null_conflicts_with_small_displacement():
@@ -52,19 +52,20 @@ def test_unknown_constraint_rejected():
 def test_monotone_in_lambda_inv():
     # each one-sided bound flips exactly once along lambda_inv
     a = 1e-4
-    for cid, line in CONSTRAINT_LINES.items():
-        vals = [line.satisfied(10.0 ** e, a) for e in np.linspace(-5, 30, 141)]
+    for cid in CONSTRAINT_LINES:
+        vals = [evaluate_constraints(10.0 ** e, a, (cid,))[cid]
+                for e in np.linspace(-5, 30, 141)]
         flips = sum(1 for u, v in zip(vals, vals[1:]) if u != v)
         assert flips == 1, cid
 
 
 def test_boundary_slopes():
     # boundaries are straight lines in log-log with slope -(a exponent)
-    for cid, line in CONSTRAINT_LINES.items():
-        y1 = line.boundary_log10_lambda_inv(-6.0)
-        y2 = line.boundary_log10_lambda_inv(-4.0)
+    cmap = fig2_dataset([-6.0, -4.0], [0.0], which=tuple(CONSTRAINT_LINES))
+    for cid, ((_, y1), (_, y2)) in boundary_polylines(cmap).items():
         slope = (y2 - y1) / 2.0
-        assert slope == pytest.approx(-line.a_power, abs=1e-12)
+        a_power = CONSTRAINT_LINES[cid][0]
+        assert slope == pytest.approx(-a_power, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +111,13 @@ def test_thermal_relation_line():
 
 
 def test_thermal_bath_energies():
-    e = thermal_bath_energies()
-    assert e["kT_eV"] == pytest.approx(2.5e-4, rel=0.1)
-    assert e["collapse_scale_eV"] == pytest.approx(4e-9, rel=0.1)
-    assert e["implied_gamma"] == pytest.approx(1e3, rel=0.2)
+    # kT of the 2.7 K cosmic bath and the collapse momentum-scale energy at
+    # the GRW length a = 1e-5 cm, in eV
+    kT_ev = CONSTANTS.k_boltzmann * 2.7 / ERG_PER_EV
+    scale_ev = CONSTANTS.hbar ** 2 / (CONSTANTS.m_nucleon * 1.0e-5 ** 2) / ERG_PER_EV
+    assert kT_ev == pytest.approx(2.5e-4, rel=0.1)
+    assert scale_ev == pytest.approx(4e-9, rel=0.1)
+    assert kT_ev / (50.0 * scale_ev) == pytest.approx(1e3, rel=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +172,7 @@ def test_map_grid_size_and_csv():
 
 def test_map_equals_the_per_point_bounds():
     # the lattice against evaluate_constraints at every point, with a
-    # repeated id and a subset of the bounds
+    # subset of the bounds
     la = [-7.0, -4.25, -2.5, -1.0, 0.0]
     ll = [0.0, 9.5, 12.0, 16.0, 22.0]
     # at log10 a = -2.5, log10 lambda_inv = 12, rot-null reads exactly 1e2,
@@ -179,14 +183,17 @@ def test_map_equals_the_per_point_bounds():
     edges = ([-300.0, -80.0, 77.0, 300.0], [-300.0, 0.0, 300.0])
     for (la, ll), which in itertools.product(
             ((la, ll), edges),
-            (DEFAULT_MAP_IDS, tuple(CONSTRAINT_LINES),
-             ("rot-null", "ge-radiation", "rot-null"), ())):
+            (DEFAULT_MAP_IDS, tuple(CONSTRAINT_LINES), ("rot-null", "ge-radiation"),
+             ())):
         cmap = fig2_dataset(la, ll, which=which)
         for i, lga in enumerate(la):
             for j, lgl in enumerate(ll):
                 res = evaluate_constraints(10.0 ** lgl, 10.0 ** lga, which=which)
                 assert cmap.passed[i][j] == tuple(res[cid] for cid in which)
     assert fig2_dataset([-2.5], [12.0], which=("rot-null",)).passed == (((False,),),)
+    # one column per bound: a repeated id is rejected, not given a second one
+    with pytest.raises(ValidationError, match="^constraint id 'rot-null' is repeated$"):
+        fig2_dataset([-5.0], [16.0], which=("rot-null", "ge-radiation", "rot-null"))
 
 
 def test_map_rejects_bad_grids():

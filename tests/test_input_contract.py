@@ -22,9 +22,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cslwalk.brownian import (CollisionStats, spectral_xi, xi_mirror,
-                              xi_molecular, xi_radiation, xi_rotational,
-                              xi_slip_corrected, xi_stokes, xi_viscous_disc)
+from cslwalk.brownian import (CollisionStats, xi_molecular, xi_radiation,
+                              xi_rotational, xi_slip_corrected, xi_stokes,
+                              xi_viscous_disc)
 from cslwalk.constraints import (ThermalRelation, evaluate_constraints,
                                  fu_radiation_rate, ge_detector_rate,
                                  ge_radiation_threshold, lambda_gravitational)
@@ -37,9 +37,9 @@ from cslwalk.diffusion import (WavepacketEquilibrium, combined_rms,
 from cslwalk.errors import ConvergenceError, ValidationError, ValidityWarning
 from cslwalk.factors import DiscAspect, FactorResult, f_sphere
 from cslwalk.oracle import f_mc_oracle, f_mc_oracle_aspect
-from cslwalk.wavepacket import (equilibrium_variance, growth_coefficients,
-                                sigma_closed_form, sigma_ode_integrate,
-                                simulate_ensemble, single_trajectory)
+from cslwalk.wavepacket import (growth_coefficients, sigma_closed_form,
+                                sigma_ode_integrate, simulate_ensemble,
+                                single_trajectory)
 
 INF, NAN = math.inf, math.nan
 BAD = {
@@ -74,7 +74,9 @@ def combined_rms_rotation(**kwargs):
 # (callable, valid keyword arguments, {argument: kind}); a kind is a key of
 # BAD or ("count", minimum)
 CONTRACT = [
-    (PhysicalConstants, {}, {"hbar": "positive", "room_temperature_T0": "positive"}),
+    (PhysicalConstants, {},
+     {"hbar": "positive", "k_boltzmann": "positive", "m_nucleon": "positive",
+      "G": "positive", "c": "positive", "room_temperature_T0": "positive"}),
     (CslParams, dict(lam=1e-16, a=1e-5), {"lam": "positive", "a": "positive"}),
     (Sphere, dict(radius=1e-5, density=1.0),
      {"radius": "positive", "density": "positive"}),
@@ -100,9 +102,6 @@ CONTRACT = [
     (xi_viscous_disc, dict(L=1e-3, b=1e-5, eta=1.8e-4, orientation="perp"),
      {"L": "positive", "b": "positive", "eta": "positive"}),
     (xi_radiation, dict(R=1e-5, T=300.0), {"R": "positive", "T": "positive"}),
-    (xi_mirror, dict(area=1.0, T=300.0), {"area": "positive", "T": "positive"}),
-    (spectral_xi, dict(nu=1e12, T=300.0, target="dielectric-sphere", R=1e-5),
-     {"nu": "nonnegative", "T": "positive", "R": "positive"}),
     (WavepacketEquilibrium, dict(s_inf=1e-6, tau_s=1.0),
      {"s_inf": "positive", "tau_s": "positive"}),
     (csl_rms_translation, dict(csl=GRW, f=0.5, t=1.0, initial_term=0.0),
@@ -131,12 +130,12 @@ CONTRACT = [
      {"E_keV": "positive", "lam": "positive", "a": "positive"}),
     (ge_detector_rate, dict(lam=1e-16, a=1e-5), {"lam": "positive", "a": "positive"}),
     (ge_radiation_threshold, dict(limit_counts=0.05), {"limit_counts": "positive"}),
-    (equilibrium_variance, dict(s_inf=1e-6), {"s_inf": "positive"}),
     (sigma_closed_form, dict(sigma0=1e-12, s_inf=1e-6, tau_s=1.0, t=[0.5]),
-     {"s_inf": "positive", "tau_s": "positive"}),
+     {"sigma0": "positive", "s_inf": "positive", "tau_s": "positive"}),
     (sigma_ode_integrate, dict(sigma0=1e-12, M=1e-15, lam_eff=1e-10, a=1e-5,
                                t_grid=[0.5, 1.0]),
-     {"M": "positive", "lam_eff": "nonnegative", "a": "positive"}),
+     {"sigma0": "positive", "M": "positive", "lam_eff": "nonnegative",
+      "a": "positive"}),
     (single_trajectory, dict(eq=EQ, dt=0.01, t_end=0.1, seed=0),
      {"dt": "positive", "t_end": "positive", "seed": ("count", 0)}),
     (simulate_ensemble, dict(eq=EQ, n_traj=100, dt=0.01, t_end=0.1, seed=0,
