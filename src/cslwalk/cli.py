@@ -239,6 +239,8 @@ def _cmd_fig2(args):
     from . import constraints as cons
     from .core import _csv
 
+    if args.which == "":
+        raise ValidationError("--which needs at least one constraint id")
     which = tuple(args.which.split(",")) if args.which else cons.DEFAULT_MAP_IDS
     cmap = cons.fig2_dataset(args.a_grid, args.lambda_inv_grid, which=which)
     if not args.json:
@@ -397,6 +399,9 @@ def _cmd_simulate(args):
         body = _body_from(args)
         csl = _csl_from(args)
         eq = equilibrium_width(csl, body)   # warns outside its range
+    for flag, value in (("--dt", args.dt), ("--t-end", args.t_end)):
+        if value is not None and not value > 0:
+            raise ValidationError(f"{flag} must be positive")
     dt = args.dt if args.dt is not None else eq.tau_s / 100.0
     t_end = args.t_end if args.t_end is not None else 10.0 * eq.tau_s
     stats = simulate_ensemble(eq, n_traj=args.n_traj, dt=dt, t_end=t_end,

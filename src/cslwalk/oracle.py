@@ -4,12 +4,19 @@ Evaluates the defining double volume integrals directly by uniform pair
 sampling, in units of the localization length a, sharing nothing with the
 quadrature route in :mod:`cslwalk.factors` but the aspect ratios of
 :class:`~cslwalk.factors.DiscAspect` — the two must agree within combined
-errors, which is the central cross-check of the factor machinery.  Pairs
-are drawn by :func:`cslwalk._blocks.run_blocks`; inside each block they are
-drawn and reduced in sub-blocks of a constant 2^13 pairs, one array per
-coordinate, so memory traffic stays in cache; disc points are drawn by
-rejection from the square.  A result depends only on (seed, n_samples,
-block_size) and not on the worker count.
+errors, which is the central cross-check of the factor machinery.
+
+Sampling is group-averaged antithetic: sphere and disc are unchanged by
+y -> -y and by reflecting in-plane axis 1, so with y uniform in the body so
+are -y, (y0, -y1, y2) and (-y0, y1, -y2).  Each drawn pair (x, y) gives one
+sample, the mean of the pair integrand over those four images of y: four
+uniform pairs from two sampled points, most of whose cost is the sampling.
+The quartet means are iid, so est_error is the standard error over them.
+Quartets are drawn by :func:`cslwalk._blocks.run_blocks`; inside each block
+they are drawn and reduced in sub-blocks of a constant 2^13 quartets, one
+array per coordinate, so memory traffic stays in cache; disc points are
+drawn by rejection from the square.  A result depends only on (seed,
+n_samples, block_size) and not on the worker count.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ __all__ = ["f_mc_oracle", "f_mc_oracle_aspect"]
 _MODES = ("translate", "translate-perp", "translate-edge", "rotate")
 
 
-# Pairs drawn and reduced at a time inside a block: each array is 64 KiB, so a
-# sub-block's temporaries stay in cache.  At 2^15 pairs two workers ran no
-# faster than one (2-vCPU Xeon VM); at 2^13 they ran 1.7x faster.  A constant,
-# so the random stream depends on nothing but (seed, n_samples, block_size).
+# Quartets drawn and reduced at a time inside a block: each array is 64 KiB,
+# so a sub-block's temporaries stay in cache.  On a 2-vCPU Xeon VM, 2^11 and
+# 2^15 quartets per sub-block both ran slower than 2^13.  A constant, so the
+# random stream depends on nothing but (seed, n_samples, block_size).
 _SUB_BLOCK = 2 ** 13
 
 
@@ -57,9 +64,10 @@ def _sample(geom: dict, rng, n: int):
     return b * rng.random(n) - 0.5 * b, L * u[:n], L * v[:n]
 
 
-def _pair_values(geom: dict, mode: str, rng, n: int) -> np.ndarray:
-    x0, x1, x2 = _sample(geom, rng, n)
-    y0, y1, y2 = _sample(geom, rng, n)
+def _pair_values(geom: dict, mode: str, x, y) -> np.ndarray:
+    """The integrand at the pairs (x, y), each a tuple of coordinate arrays."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
     d0, d1, d2 = x0 - y0, x1 - y1, x2 - y2
     phi = np.exp((d0 * d0 + d1 * d1 + d2 * d2) * -0.25)
     if mode == "rotate":
@@ -71,24 +79,35 @@ def _pair_values(geom: dict, mode: str, rng, n: int) -> np.ndarray:
     return phi * (1.0 - d * d * 0.5)
 
 
+def _quartet_values(geom: dict, mode: str, rng, m: int) -> np.ndarray:
+    """m quartet means: each drawn (x, y) averaged over four images of y."""
+    x = _sample(geom, rng, m)
+    y0, y1, y2 = _sample(geom, rng, m)
+    total = _pair_values(geom, mode, x, (y0, y1, y2))
+    for image in ((-y0, -y1, -y2), (y0, -y1, y2), (-y0, y1, -y2)):
+        total += _pair_values(geom, mode, x, image)
+    return 0.25 * total
+
+
 def _run_oracle(geom: dict, mode: str, n_samples: int, seed: int,
                 block_size: int, workers: int) -> FactorResult:
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
-    _count(2, n_samples=n_samples)
+    _count(5, n_samples=n_samples)
     _count(0, seed=seed)
+    _count(1, block_size=block_size)
 
     @np.errstate(divide="raise", over="raise", invalid="raise")   # workers are threads
     def block_sums(rng, size):
         sums, sqs = [], []
         for start in range(0, size, _SUB_BLOCK):
-            vals = _pair_values(geom, mode, rng, min(_SUB_BLOCK, size - start))
+            vals = _quartet_values(geom, mode, rng, min(_SUB_BLOCK, size - start))
             sums.append(vals.sum())
             sqs.append(vals @ vals)
         return math.fsum(sums), math.fsum(sqs)
 
-    n = n_samples
-    total, total_sq = run_blocks(n, block_size, seed, workers, block_sums)
+    n = -(-n_samples // 4)          # whole quartets: n_samples pairs rounded up
+    total, total_sq = run_blocks(n, -(-block_size // 4), seed, workers, block_sums)
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
     return FactorResult(mean, "monte-carlo", est_error=math.sqrt(var / n))
@@ -104,7 +123,10 @@ def f_mc_oracle(body: Body, csl: CslParams, mode: str,
     'translate-edge' (disc, motion along / perpendicular to the symmetry
     axis), or 'rotate' (about an in-plane diameter for the disc; a sphere
     gives zero within noise).  The standard error of the mean is always
-    reported in est_error.
+    reported in est_error.  Pairs come in quartets (four mirror images of
+    one drawn pair), so n_samples is rounded up to a multiple of 4, and
+    block_size likewise; n_samples must be at least 5, the fewest pairs
+    that give two quartets and so a standard error.
     """
     if isinstance(body, Disc):
         return f_mc_oracle_aspect(DiscAspect.from_disc(body, csl), mode,
@@ -127,7 +149,9 @@ def f_mc_oracle_aspect(aspect: DiscAspect, mode: str,
     The factors depend only on alpha and beta, so this samples a disc with
     a = 1, L = 2 alpha, b = 2 beta; unlike the Body API it accepts rod-like
     aspect ratios (b > 2L), which the factor integrals are defined for even
-    though they are outside the physical disc regime.
+    though they are outside the physical disc regime.  As for
+    :func:`f_mc_oracle`, pairs are rounded up to whole quartets and
+    n_samples must be at least 5.
     """
     if mode == "translate":
         raise ValidationError("disc translation needs 'translate-perp' or 'translate-edge'")

@@ -116,7 +116,10 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> list[complex]:
         em = cmath.exp(-(1.0 + 1.0j) * (tk / tau_s))
         u = ustar * (u0 * (1.0 + em) + ustar * (1.0 - em)) / (
             u0 * (1.0 - em) + ustar * (1.0 + em))
-        out.append(_width(s_inf ** 2 * u, "sigma^2(t)"))
+        sq = s_inf ** 2 * u
+        if not cmath.isfinite(sq):      # u0 = sigma0 / s_inf^2 or its products overflow
+            raise OverflowError
+        out.append(_width(sq, "sigma^2(t)"))
     return out
 
 
@@ -140,6 +143,7 @@ def _collapse_rate(lam_eff: float, a: float) -> float:
     return 2.0 * lam_eff / a ** 2
 
 
+@_in_float_range("width ODE")
 def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
                         t_grid) -> list[complex]:
     """Numerically integrate the width equation at each time of t_grid, a
@@ -153,7 +157,8 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
     1 until two successive results agree to 1e-10 relative (a non-finite
     trial counts as disagreement), and the finer one is kept; an interval
     that needs more than 2^20 substeps raises ConvergenceError, at once when
-    its stiffness leaves even 2^20 substeps unstable.
+    its stiffness leaves even 2^20 substeps unstable.  A sigma0 whose
+    square overflows raises the float-range ValidationError.
     """
     _positive(M=M, a=a)
     _nonnegative(lam_eff=lam_eff)
@@ -161,6 +166,8 @@ def sigma_ode_integrate(sigma0, M: float, lam_eff: float, a: float,
     s = _width(sigma0, "sigma0")
     drift = 0.5j * CONSTANTS.hbar / M
     rate = _collapse_rate(lam_eff, a)
+    if not cmath.isfinite(rate * s * s):    # every RK4 trial would overflow
+        raise OverflowError
     out = []
     t0 = 0.0
     for t in grid:

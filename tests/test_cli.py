@@ -491,6 +491,13 @@ def test_equilibrium_out_of_range_fails_before_it_warns(capsys):
      "error: --t-end must be positive\n"),
     (["fig2", "--which=ge-radiation,ge-radiation"],
      "error: constraint id 'ge-radiation' is repeated\n"),
+    (["fig2", "--which="], "error: --which needs at least one constraint id\n"),
+    (["simulate", "--s-inf", "1e-6", "--tau-s", "1", "--t-end", "0"],
+     "error: --t-end must be positive\n"),
+    (["simulate", "--s-inf", "1e-6", "--tau-s", "1", "--dt", "0"],
+     "error: --dt must be positive\n"),
+    (["simulate", "--sphere-radius", "1e-5", "--dt=-1"],
+     "error: --dt must be positive\n"),
 ])
 def test_exit_code_out_of_domain_values(capsys, argv, bad):
     rc, out, err = run(capsys, argv)

@@ -143,11 +143,11 @@ CONTRACT = [
      {"n_traj": ("count", 100), "dt": "positive", "t_end": "positive",
       "seed": ("count", 0), "workers": ("count", 1)}),
     (f_mc_oracle, dict(body=SPHERE, csl=GRW, mode="translate", **ORACLE),
-     {"n_samples": ("count", 2), "seed": ("count", 0),
+     {"n_samples": ("count", 5), "seed": ("count", 0),
       "block_size": ("count", 1), "workers": ("count", 1)}),
     (f_mc_oracle_aspect, dict(aspect=DiscAspect(1.0, 0.25), mode="translate-perp",
                               **ORACLE),
-     {"n_samples": ("count", 2), "seed": ("count", 0),
+     {"n_samples": ("count", 5), "seed": ("count", 0),
       "block_size": ("count", 1), "workers": ("count", 1)}),
 ]
 
@@ -257,12 +257,20 @@ DRAG_OVERFLOWS = [
     lambda: qm_baseline_rotation(Disc(1e-100, 1e-100, 1e300), 1e300),
     lambda: growth_coefficients(HUGE_TIMES, HUGE_TIMES.times),      # t^3 overflows
     lambda: growth_coefficients(TINY_TIMES, TINY_TIMES.times),      # t^3 underflows
-]] + [(call, "drag coefficient") for call in DRAG_OVERFLOWS],
+]] + [(call, "drag coefficient") for call in DRAG_OVERFLOWS] + [
+    # sigma0 / s_inf^2 and sigma0^2 overflow
+    (lambda: sigma_closed_form(sigma0=1e300, s_inf=1e-6, tau_s=1.0, t=[0.5]),
+     r"^the s_inf\^2 relaxation leaves the floating-point range"),
+    (lambda: sigma_ode_integrate(sigma0=1e160, M=1e-15, lam_eff=1e-10, a=1e-5,
+                                 t_grid=[0.5, 1.0]),
+     "^the width ODE leaves the floating-point range"),
+],
     ids=["fu_radiation_rate", "thermal_lambda_inv", "lambda_gravitational-point",
          "lambda_gravitational-disc", "ge_radiation_threshold",
          "single_trajectory-huge", "single_trajectory-tiny", "f_mc_oracle-sphere",
          "qm_baseline_rotation", "growth_coefficients", "growth_coefficients-tiny",
-         "xi_molecular-sphere", "xi_molecular-disc-edge", "xi_rotational-disc"])
+         "xi_molecular-sphere", "xi_molecular-disc-edge", "xi_rotational-disc",
+         "sigma_closed_form-huge-sigma0", "sigma_ode_integrate-huge-sigma0"])
 def test_a_formula_beyond_the_float_range_is_rejected(call, match):
     with pytest.raises(ValidationError, match=match):
         call()

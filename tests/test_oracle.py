@@ -1,8 +1,11 @@
+from functools import partial
+
 import pytest
 
 from cslwalk import CslParams, Disc, Sphere, ValidationError, f_mc_oracle
 from cslwalk.oracle import f_mc_oracle_aspect
-from cslwalk.factors import DiscAspect
+from cslwalk.factors import (DiscAspect, f_disc_edge, f_disc_perp, f_rot_disc,
+                             f_sphere)
 
 
 def test_sphere_oracle_matches_analytic():
@@ -60,3 +63,30 @@ def test_oracle_mode_validation():
                {"workers": -2}):
         with pytest.raises(ValidationError):
             f_mc_oracle(sphere, grw, "translate", n_samples=1000, **kw)
+
+
+# The four bench points, against the factor route.  Each estimate's pull
+# (value - truth) / est_error must look standard normal over 400 seeds if
+# est_error is an honest standard error of the quartet means: the gates are
+# binomial 3-sigma bands for 400 draws (68.27% within 1, 95.45% within 2,
+# 0.27% beyond 3).
+@pytest.mark.parametrize("mode", ["translate", "translate-perp", "translate-edge",
+                                  "rotate"])
+def test_oracle_pulls_are_standard_normal(mode):
+    aspect = DiscAspect(1.0, 0.25)
+    if mode == "translate":
+        truth = f_sphere(1.0).value
+        draw = partial(f_mc_oracle, Sphere(1e-5, 1.0), CslParams.grw(), mode)
+    else:
+        truth = {"translate-perp": f_disc_perp, "translate-edge": f_disc_edge,
+                 "rotate": f_rot_disc}[mode](aspect).value
+        draw = partial(f_mc_oracle_aspect, aspect, mode)
+    pulls = []
+    for seed in range(400):
+        res = draw(n_samples=20_000, seed=seed)
+        pulls.append(abs(res.value - truth) / res.est_error)
+    within1 = sum(p < 1 for p in pulls) / 400
+    within2 = sum(p < 2 for p in pulls) / 400
+    assert 0.613 <= within1 <= 0.753, within1
+    assert 0.923 <= within2 <= 0.985, within2
+    assert sum(p > 3 for p in pulls) <= 4
