@@ -10,7 +10,6 @@ temperature it is irrelevant.
 from cslwalk import (CONSTANTS, Disc, Environment, Sphere, collision_stats,
                      combined_rms, molecular_flux, xi_molecular, xi_radiation,
                      xi_slip_corrected, xi_stokes)
-from cslwalk.brownian import SLIP_SPECULAR
 
 T0 = CONSTANTS.room_temperature_T0
 DAY = 86400.0
@@ -19,7 +18,7 @@ body = Sphere(radius=1e-5, density=1.0)
 # --- viscous realm: air at STP ------------------------------------------------
 eta = 2e-4                        # air viscosity, g/(cm s)
 l_m = 0.6e-5                      # mean free path at STP, comparable to R
-xi_v = xi_slip_corrected(body.radius, eta, l_m, *SLIP_SPECULAR)
+xi_v = xi_slip_corrected(body.radius, eta, l_m)
 dx_day = combined_rms(xi_v, body, Environment(T0), None, 0.0, DAY)
 print(f"air at STP: slip-corrected drag {xi_v:.3g} g/s "
       f"(Stokes {xi_stokes(body.radius, eta):.3g}),")

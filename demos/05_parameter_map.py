@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cslwalk import (ThermalRelation, evaluate_constraints, fig2_dataset,
-                     ge_detector_rate, ge_radiation_threshold,
-                     lambda_gravitational)
+from cslwalk import (evaluate_constraints, fig2_dataset, ge_detector_rate,
+                     ge_radiation_threshold, lambda_gravitational,
+                     thermal_lambda_inv)
 from cslwalk.constraints import boundary_polylines, map_to_csv
 
 # The canonical parameter point and what it survives:
@@ -34,10 +34,9 @@ print(f"  (collapse time for a just-visible sphere ~ "
       f"{1 / (lam_g * (2e10) ** 2):.0f} s: slower than perception)")
 
 # A thermal-bath origin for the noise pins a line, not a point:
-rel = ThermalRelation(1e3)
-print(f"\nthermal-bath line: lambda_inv a^2 = {rel.lambda_inv_a_sq:.2g} "
+print(f"\nthermal-bath line: lambda_inv a^2 = {thermal_lambda_inv(1e3, 1.0):.2g} "
       f"(gamma = 1e3 passes through the canonical point: "
-      f"lambda_inv({1e-5:g}) = {rel.lambda_inv(1e-5):.2g} s)")
+      f"lambda_inv({1e-5:g}) = {thermal_lambda_inv(1e3, 1e-5):.2g} s)")
 
 # Full lattice dataset for plotting:
 cmap = fig2_dataset(np.linspace(-7, 0, 71), np.linspace(0, 22, 89))

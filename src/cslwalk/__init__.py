@@ -50,7 +50,7 @@ _EXPORTS = {
                    "sigma_ode_integrate", "single_trajectory",
                    "simulate_ensemble", "growth_coefficients"),
     "constraints": ("evaluate_constraints", "lambda_gravitational",
-                    "ThermalRelation", "fu_radiation_rate",
+                    "thermal_lambda_inv", "fu_radiation_rate",
                     "ge_detector_rate", "ge_radiation_threshold",
                     "ConstraintMap", "fig2_dataset"),
 }

@@ -1,7 +1,7 @@
 """Classical Brownian motion: drag coefficients in every realm
-(hydrodynamic, slip-corrected, free-molecular, thermal radiation) and
-discrete-collision statistics.  The damped walk these drags drive is
-cslwalk.diffusion.combined_rms.
+(hydrodynamic, slip-corrected with the specular-reflection coefficient 3/2,
+free-molecular, thermal radiation) and discrete-collision statistics.  The
+damped walk these drags drive is cslwalk.diffusion.combined_rms.
 
 Drag conventions: the damping force is -xi * v (translation, xi in g/s) or
 the torque is -xi * omega (rotation, xi in g cm^2/s).
@@ -14,15 +14,12 @@ import warnings
 from dataclasses import dataclass
 
 from .core import CONSTANTS, Body, Environment, Sphere
-from .errors import (ValidationError, ValidityWarning, _in_float_range,
-                     _nonnegative, _positive)
+from .errors import ValidationError, ValidityWarning, _in_float_range, _positive
 
 __all__ = [
     "CollisionStats",
     "xi_stokes",
     "xi_slip_corrected",
-    "SLIP_MEASURED",
-    "SLIP_SPECULAR",
     "xi_molecular",
     "xi_viscous_disc",
     "xi_rotational",
@@ -49,10 +46,6 @@ class CollisionStats:
 # ---------------------------------------------------------------------------
 # drag coefficients
 
-SLIP_MEASURED = (1.0, 0.6, 1.0)    # aerosol-sphere fit coefficients
-SLIP_SPECULAR = (1.5, 0.0, 1.0)    # specular-reflection theory
-
-
 @_in_float_range("drag coefficient")
 def xi_stokes(R: float, eta: float) -> float:
     """Hydrodynamic drag on a sphere, 6 pi eta R (valid for l_m << R)."""
@@ -61,20 +54,11 @@ def xi_stokes(R: float, eta: float) -> float:
 
 
 @_in_float_range("drag coefficient")
-def xi_slip_corrected(R: float, eta: float, l_m: float,
-                      alpha: float = SLIP_MEASURED[0],
-                      beta_c: float = SLIP_MEASURED[1],
-                      gamma: float = SLIP_MEASURED[2]) -> float:
-    """Stokes drag with the slip correction used between realms.
-
-    xi = 6 pi eta R / (1 + (l_m/R)(alpha + beta_c exp(-gamma R / l_m))).
-    Defaults are the measured coefficients (1, 0.6, 1); the specular-theory
-    variant is SLIP_SPECULAR = (3/2, 0, 1).
-    """
-    _positive(R=R, eta=eta, l_m=l_m, alpha=alpha, gamma=gamma)
-    _nonnegative(beta_c=beta_c)
-    corr = 1.0 + (l_m / R) * (alpha + beta_c * math.exp(-gamma * R / l_m))
-    return 6.0 * math.pi * eta * R / corr
+def xi_slip_corrected(R: float, eta: float, l_m: float) -> float:
+    """Stokes drag with the specular-reflection slip correction used
+    between realms, 6 pi eta R / (1 + (3/2) l_m / R)."""
+    _positive(R=R, eta=eta, l_m=l_m)
+    return 6.0 * math.pi * eta * R / (1.0 + (l_m / R) * 1.5)
 
 
 def _sqrt_2pi_mkt(env: Environment) -> float:
@@ -93,7 +77,7 @@ def xi_molecular(body: Body, env: Environment,
     n = env.number_density()
     s = _sqrt_2pi_mkt(env)
     if isinstance(body, Sphere):
-        if orientation not in (None, "sphere"):
+        if orientation is not None:
             raise ValidationError(f"orientation {orientation!r} invalid for a sphere")
         return (8.0 / 3.0) * n * body.radius ** 2 * s
     if orientation == "perp":
@@ -198,7 +182,7 @@ def check_realm(body: Body, env: Environment, realm: str) -> float | None:
     except ValidationError:
         return None
     size = body.radius
-    if realm in ("viscous", "slip-corrected") and l_m > 0.25 * size:
+    if realm == "viscous" and l_m > 0.25 * size:
         warnings.warn(
             f"viscous-realm drag requested but l_m = {l_m:.3g} cm is not "
             f"small against the body size {size:.3g} cm", ValidityWarning,

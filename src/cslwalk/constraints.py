@@ -7,8 +7,8 @@ in the (log10 a, log10 lambda_inv) plane with slope set by the a-exponent.
 
 Also here: the effective collapse rate implied by gravitationally motivated
 collapse proposals (order-of-magnitude only), the thermal-bath consistency
-line, and the photon-emission rate of a collapse-shaken free electron that
-feeds the germanium-detector bound.
+line (thermal_lambda_inv), and the photon-emission rate of a collapse-shaken
+free electron that feeds the germanium-detector bound.
 
 Everything here runs on the standard library; numpy is imported only by
 `ConstraintMap.mask()`, which returns the lattice as a boolean array.
@@ -28,7 +28,7 @@ __all__ = [
     "DEFAULT_MAP_IDS",
     "evaluate_constraints",
     "lambda_gravitational",
-    "ThermalRelation",
+    "thermal_lambda_inv",
     "fu_radiation_rate",
     "ge_detector_rate",
     "ge_radiation_threshold",
@@ -42,6 +42,7 @@ _E_CHARGE_ESU = 4.8032e-10          # electron charge, esu (e^2 in erg cm)
 _GE_ATOMS_PER_KG = 8.29e24
 _GE_FREE_ELECTRONS_PER_ATOM = 4.0
 _SECONDS_PER_DAY = 86400.0
+_GE_COUNT_LIMIT = 0.05              # measured, counts/(keV kg day) at 11 keV
 
 
 def _pow(x: float, p: float) -> float:
@@ -108,55 +109,29 @@ def evaluate_constraints(lambda_inv: float, a: float,
 
 
 @_in_float_range("gravitational collapse rate")
-def lambda_gravitational(a: float, mode: str = "point",
-                         size: float | None = None) -> float:
+def lambda_gravitational(a: float) -> float:
     """Effective collapse rate of gravitationally based collapse proposals.
 
-    All results are order-of-magnitude (numerical factors set to 1):
-    a point-like object of size ~ a has lam_G = G m^2 / (a hbar);
-    for a sphere of radius R the product lam * f equals lam_G (a/R)^3,
-    and for disc rotation lam * f_rot equals lam_G (a/L)^5 — the returned
-    value is that product for the extended modes.
+    Order of magnitude (numerical factors set to 1): a point-like object of
+    size ~ a has lam_G = G m^2 / (a hbar); for a sphere of radius R the
+    product lam f scales as lam_G (a/R)^3, and for disc rotation lam f_rot
+    as lam_G (a/L)^5.
     """
     _positive(a=a)
-    lam_g = CONSTANTS.G * CONSTANTS.m_nucleon ** 2 / (a * CONSTANTS.hbar)
-    if mode == "point":
-        return lam_g
-    if size is None:
-        raise ValidationError(f"mode {mode!r} needs a body size")
-    _positive(size=size)
-    if mode == "sphere":
-        return lam_g * (a / size) ** 3
-    if mode == "disc":
-        return lam_g * (a / size) ** 5
-    raise ValidationError(f"unknown mode {mode!r}")
+    return CONSTANTS.G * CONSTANTS.m_nucleon ** 2 / (a * CONSTANTS.hbar)
 
 
-@dataclass(frozen=True)
-class ThermalRelation:
-    """Equality line lambda_inv * a^2 = 1e3 * gamma (raw CGS numbers),
-
-    from identifying the collapse noise with a bath in equilibrium with the
-    cosmic 2.7 K radiation whose relaxation time is gamma times the age of
-    the universe.
+@_in_float_range("thermal line")
+def thermal_lambda_inv(gamma: float, a: float) -> float:
+    """lambda_inv on the equality line lambda_inv * a^2 = 1e3 * gamma (raw
+    CGS numbers), from identifying the collapse noise with a bath in
+    equilibrium with the cosmic 2.7 K radiation whose relaxation time is
+    gamma >= 1 times the age of the universe.
     """
-
-    gamma: float
-
-    def __post_init__(self):
-        _positive(gamma=self.gamma)
-        if self.gamma < 1.0:
-            raise ValidationError("gamma must be at least 1 (no equilibrium yet)")
-
-    @property
-    @_in_float_range("thermal line")
-    def lambda_inv_a_sq(self) -> float:
-        return 1.0e3 * self.gamma
-
-    @_in_float_range("thermal line")
-    def lambda_inv(self, a: float) -> float:
-        _positive(a=a)
-        return self.lambda_inv_a_sq / a ** 2
+    _positive(gamma=gamma, a=a)
+    if gamma < 1.0:
+        raise ValidationError("gamma must be at least 1 (no equilibrium yet)")
+    return 1.0e3 * gamma / a ** 2
 
 
 @_in_float_range("photon emission rate")
@@ -186,17 +161,15 @@ def ge_detector_rate(lam: float, a: float) -> float:
             * _SECONDS_PER_DAY)
 
 
-@_in_float_range("germanium threshold")
-def ge_radiation_threshold(limit_counts: float = 0.05) -> float:
-    """lambda_inv * a^2 lower bound implied by a measured count limit.
+def ge_radiation_threshold() -> float:
+    """lambda_inv * a^2 lower bound implied by the measured count limit.
 
-    The emission rate scales as lam/a^2, so the limit translates into a
-    floor on lambda_inv a^2; with the canonical 0.05 counts/(keV kg day)
-    this reproduces the quoted bound of about 0.4.
+    The emission rate scales as lam/a^2, so the canonical limit of
+    0.05 counts/(keV kg day) translates into a floor on lambda_inv a^2 of
+    about 0.4, the quoted bound.
     """
-    _positive(limit_counts=limit_counts)
     rate_ref = ge_detector_rate(1.0e-16, 1.0e-5)
-    max_ratio = limit_counts / rate_ref            # on (lam/a^2)/(lam/a^2)_ref
+    max_ratio = _GE_COUNT_LIMIT / rate_ref         # on (lam/a^2)/(lam/a^2)_ref
     return 1.0 / (max_ratio * (1.0e-16 / 1.0e-10))
 
 

@@ -1,8 +1,9 @@
 """Collapse-driven diffusion observables and their standard-QM baselines.
 
 Everything here is a closed form in the constants and the collapse
-parameters: undamped collapse noise gives rms displacement and rotation
-growing as t^{3/2}; with gas damping, thermal and collapse noise add in one
+parameters.  Collapse noise is white noise on the velocity of one rate q per
+mode (_collapse_noise): undamped, rms displacement and rotation grow as
+sqrt(q t^3 / 3); with gas damping, thermal and collapse noise add in one
 exact damped-diffusion variance, for translation and rotation alike, which
 runs from the t^{3/2} short-time limit to the t^{1/2} long-time limit (the
 thermal walk alone is its collapse-free case); the center-of-mass
@@ -51,42 +52,41 @@ class WavepacketEquilibrium:
         _positive(s_inf=self.s_inf, tau_s=self.tau_s)
 
 
-@_in_float_range("rms translation")
-def csl_rms_translation(csl: CslParams, f: float, t: float,
-                        initial_term: float = 0.0) -> float:
-    """rms distance along one axis from collapse noise alone.
-
-    sqrt(initial_term + lam hbar^2 f t^3 / (6 m^2 a^2)); independent of the
-    body's mass and density (geometry enters only through f).
-    `initial_term` is the caller's <(Q + P t / M)^2>(0) contribution in cm^2.
-    """
-    _nonnegative(t=t, initial_term=initial_term)
-    _fraction(f=f)
+def _collapse_noise(csl: CslParams, f: float, mode: str) -> float:
+    """The collapse part of the white velocity-noise rate q: in translation
+    lam hbar^2 f / (2 m^2 a^2) (cm^2/s^3), in rotation
+    lam (hbar / m a^2)^2 f / 4 (rad^2/s^3).  Undamped, it walks the body
+    sqrt(q t^3 / 3) in time t."""
     m = CONSTANTS.m_nucleon
-    return math.sqrt(initial_term + csl.lam * CONSTANTS.hbar ** 2 * f * t ** 3
-                     / (6.0 * m ** 2 * csl.a ** 2))
+    if mode == "rotation":
+        return csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f / 4.0
+    return csl.lam * CONSTANTS.hbar ** 2 * f / (2.0 * m ** 2 * csl.a ** 2)
+
+
+@_in_float_range("rms translation")
+def csl_rms_translation(csl: CslParams, f: float, t: float) -> float:
+    """rms distance along one axis from collapse noise alone, sqrt(q t^3 / 3);
+    independent of the body's mass and density (geometry enters only
+    through f)."""
+    _nonnegative(t=t)
+    _fraction(f=f)
+    return math.sqrt(_collapse_noise(csl, f, "translation") * t ** 3 / 3.0)
 
 
 @_in_float_range("rms rotation")
-def csl_rms_rotation(csl: CslParams, f_rot: float, t: float,
-                     initial_term: float = 0.0) -> float:
-    """rms rotation angle from collapse noise alone (rad).
-
-    sqrt(initial_term + lam (hbar / m a^2)^2 f_rot t^3 / 12).
-    """
-    _nonnegative(t=t, initial_term=initial_term, f_rot=f_rot)
-    m = CONSTANTS.m_nucleon
-    return math.sqrt(initial_term + csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2
-                     * f_rot * t ** 3 / 12.0)
+def csl_rms_rotation(csl: CslParams, f_rot: float, t: float) -> float:
+    """rms rotation angle (rad) from collapse noise alone, sqrt(q t^3 / 3)."""
+    _nonnegative(t=t, f_rot=f_rot)
+    return math.sqrt(_collapse_noise(csl, f_rot, "rotation") * t ** 3 / 3.0)
 
 
 @_in_float_range("rotation time")
 def time_to_rotation(csl: CslParams, f_rot: float, target_angle: float) -> float:
-    """Time for the collapse-driven rms rotation to reach a target angle."""
+    """Time for the collapse-driven rms rotation to reach a target angle,
+    (3 target_angle^2 / q)^(1/3)."""
     _positive(f_rot=f_rot, target_angle=target_angle)
-    m = CONSTANTS.m_nucleon
-    return (12.0 * target_angle ** 2
-            / (csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f_rot)) ** (1.0 / 3.0)
+    return (3.0 * target_angle ** 2
+            / _collapse_noise(csl, f_rot, "rotation")) ** (1.0 / 3.0)
 
 
 # the Taylor coefficients (-1)^(n+1) (2^(n-1) - 2) / n! of B(x), n = 3..20
@@ -122,10 +122,10 @@ def combined_rms(xi: float, body: Body, env: Environment,
 
     Both are white noise on the velocity, so their rates add in the damped
     (Ornstein-Uhlenbeck) variance q tau^3 B(t/tau), tau = I/xi and
-    B(x) = x - (1 - e^-x) - (1 - e^-x)^2 / 2, with q = 2 kT xi / I^2 + c:
-    translation: I = M, c = lam hbar^2 f / (2 m^2 a^2), f in [0, 1];
-    rotation: I = the moment of inertia, c = lam (hbar / m a^2)^2 f / 4,
-    f = f_rot >= 0, and xi the rotational drag (torque = -xi omega).
+    B(x) = x - (1 - e^-x) - (1 - e^-x)^2 / 2, with q = 2 kT xi / I^2 + c and
+    c the collapse rate of _collapse_noise: in translation I = M and
+    f in [0, 1]; in rotation I is the moment of inertia, f = f_rot >= 0 and
+    xi the rotational drag (torque = -xi omega).
     Its limits: short-time (t << tau): sqrt((2 kT xi / I^2 + c) t^3 / 3);
     long-time (t >> tau): sqrt((2 kT / xi + tau^2 c) t).
     csl=None drops the collapse term (the lam -> 0 limit, the thermal walk
@@ -140,13 +140,11 @@ def combined_rms(xi: float, body: Body, env: Environment,
     inertia = body.moment_of_inertia() if rotation else body.mass()
     q = 2.0 * env.kT * xi / inertia ** 2
     if csl is not None:
-        m = CONSTANTS.m_nucleon
         if rotation:
             _nonnegative(f=f)
-            q += csl.lam * (CONSTANTS.hbar / (m * csl.a ** 2)) ** 2 * f / 4.0
         else:
             _fraction(f=f)
-            q += csl.lam * CONSTANTS.hbar ** 2 * f / (2.0 * m ** 2 * csl.a ** 2)
+        q += _collapse_noise(csl, f, mode)
     return _damped_rms(q, xi, inertia, t)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,21 +104,27 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> list[complex]:
     """Exact relaxation of the width parameter toward equilibrium, at each
     time of the grid t (the grid rule of sigma_ode_integrate).
 
-    With u = sigma^2 / s_inf^2 and u* = (1+i)/2, the Riccati solution is
-    u(t) = u* [u0 (1 + e^-w) + u* (1 - e^-w)] / [u0 (1 - e^-w) + u* (1 + e^-w)]
+    With S* = s_inf^2 (1+i)/2, the equilibrium, the Riccati solution is
+    sigma^2(t) = S* [sigma0 (1 + e^-w) + S* (1 - e^-w)]
+                 / [sigma0 (1 - e^-w) + S* (1 + e^-w)]
     with w = (1+i) t / tau_s (written with decaying exponentials so large t
-    is exact: u -> u*).
+    is exact: sigma^2 -> S*).
     """
     _positive(s_inf=s_inf, tau_s=tau_s)
-    u0 = _width(sigma0, "sigma0") / s_inf ** 2
-    ustar = (1.0 + 1.0j) / 2.0
+    s0 = _width(sigma0, "sigma0")
+    s_sq = s_inf ** 2
+    if s_sq < sys.float_info.min:       # s_inf^2 underflows
+        raise ArithmeticError
+    sstar = s_sq * (0.5 + 0.5j)
     out = []
     for tk in _time_grid(t, "t"):
         em = cmath.exp(-(1.0 + 1.0j) * (tk / tau_s))
-        u = ustar * (u0 * (1.0 + em) + ustar * (1.0 - em)) / (
-            u0 * (1.0 - em) + ustar * (1.0 + em))
-        sq = s_inf ** 2 * u
-        if not cmath.isfinite(sq):      # u0 = sigma0 / s_inf^2 or its products overflow
+        num = s0 * (1.0 + em) + sstar * (1.0 - em)
+        den = s0 * (1.0 - em) + sstar * (1.0 + em)
+        sq = sstar * (num / den)
+        if not cmath.isfinite(sq):      # num / den overflows while sigma^2 ~ sigma0
+            sq = sstar * num / den
+        if not cmath.isfinite(sq):      # sigma0 or its products overflow
             raise OverflowError
         out.append(_width(sq, "sigma^2(t)"))
     return out

@@ -13,8 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from cslwalk import (CONSTANTS, CslParams, Disc, Sphere,
-                     combined_rms, csl_rms_rotation, csl_rms_translation,
+from cslwalk import (CONSTANTS, CslParams, Disc, Environment, Sphere,
+                     collision_stats, combined_rms, csl_rms_rotation,
+                     csl_rms_translation,
                      equilibrium_table, equilibrium_width,
                      evaluate_constraints, f_mc_oracle, f_rot_disc, f_sphere,
                      fig2_dataset, growth_coefficients, lambda_gravitational,
@@ -288,3 +289,39 @@ def test_criterion_11_property_suite():
     assert s1 == s4
     _report(11, "monotonicity, collapse-off reduction, 3/2 growth slope, "
                 "and seed/worker determinism all hold")
+
+
+# criterion 12 ----------------------------------------------------------------
+
+def test_criterion_12_collapse_walk_outgrows_backgrounds_in_the_viable_wedge():
+    # The abstract's closing claim: between gas collisions at 4.2 K and
+    # 5e-17 Torr there is ample time to see the collapse walk with any
+    # viable parameters.  Gas drag is not a background inside that
+    # collision-free window (no molecule strikes the sphere), so the
+    # backgrounds are the 4.2 K photon walk and the standard-QM drift.
+    t0 = time.perf_counter()
+    sphere = Sphere(1e-5, 1.0)
+    tau_c = collision_stats(sphere, Environment.from_torr(4.2, 5e-17)).tau_c
+    radiation = combined_rms(xi_radiation(sphere.radius, 4.2), sphere,
+                             Environment(4.2), None, 0.0, tau_c)
+    qm = qm_baseline_translation(sphere, tau_c)
+    wedge = ("ge-radiation", "rot-null", "perception-time",
+             "small-displacement")
+    cmap = fig2_dataset(np.linspace(-7, 0, 71), np.linspace(0, 22, 89), wedge)
+    ratios = {}
+    for lga, row in zip(cmap.log10_a, cmap.passed):
+        a = 10.0 ** lga
+        f = f_sphere(sphere.radius / a).value
+        for lgl, passed in zip(cmap.log10_lambda_inv, row):
+            if all(passed):
+                rms = csl_rms_translation(CslParams(lam=10.0 ** -lgl, a=a), f, tau_c)
+                ratios[lga, lgl] = rms / max(radiation, qm)
+    assert len(ratios) == 692
+    (lga, lgl), worst = min(ratios.items(), key=lambda item: item[1])
+    assert worst > 1.0
+    elapsed = time.perf_counter() - t0
+    _report(12, f"over tau_c = {tau_c / 60:.1f} min the collapse walk beats "
+                f"the radiation walk ({radiation:.2g} cm) and the QM drift "
+                f"({qm:.2g} cm) at all 692 wedge points, by at least "
+                f"{worst:.1f}x at (log10 a, log10 lambda_inv) = "
+                f"({lga:g}, {lgl:g}) ({elapsed:.2f} s)")

@@ -7,7 +7,7 @@ from cslwalk import (CONSTANTS, Disc, Environment, Sphere, ValidationError,
                      ValidityWarning, collision_stats, combined_rms,
                      molecular_flux, xi_molecular, xi_radiation, xi_rotational,
                      xi_slip_corrected, xi_stokes, xi_viscous_disc)
-from cslwalk.brownian import SLIP_SPECULAR, check_realm
+from cslwalk.brownian import check_realm
 
 from conftest import (damped_rms, planck_moment, spectral_integral, spectral_xi,
                       xi_mirror)
@@ -104,7 +104,7 @@ def test_slip_correction_limits():
     assert xi_slip_corrected(1e-5, 2e-4, 1e-12) == pytest.approx(
         base, rel=1e-6, abs=0)
     # specular coefficients at l_m = 0.6 R give the quoted ~47% reduction
-    xi = xi_slip_corrected(1e-5, 2e-4, 0.6e-5, *SLIP_SPECULAR)
+    xi = xi_slip_corrected(1e-5, 2e-4, 0.6e-5)
     assert xi == pytest.approx(base / 1.9, rel=1e-9, abs=0)
 
 
@@ -116,7 +116,7 @@ def test_slip_specular_limit_equals_molecular_form():
     R = 1e-5
     l_m = 1e5 * R
     eta = n * m_g * u * l_m / 3.0
-    slip = xi_slip_corrected(R, eta, l_m, *SLIP_SPECULAR)
+    slip = xi_slip_corrected(R, eta, l_m)
     target = (4 * math.pi / 3) * n * m_g * u * R ** 2
     assert slip == pytest.approx(target, rel=1e-4, abs=0)
 

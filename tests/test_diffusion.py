@@ -11,7 +11,6 @@ from cslwalk import (CONSTANTS, CslParams, Disc, Environment, Sphere,
                      qm_baseline_translation, time_to_rotation,
                      vacuum_diffusion_table, xi_molecular, xi_rotational,
                      xi_slip_corrected)
-from cslwalk.brownian import SLIP_SPECULAR
 from cslwalk.diffusion import WavepacketEquilibrium
 
 from conftest import damped_rms, matches_1sf
@@ -42,12 +41,6 @@ def test_translation_independent_of_density(grw):
     assert csl_rms_translation(grw, 0.5, 0.0) == 0.0
 
 
-def test_translation_initial_term(grw):
-    base = csl_rms_translation(grw, 1.0, 1e3)
-    with_init = csl_rms_translation(grw, 1.0, 1e3, initial_term=base ** 2)
-    assert with_init == pytest.approx(math.sqrt(2) * base, rel=1e-12, abs=0)
-
-
 def test_translation_rejects_bad_inputs(grw):
     with pytest.raises(ValidationError):
         csl_rms_translation(grw, 1.5, 1.0)
@@ -61,10 +54,8 @@ def test_entry_points_reject_nonfinite_inputs(grw, bad):
     eq = WavepacketEquilibrium(1e-10, 1.0)
     calls = [lambda: csl_rms_translation(grw, 1.0, bad),
              lambda: csl_rms_translation(grw, bad, 1.0),
-             lambda: csl_rms_translation(grw, 1.0, 1.0, initial_term=bad),
              lambda: csl_rms_rotation(grw, 0.3, bad),
              lambda: csl_rms_rotation(grw, bad, 1.0),
-             lambda: csl_rms_rotation(grw, 0.3, 1.0, initial_term=bad),
              lambda: combined_rms(1e-9, sphere, Environment(temperature=T0),
                                   grw, 0.6, bad),
              lambda: qm_baseline_translation(sphere, bad),
@@ -344,7 +335,7 @@ def test_combined_viscous_realm_brownian_part():
     # slip-corrected 1e-5 sphere: ~0.6 sqrt(t days) cm; R = 1: ~1.4e-3
     env = Environment(temperature=T0, gas_viscosity=2e-4)
     body = Sphere(1e-5, 1.0)
-    xi = xi_slip_corrected(1e-5, 2e-4, 0.6e-5, *SLIP_SPECULAR)
+    xi = xi_slip_corrected(1e-5, 2e-4, 0.6e-5)
     assert combined_rms(xi, body, env, None, 0.0, DAY) == \
         pytest.approx(0.6, rel=0.05)
     big = Sphere(1.0, 1.0)
@@ -434,6 +425,85 @@ def test_rotation_headline_times(grw):
 
 def test_rotation_zero_factor(grw):
     assert csl_rms_rotation(grw, 0.0, 1e4) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one collapse-noise rate across the parameter map
+
+# lam from below to far above the GRW value, a either side of the 1e-5 cm
+# body size
+CSL_GRID = [pytest.param(CslParams(lam=lam, a=a), id=f"lam={lam:g}-a={a:g}")
+            for lam in (1e-20, 1e-16, 1e-8) for a in (1e-7, 1e-5, 1e-3)]
+MODES = ["translation", "rotation"]
+
+
+def _noise_rate(csl, f, mode):
+    """The collapse white-noise rate, written out independently of the
+    library: lam hbar^2 f / (2 m^2 a^2) in translation and
+    lam (hbar / m a^2)^2 f / 4 in rotation."""
+    m, hbar = CONSTANTS.m_nucleon, CONSTANTS.hbar
+    if mode == "rotation":
+        return csl.lam * (hbar / (m * csl.a ** 2)) ** 2 * f / 4
+    return csl.lam * hbar ** 2 * f / (2 * m ** 2 * csl.a ** 2)
+
+
+@pytest.mark.parametrize("csl", CSL_GRID)
+def test_translation_walk_reads_the_noise_rate(csl):
+    for t in (1.0, 60.0, DAY):
+        rms = csl_rms_translation(csl, 0.62, t)
+        assert 3 * rms ** 2 / t ** 3 == pytest.approx(
+            _noise_rate(csl, 0.62, "translation"), rel=1e-13, abs=0), t
+
+
+@pytest.mark.parametrize("csl", CSL_GRID)
+def test_rotation_walk_reads_the_noise_rate(csl):
+    for t in (1.0, 60.0, DAY):
+        rms = csl_rms_rotation(csl, 0.3, t)
+        assert 3 * rms ** 2 / t ** 3 == pytest.approx(
+            _noise_rate(csl, 0.3, "rotation"), rel=1e-13, abs=0), t
+
+
+@pytest.mark.parametrize("angle", [math.pi / 2, 2 * math.pi])
+@pytest.mark.parametrize("csl", CSL_GRID)
+def test_rotation_time_inverts_the_rotation_walk(csl, angle):
+    t = time_to_rotation(csl, 0.3, angle)
+    assert t == pytest.approx((3 * angle ** 2 / _noise_rate(csl, 0.3, "rotation"))
+                              ** (1 / 3), rel=1e-13, abs=0)
+    assert csl_rms_rotation(csl, 0.3, t) == pytest.approx(angle, rel=1e-13, abs=0)
+
+
+def _body_and_drag(mode):
+    """The reference sphere in room-temperature gas at 1e-12 Torr, or the
+    reference disc in 4.2 K gas at 1e-6 Torr, with its molecular drag."""
+    if mode == "rotation":
+        disc, env = Disc(2e-5, 0.5e-5, 1.0), Environment.from_torr(4.2, 1e-6)
+        return disc, env, xi_rotational(disc, env, "molecular"), 0.3
+    sphere, env = Sphere(1e-5, 1.0), Environment.from_torr(T0, 1e-12)
+    return sphere, env, xi_molecular(sphere, env), 0.62
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("csl", CSL_GRID)
+def test_combined_without_drag_is_each_collapse_walk(csl, mode):
+    body, env, _, f = _body_and_drag(mode)
+    walk = csl_rms_rotation if mode == "rotation" else csl_rms_translation
+    for t in (1e-3, 1.0, DAY, 1e9):
+        want = walk(csl, f, t)
+        got = combined_rms(0.0, body, env, csl, f, t, mode=mode)
+        assert abs(got - want) <= 2 * math.ulp(want), t
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("csl", CSL_GRID)
+def test_combined_adds_the_noise_rate_to_the_thermal_rate(csl, mode):
+    # against the 60-digit damped variance with q = 2 kT xi / I^2 + c
+    body, env, xi, f = _body_and_drag(mode)
+    inertia = body.moment_of_inertia() if mode == "rotation" else body.mass()
+    rate = _noise_rate(csl, f, mode)
+    for x in (1e-3, 0.3, 1.0, 30.0):
+        t = x * inertia / xi
+        assert combined_rms(xi, body, env, csl, f, t, mode=mode) == pytest.approx(
+            damped_rms(env.kT, xi, inertia, t, rate), rel=4e-15, abs=0), x
 
 
 # ---------------------------------------------------------------------------

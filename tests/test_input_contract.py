@@ -25,9 +25,9 @@ import pytest
 from cslwalk.brownian import (CollisionStats, xi_molecular, xi_radiation,
                               xi_rotational, xi_slip_corrected, xi_stokes,
                               xi_viscous_disc)
-from cslwalk.constraints import (ThermalRelation, evaluate_constraints,
-                                 fu_radiation_rate, ge_detector_rate,
-                                 ge_radiation_threshold, lambda_gravitational)
+from cslwalk.constraints import (evaluate_constraints, fu_radiation_rate,
+                                 ge_detector_rate, ge_radiation_threshold,
+                                 lambda_gravitational, thermal_lambda_inv)
 from cslwalk.core import CslParams, Disc, Environment, PhysicalConstants, Sphere
 from cslwalk.diffusion import (WavepacketEquilibrium, combined_rms,
                                csl_rms_rotation, csl_rms_translation,
@@ -56,10 +56,6 @@ DISC = Disc(radius=2e-5, thickness=5e-6, density=1.0)
 ENV = Environment(temperature=4.2, pressure=1e-10)
 EQ = WavepacketEquilibrium(s_inf=1e-6, tau_s=1.0)
 ORACLE = dict(n_samples=100, seed=0, block_size=50, workers=1)
-
-
-def thermal_line_at(a):
-    return ThermalRelation(10.0).lambda_inv(a)
 
 
 def thermal_walk(xi, temperature, t):
@@ -97,17 +93,16 @@ CONTRACT = [
      {"xi": "nonnegative", "temperature": "positive", "t": "nonnegative"}),
     (xi_stokes, dict(R=1e-5, eta=1.8e-4), {"R": "positive", "eta": "positive"}),
     (xi_slip_corrected, dict(R=1e-5, eta=1.8e-4, l_m=1e-5),
-     {"R": "positive", "eta": "positive", "l_m": "positive", "alpha": "positive",
-      "beta_c": "nonnegative", "gamma": "positive"}),
+     {"R": "positive", "eta": "positive", "l_m": "positive"}),
     (xi_viscous_disc, dict(L=1e-3, b=1e-5, eta=1.8e-4, orientation="perp"),
      {"L": "positive", "b": "positive", "eta": "positive"}),
     (xi_radiation, dict(R=1e-5, T=300.0), {"R": "positive", "T": "positive"}),
     (WavepacketEquilibrium, dict(s_inf=1e-6, tau_s=1.0),
      {"s_inf": "positive", "tau_s": "positive"}),
-    (csl_rms_translation, dict(csl=GRW, f=0.5, t=1.0, initial_term=0.0),
-     {"f": "fraction", "t": "nonnegative", "initial_term": "nonnegative"}),
-    (csl_rms_rotation, dict(csl=GRW, f_rot=0.5, t=1.0, initial_term=0.0),
-     {"f_rot": "nonnegative", "t": "nonnegative", "initial_term": "nonnegative"}),
+    (csl_rms_translation, dict(csl=GRW, f=0.5, t=1.0),
+     {"f": "fraction", "t": "nonnegative"}),
+    (csl_rms_rotation, dict(csl=GRW, f_rot=0.5, t=1.0),
+     {"f_rot": "nonnegative", "t": "nonnegative"}),
     (time_to_rotation, dict(csl=GRW, f_rot=0.5, target_angle=2 * math.pi),
      {"f_rot": "positive", "target_angle": "positive"}),
     (combined_rms, dict(xi=1e-9, body=SPHERE, env=ENV, csl=GRW, f=0.5, t=1e6),
@@ -122,14 +117,13 @@ CONTRACT = [
     (energy_gain_rates, dict(csl=GRW, body=SPHERE, f=0.5), {"f": "fraction"}),
     (evaluate_constraints, dict(lambda_inv=1e16, a=1e-5),
      {"lambda_inv": "positive", "a": "positive"}),
-    (lambda_gravitational, dict(a=1e-5, mode="sphere", size=1e-3),
-     {"a": "positive", "size": "positive"}),
-    (ThermalRelation, dict(gamma=10.0), {"gamma": "positive"}),
-    (thermal_line_at, dict(a=1e-5), {"a": "positive"}),
+    (lambda_gravitational, dict(a=1e-5), {"a": "positive"}),
+    (thermal_lambda_inv, dict(gamma=10.0, a=1e-5),
+     {"gamma": "positive", "a": "positive"}),
     (fu_radiation_rate, dict(E_keV=11.0, lam=1e-16, a=1e-5),
      {"E_keV": "positive", "lam": "positive", "a": "positive"}),
     (ge_detector_rate, dict(lam=1e-16, a=1e-5), {"lam": "positive", "a": "positive"}),
-    (ge_radiation_threshold, dict(limit_counts=0.05), {"limit_counts": "positive"}),
+    (ge_radiation_threshold, {}, {}),
     (sigma_closed_form, dict(sigma0=1e-12, s_inf=1e-6, tau_s=1.0, t=[0.5]),
      {"sigma0": "positive", "s_inf": "positive", "tau_s": "positive"}),
     (sigma_ode_integrate, dict(sigma0=1e-12, M=1e-15, lam_eff=1e-10, a=1e-5,
@@ -244,10 +238,8 @@ DRAG_OVERFLOWS = [
 
 @pytest.mark.parametrize("call,match", [(call, "floating-point range") for call in [
     lambda: fu_radiation_rate(11.0, 1e-16, 1e-200),
-    lambda: ThermalRelation(10.0).lambda_inv(1e-200),
+    lambda: thermal_lambda_inv(10.0, 1e-200),
     lambda: lambda_gravitational(1e-300),
-    lambda: lambda_gravitational(1e-5, "disc", 1e-300),
-    lambda: ge_radiation_threshold(1e-320),
     lambda: single_trajectory(WavepacketEquilibrium(1e-6, 1e300), dt=1e299,
                               t_end=1e300, method="exact-b15"),
     lambda: single_trajectory(WavepacketEquilibrium(1e-6, 1e-300), dt=1e-303,
@@ -258,15 +250,14 @@ DRAG_OVERFLOWS = [
     lambda: growth_coefficients(HUGE_TIMES, HUGE_TIMES.times),      # t^3 overflows
     lambda: growth_coefficients(TINY_TIMES, TINY_TIMES.times),      # t^3 underflows
 ]] + [(call, "drag coefficient") for call in DRAG_OVERFLOWS] + [
-    # sigma0 / s_inf^2 and sigma0^2 overflow
-    (lambda: sigma_closed_form(sigma0=1e300, s_inf=1e-6, tau_s=1.0, t=[0.5]),
+    # sigma0 (1 + e^-w) and sigma0^2 overflow
+    (lambda: sigma_closed_form(sigma0=1.7e308, s_inf=1e-6, tau_s=1.0, t=[0.5]),
      r"^the s_inf\^2 relaxation leaves the floating-point range"),
     (lambda: sigma_ode_integrate(sigma0=1e160, M=1e-15, lam_eff=1e-10, a=1e-5,
                                  t_grid=[0.5, 1.0]),
      "^the width ODE leaves the floating-point range"),
 ],
     ids=["fu_radiation_rate", "thermal_lambda_inv", "lambda_gravitational-point",
-         "lambda_gravitational-disc", "ge_radiation_threshold",
          "single_trajectory-huge", "single_trajectory-tiny", "f_mc_oracle-sphere",
          "qm_baseline_rotation", "growth_coefficients", "growth_coefficients-tiny",
          "xi_molecular-sphere", "xi_molecular-disc-edge", "xi_rotational-disc",

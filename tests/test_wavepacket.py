@@ -51,6 +51,33 @@ def test_closed_form_is_stable_at_huge_times(eq_ref):
         eq_ref.s_inf ** 2 * (1 + 1j) / 2, rel=1e-12, abs=0)
 
 
+def test_closed_form_takes_a_huge_start_width():
+    # sigma0 / s_inf^2 overflows, sigma^2(t) does not: a start far above
+    # equilibrium relaxes as S* (1 + e^-w) / (1 - e^-w), with the equilibrium
+    # S* = s_inf^2 (1 + i)/2 and w = (1 + i) t / tau_s
+    (out,) = sigma_closed_form(1e300, 1e-6, 1.0, [0.5])
+    em = np.exp(-(1 + 1j) * 0.5)
+    assert out == pytest.approx(1e-12 * (1 + 1j) / 2 * (1 + em) / (1 - em),
+                                rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("sigma0", [1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1.0,
+                                    1e30, 1e100, 1e200, 1e300])
+def test_closed_form_gives_a_width_for_every_start(sigma0):
+    # in sigma^2 units no start width leaves the float range on the way:
+    # sigma^2(0) is the start, a finite width follows at every time, and
+    # the equilibrium S* = s_inf^2 (1 + i)/2 is reached
+    s_inf, tau_s = 1e-6, 1.0
+    sstar = s_inf ** 2 * (1 + 1j) / 2
+    start, mid, late = sigma_closed_form(sigma0, s_inf, tau_s, [0.0, 0.5, 60.0])
+    assert start == pytest.approx(sigma0, rel=1e-15, abs=0)
+    em = np.exp(-(1 + 1j) * 0.5)
+    want = sstar * (sigma0 * (1 + em) + sstar * (1 - em)) / (
+        sigma0 * (1 - em) + sstar * (1 + em))
+    assert mid == pytest.approx(want, rel=1e-13, abs=0)
+    assert late == pytest.approx(sstar, rel=1e-13, abs=0)
+
+
 def test_ode_matches_closed_form(grw, eq_ref):
     body = Sphere(1e-5, 1.0)
     lam_eff = _lam_eff(grw, body, f_sphere(1.0).value)
