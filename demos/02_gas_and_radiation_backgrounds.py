@@ -42,9 +42,9 @@ print(f"\nat 4.2 K and 5e-17 Torr: n = {env.number_density():.0f} /cc, "
 sph = collision_stats(body, env)
 disc = Disc(radius=2e-5, thickness=0.5e-5, density=1.0)
 dsc = collision_stats(disc, env)
-print(f"  mean time between strikes: sphere {sph.tau_c / 60:.0f} min, "
-      f"disc {dsc.tau_c / 60:.0f} min")
-print(f"  one molecule kicks the disc by {dsc.omega_kick:.1f} rad/s -- a "
+print(f"  mean time between strikes: sphere {sph['tau_c'] / 60:.0f} min, "
+      f"disc {dsc['tau_c'] / 60:.0f} min")
+print(f"  one molecule kicks the disc by {dsc['omega_kick']:.1f} rad/s -- a "
       "collision is unmistakable, so clean windows are plentiful")
 
 # --- thermal radiation ---------------------------------------------------------

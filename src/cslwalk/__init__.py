@@ -33,9 +33,9 @@ _EXPORTS = {
              "Body", "Environment", "body_derived", "convert_unit"),
     "errors": ("CslwalkError", "ValidationError", "ConvergenceError",
                "ValidityWarning"),
-    "brownian": ("CollisionStats", "xi_stokes", "xi_slip_corrected",
-                 "xi_molecular", "xi_viscous_disc", "xi_rotational",
-                 "xi_radiation", "collision_stats", "molecular_flux"),
+    "brownian": ("xi_stokes", "xi_slip_corrected", "xi_molecular",
+                 "xi_viscous_disc", "xi_rotational", "xi_radiation",
+                 "collision_stats", "molecular_flux"),
     "factors": ("FactorResult", "DiscAspect", "f_sphere", "f_disc_perp",
                 "f_disc_edge", "f_rot_disc", "fig1_dataset"),
     "oracle": ("f_mc_oracle",),

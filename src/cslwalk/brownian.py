@@ -1,6 +1,6 @@
 """Classical Brownian motion: drag coefficients in every realm
 (hydrodynamic, slip-corrected with the specular-reflection coefficient 3/2,
-free-molecular, thermal radiation) and discrete-collision statistics.  The
+free-molecular, thermal radiation) and a dict of collision statistics.  The
 damped walk these drags drive is cslwalk.diffusion.combined_rms.
 
 Drag conventions: the damping force is -xi * v (translation, xi in g/s) or
@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .core import CONSTANTS, Body, Environment, Sphere
 from .errors import ValidationError, ValidityWarning, _in_float_range, _positive
 
 __all__ = [
-    "CollisionStats",
     "xi_stokes",
     "xi_slip_corrected",
     "xi_molecular",
@@ -28,19 +26,6 @@ __all__ = [
     "molecular_flux",
     "check_realm",
 ]
-
-
-@dataclass(frozen=True)
-class CollisionStats:
-    """Impact-realm statistics: mean time between individual gas-molecule
-    strikes and the size of the per-collision kick."""
-
-    tau_c: float
-    delta_v: float | None = None       # speed kick for a sphere, cm/s
-    omega_kick: float | None = None    # angular-velocity kick for a disc, rad/s
-
-    def __post_init__(self):
-        _positive(tau_c=self.tau_c)
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +138,26 @@ def molecular_flux(env: Environment) -> float:
 
 
 @_in_float_range("collision time")
-def collision_stats(body: Body, env: Environment) -> CollisionStats:
+def collision_stats(body: Body, env: Environment) -> dict:
     """Mean time between individual gas-body collisions and the kick size.
 
-    Sphere: tau_c = 1 / [(n u/4)(4 pi R^2)], speed kick u m_g / M.
-    Disc: collisions with the two faces only (edge neglected),
-    tau_c = 1 / (2 J pi L^2); the worst-case angular kick from one molecule
-    striking a face at the rim is m_g u L / I.
+    Sphere: {"tau_c": 1 / [(n u/4)(4 pi R^2)], "delta_v": u m_g / M}, the
+    speed kick in cm/s.  Disc: collisions with the two faces only (edge
+    neglected), {"tau_c": 1 / (2 J pi L^2), "omega_kick": m_g u L / I}, the
+    worst-case angular kick in rad/s from one molecule striking a face at
+    the rim.  tau_c is in s.
     """
     J = molecular_flux(env)
-    u = env.mean_speed()
+    u, m_g = env.mean_speed(), env.gas_molecular_mass
     if isinstance(body, Sphere):
-        return CollisionStats(tau_c=1.0 / (J * (4.0 * math.pi * body.radius ** 2)),
-                              delta_v=u * env.gas_molecular_mass / body.mass())
-    omega = env.gas_molecular_mass * u * body.radius / body.moment_of_inertia()
-    return CollisionStats(tau_c=1.0 / (2.0 * J * (math.pi * body.radius ** 2)),
-                          omega_kick=omega)
+        out = {"tau_c": 1.0 / (J * (4.0 * math.pi * body.radius ** 2)),
+               "delta_v": u * m_g / body.mass()}
+    else:
+        out = {"tau_c": 1.0 / (2.0 * J * (math.pi * body.radius ** 2)),
+               "omega_kick": m_g * u * body.radius / body.moment_of_inertia()}
+    if out["tau_c"] == 0.0:     # only an overflowing J x area gives 0
+        raise OverflowError
+    return out
 
 
 def check_realm(body: Body, env: Environment, realm: str) -> float | None:

@@ -427,12 +427,11 @@ def _cmd_collide(args):
         raise ValidationError("collision statistics need --pressure")
     env = _env_from(args)
     stats = collision_stats(body, env)
-    fields = {"tau_c_s": stats.tau_c, "tau_c_min": stats.tau_c / 60.0,
-              "flux_per_cm2_s": molecular_flux(env)}
-    if stats.delta_v is not None:
-        fields["delta_v_cm_s"] = stats.delta_v
-    if stats.omega_kick is not None:
-        fields["omega_kick_rad_s"] = stats.omega_kick
+    tau_c = stats.pop("tau_c")
+    units = {"delta_v": "cm_s", "omega_kick": "rad_s"}    # sphere, disc
+    fields = {"tau_c_s": tau_c, "tau_c_min": tau_c / 60.0,
+              "flux_per_cm2_s": molecular_flux(env),
+              **{f"{kick}_{units[kick]}": v for kick, v in stats.items()}}
     if not args.json:
         return _csv(fields, [[f"{v:.6g}" for v in fields.values()]])
     return {"params": {"temperature_K": env.temperature,

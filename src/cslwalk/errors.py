@@ -10,7 +10,6 @@ or a non-finite result into ``the <what> leaves the floating-point range ...``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from functools import partial, wraps
@@ -48,8 +47,9 @@ class ValidityWarning(UserWarning):
 
 def _in_float_range(what: str):
     """Decorator: a ValidationError naming `what` in place of an
-    ArithmeticError, or of a non-finite float in the result itself, its dict
-    values or its dataclass fields (lists and arrays are not walked)."""
+    ArithmeticError, or of a non-finite float in the result itself or its
+    dict values.  Lists, arrays and the fields of a result type are not
+    walked: such a type checks its own fields."""
     def decorate(fn):
         @wraps(fn)
         def guarded(*args, **kwargs):
@@ -57,9 +57,7 @@ def _in_float_range(what: str):
                 out = fn(*args, **kwargs)
             except ArithmeticError:
                 out = math.inf
-            values = (out.values() if isinstance(out, dict) else
-                      [getattr(out, f.name) for f in dataclasses.fields(out)]
-                      if dataclasses.is_dataclass(out) else [out])
+            values = out.values() if isinstance(out, dict) else [out]
             if not all(math.isfinite(v) for v in values if isinstance(v, float)):
                 raise ValidationError(f"the {what} leaves the floating-point "
                                       "range for these inputs")

@@ -116,15 +116,18 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> list[complex]:
     if s_sq < sys.float_info.min:       # s_inf^2 underflows
         raise ArithmeticError
     sstar = s_sq * (0.5 + 0.5j)
+    a, b = s0, sstar
+    if max(abs(s0), abs(sstar)) > sys.float_info.max / 4:
+        a, b = 0.25 * s0, 0.25 * sstar     # exact; keeps a (1 + e^-w) finite
     out = []
     for tk in _time_grid(t, "t"):
         em = cmath.exp(-(1.0 + 1.0j) * (tk / tau_s))
-        num = s0 * (1.0 + em) + sstar * (1.0 - em)
-        den = s0 * (1.0 - em) + sstar * (1.0 + em)
+        num = a * (1.0 + em) + b * (1.0 - em)
+        den = a * (1.0 - em) + b * (1.0 + em)
         sq = sstar * (num / den)
         if not cmath.isfinite(sq):      # num / den overflows while sigma^2 ~ sigma0
             sq = sstar * num / den
-        if not cmath.isfinite(sq):      # sigma0 or its products overflow
+        if not cmath.isfinite(sq):      # sigma^2 itself leaves the float range
             raise OverflowError
         out.append(_width(sq, "sigma^2(t)"))
     return out
@@ -266,26 +269,25 @@ def _center(eq: WavepacketEquilibrium, B, IB):
 
 
 @_in_float_range("trajectory")
+@np.errstate(over="raise", invalid="raise")
 def single_trajectory(eq: WavepacketEquilibrium, dt: float, t_end: float,
-                      seed: int = 0,
-                      method: str = "euler-maruyama") -> list[TrajectoryState]:
+                      seed: int = 0) -> list[TrajectoryState]:
     """Sample one packet-center path at every step, for inspection/plotting.
 
-    Uses the increments and preconditions of simulate_ensemble, summed
-    along the path with cumsum.  Every step is a sample here, so both
-    schemes cost one increment per step.  The path holds round(t_end/dt) + 1
-    states, at most 1e7 (about 1.4 GB: 136 B per state, its three floats
-    and its list slot included).
+    Steps the Euler-Maruyama chain of simulate_ensemble, under its
+    preconditions (dt <= tau_s / 50 among them), with the increments summed
+    along the path by cumsum.  The path holds round(t_end/dt) + 1 states, at
+    most 1e7 (about 1.4 GB: 136 B per state, its three floats and its list
+    slot included).
     """
-    steps = _grid_steps(eq, dt, t_end, method, seed)
+    steps = _grid_steps(eq, dt, t_end, "euler-maruyama", seed)
     if steps > _MAX_PATH_LEN:
         raise ValidationError(
             f"{steps} steps exceed the path limit of {_MAX_PATH_LEN}")
     rng = block_rng(seed, 0)   # the path is block 0 of the seed's streams
-    m = 1 if method == "euler-maruyama" else math.inf   # dt steps per interval
-    dB, kick = _increments(rng, dt, m, steps)
+    dB, _ = _increments(rng, dt, 1, steps)
     B = np.concatenate(([0.0], np.cumsum(dB)))
-    IB = np.concatenate(([0.0], np.cumsum(B[:-1] * dt + kick)))
+    IB = np.concatenate(([0.0], np.cumsum(B[:-1] * dt)))
     bR, bI = _center(eq, B, IB)
     t = np.arange(steps + 1) * dt
     return [TrajectoryState(*row)

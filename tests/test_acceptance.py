@@ -140,13 +140,13 @@ def test_criterion_6_collision_statistics():
     from cslwalk import Environment, collision_stats
     env = Environment.from_torr(4.2, 5e-17)
     disc = collision_stats(Disc(2e-5, 0.5e-5, 1.0), env)
-    assert disc.tau_c / 60.0 == pytest.approx(45.0, rel=0.15)
-    assert disc.omega_kick == pytest.approx(8.0, rel=0.20)
+    assert disc["tau_c"] / 60.0 == pytest.approx(45.0, rel=0.15)
+    assert disc["omega_kick"] == pytest.approx(8.0, rel=0.20)
     sphere = collision_stats(Sphere(1e-5, 1.0), env)
-    assert sphere.tau_c / 60.0 == pytest.approx(80.0, rel=0.15)
-    _report(6, f"disc tau_c {disc.tau_c/60:.1f} min (45 +- 15%), kick "
-               f"{disc.omega_kick:.2f} rad/s (8 +- 20%), sphere tau_c "
-               f"{sphere.tau_c/60:.1f} min (80 +- 15%)")
+    assert sphere["tau_c"] / 60.0 == pytest.approx(80.0, rel=0.15)
+    _report(6, f"disc tau_c {disc['tau_c']/60:.1f} min (45 +- 15%), kick "
+               f"{disc['omega_kick']:.2f} rad/s (8 +- 20%), sphere tau_c "
+               f"{sphere['tau_c']/60:.1f} min (80 +- 15%)")
 
 
 # criterion 7 -----------------------------------------------------------------
@@ -301,7 +301,7 @@ def test_criterion_12_collapse_walk_outgrows_backgrounds_in_the_viable_wedge():
     # backgrounds are the 4.2 K photon walk and the standard-QM drift.
     t0 = time.perf_counter()
     sphere = Sphere(1e-5, 1.0)
-    tau_c = collision_stats(sphere, Environment.from_torr(4.2, 5e-17)).tau_c
+    tau_c = collision_stats(sphere, Environment.from_torr(4.2, 5e-17))["tau_c"]
     radiation = combined_rms(xi_radiation(sphere.radius, 4.2), sphere,
                              Environment(4.2), None, 0.0, tau_c)
     qm = qm_baseline_translation(sphere, tau_c)

@@ -1108,6 +1108,25 @@ def test_simulate_rejects_flags_it_never_reads(capsys, flag, json_flag):
                    "--s-inf and --tau-s\n")
 
 
+@pytest.mark.parametrize("line,kick", [(["--sphere-radius=1e-5"], "delta_v"),
+                                       (_DISC, "omega_kick")],
+                         ids=["sphere", "disc"])
+def test_collide_equals_the_library(line, kick):
+    # composed as the README's `collide` paragraph says
+    from cslwalk import Disc, Environment, Sphere, collision_stats, molecular_flux
+
+    body = Sphere(1e-5, 1.0) if kick == "delta_v" else Disc(2e-5, 0.5e-5, 1.0)
+    env = Environment.from_torr(4.2, 5e-17)
+    stats = collision_stats(body, env)
+    units = {"delta_v": "delta_v_cm_s", "omega_kick": "omega_kick_rad_s"}
+    rc, out, _ = _readme_stdout(["collide", *line, *_GAS, "--json"])
+    assert rc == 0
+    assert json.loads(out)["result"] == {
+        name: float(f"{v:.6g}") for name, v in [
+            ("tau_c_s", stats["tau_c"]), ("tau_c_min", stats["tau_c"] / 60),
+            ("flux_per_cm2_s", molecular_flux(env)), (units[kick], stats[kick])]}
+
+
 @pytest.mark.parametrize("body", [["--sphere-radius=1e-5"], _DISC])
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_collide_rejects_flags_it_never_reads(capsys, body, json_flag):

@@ -82,7 +82,7 @@ def test_null_lines_follow_the_walk_above_the_body_size():
     # walk's boundaries (at a = 1e-6 cm, 4 decades for rot-null and 3 for
     # trans-null), so the lines hold only from a = 1e-5 cm up.
     disc, sphere = Disc(2e-5, 0.5e-5, 1.0), Sphere(1e-5, 1.0)
-    tau_c = collision_stats(sphere, Environment.from_torr(4.2, 5e-17)).tau_c
+    tau_c = collision_stats(sphere, Environment.from_torr(4.2, 5e-17))["tau_c"]
     grw = CslParams.grw()
     canonical = csl_rms_translation(grw, f_sphere(sphere.radius / grw.a).value,
                                     tau_c)

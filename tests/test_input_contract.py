@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cslwalk.brownian import (CollisionStats, xi_molecular, xi_radiation,
+from cslwalk.brownian import (collision_stats, xi_molecular, xi_radiation,
                               xi_rotational, xi_slip_corrected, xi_stokes,
                               xi_viscous_disc)
 from cslwalk.constraints import (evaluate_constraints, fu_radiation_rate,
@@ -67,6 +67,16 @@ def combined_rms_rotation(**kwargs):
     return combined_rms(mode="rotation", **kwargs)
 
 
+def collide_sphere(radius, density, temperature, pressure):
+    """collision_stats with the sphere and the gas given as scalars"""
+    return collision_stats(Sphere(radius, density), Environment(temperature, pressure))
+
+
+def collide_disc(radius, thickness, density):
+    """collision_stats for a disc in ENV, the disc given as scalars"""
+    return collision_stats(Disc(radius, thickness, density), ENV)
+
+
 # (callable, valid keyword arguments, {argument: kind}); a kind is a key of
 # BAD or ("count", minimum)
 CONTRACT = [
@@ -87,10 +97,15 @@ CONTRACT = [
     # the oracle's rotation mean may be slightly negative
     (FactorResult, dict(value=0.5, method="analytic", est_error=0.0),
      {"value": "finite", "est_error": "nonnegative"}),
-    (CollisionStats, dict(tau_c=1.0), {"tau_c": "positive"}),
     # the inertia is the body's, and Sphere and Disc check it above
     (thermal_walk, dict(xi=1e-9, temperature=300.0, t=1.0),
      {"xi": "nonnegative", "temperature": "positive", "t": "nonnegative"}),
+    # an overflowing J x area gives tau_c = 0, which the guard rejects
+    (collide_sphere, dict(radius=1e-5, density=1.0, temperature=4.2, pressure=1e-10),
+     {"radius": "positive", "density": "positive", "temperature": "positive",
+      "pressure": "positive"}),
+    (collide_disc, dict(radius=2e-5, thickness=5e-6, density=1.0),
+     {"radius": "positive", "thickness": "positive", "density": "positive"}),
     (xi_stokes, dict(R=1e-5, eta=1.8e-4), {"R": "positive", "eta": "positive"}),
     (xi_slip_corrected, dict(R=1e-5, eta=1.8e-4, l_m=1e-5),
      {"R": "positive", "eta": "positive", "l_m": "positive"}),
@@ -240,28 +255,30 @@ DRAG_OVERFLOWS = [
     lambda: fu_radiation_rate(11.0, 1e-16, 1e-200),
     lambda: thermal_lambda_inv(10.0, 1e-200),
     lambda: lambda_gravitational(1e-300),
-    lambda: single_trajectory(WavepacketEquilibrium(1e-6, 1e300), dt=1e299,
-                              t_end=1e300, method="exact-b15"),
+    lambda: single_trajectory(WavepacketEquilibrium(1e308, 1.0), dt=0.01,
+                              t_end=100.0),                 # s_inf B overflows
     lambda: single_trajectory(WavepacketEquilibrium(1e-6, 1e-300), dt=1e-303,
                               t_end=1e-302),
     lambda: f_mc_oracle(Sphere(1e-5, 1.0), CslParams(1e-16, 1e300), "translate",
                         n_samples=100),
     lambda: qm_baseline_rotation(Disc(1e-100, 1e-100, 1e300), 1e300),
+    # J x area overflows, so tau_c = 1 / (J x area) is 0
+    lambda: collision_stats(Sphere(1e5, 1.0), HUGE_GAS),
+    lambda: collision_stats(Disc(1e5, 1e4, 1.0), HUGE_GAS),
     lambda: growth_coefficients(HUGE_TIMES, HUGE_TIMES.times),      # t^3 overflows
     lambda: growth_coefficients(TINY_TIMES, TINY_TIMES.times),      # t^3 underflows
 ]] + [(call, "drag coefficient") for call in DRAG_OVERFLOWS] + [
-    # sigma0 (1 + e^-w) and sigma0^2 overflow
-    (lambda: sigma_closed_form(sigma0=1.7e308, s_inf=1e-6, tau_s=1.0, t=[0.5]),
-     r"^the s_inf\^2 relaxation leaves the floating-point range"),
+    # sigma0^2 overflows
     (lambda: sigma_ode_integrate(sigma0=1e160, M=1e-15, lam_eff=1e-10, a=1e-5,
                                  t_grid=[0.5, 1.0]),
      "^the width ODE leaves the floating-point range"),
 ],
     ids=["fu_radiation_rate", "thermal_lambda_inv", "lambda_gravitational-point",
          "single_trajectory-huge", "single_trajectory-tiny", "f_mc_oracle-sphere",
-         "qm_baseline_rotation", "growth_coefficients", "growth_coefficients-tiny",
+         "qm_baseline_rotation", "collision_stats-sphere", "collision_stats-disc",
+         "growth_coefficients", "growth_coefficients-tiny",
          "xi_molecular-sphere", "xi_molecular-disc-edge", "xi_rotational-disc",
-         "sigma_closed_form-huge-sigma0", "sigma_ode_integrate-huge-sigma0"])
+         "sigma_ode_integrate-huge-sigma0"])
 def test_a_formula_beyond_the_float_range_is_rejected(call, match):
     with pytest.raises(ValidationError, match=match):
         call()
