@@ -39,4 +39,4 @@ def run_blocks(n: int, block_size: int, seed: int, workers: int,
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(one, range(len(sizes))))
     # fsum is exactly rounded, so the sums do not depend on the block order
-    return [math.fsum(col) for col in np.stack(parts, axis=1)]
+    return list(map(math.fsum, np.stack(parts, axis=1).tolist()))

@@ -108,7 +108,9 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> list[complex]:
     sigma^2(t) = S* [sigma0 (1 + e^-w) + S* (1 - e^-w)]
                  / [sigma0 (1 - e^-w) + S* (1 + e^-w)]
     with w = (1+i) t / tau_s (written with decaying exponentials so large t
-    is exact: sigma^2 -> S*).
+    is exact: sigma^2 -> S*).  With x = t / tau_s, 1 - e^-w is formed as
+    [-expm1(-x) + 2 e^-x sin^2(x/2)] + i e^-x sin x, two terms of one sign
+    that do not cancel at small x.
     """
     _positive(s_inf=s_inf, tau_s=tau_s)
     s0 = _width(sigma0, "sigma0")
@@ -121,9 +123,13 @@ def sigma_closed_form(sigma0, s_inf: float, tau_s: float, t) -> list[complex]:
         a, b = 0.25 * s0, 0.25 * sstar     # exact; keeps a (1 + e^-w) finite
     out = []
     for tk in _time_grid(t, "t"):
-        em = cmath.exp(-(1.0 + 1.0j) * (tk / tau_s))
-        num = a * (1.0 + em) + b * (1.0 - em)
-        den = a * (1.0 - em) + b * (1.0 + em)
+        x = tk / tau_s
+        em = cmath.exp(-(1.0 + 1.0j) * x)
+        ex = math.exp(-x)
+        one_m = (complex(2.0 * ex * math.sin(0.5 * x) ** 2 - math.expm1(-x),
+                         ex * math.sin(x)) if ex else 1.0 - em)
+        num = a * (1.0 + em) + b * one_m
+        den = a * one_m + b * (1.0 + em)
         sq = sstar * (num / den)
         if not cmath.isfinite(sq):      # num / den overflows while sigma^2 ~ sigma0
             sq = sstar * num / den
@@ -224,17 +230,22 @@ class TrajectoryState:
 
 @_in_float_range("step count t_end / dt, which overflows,")
 def _grid_steps(eq: WavepacketEquilibrium, dt: float, t_end: float,
-                method: str, seed: int) -> int:
-    """Validate a call's grid, scheme and seed; return the number of dt steps."""
+                method: str, seed: int, *, suggest_exact: bool = True) -> int:
+    """Validate a call's grid, scheme and seed; return the number of dt steps.
+
+    suggest_exact=False leaves exact-b15 out of the too-large-dt message,
+    for single_trajectory, whose caller cannot choose the scheme.
+    """
     if method not in ("euler-maruyama", "exact-b15"):
         raise ValidationError(f"unknown method {method!r}")
     _positive(dt=dt, t_end=t_end)
     if dt > t_end:
         raise ValidationError(f"dt = {dt!r} exceeds t_end = {t_end!r}")
     if method == "euler-maruyama" and dt > eq.tau_s / 50.0:
+        hint = " (or use method='exact-b15')" if suggest_exact else ""
         raise ValidationError(
             f"dt = {dt:.3g} s too large for euler-maruyama; need dt <= "
-            f"tau_s/50 = {eq.tau_s / 50.0:.3g} s (or use method='exact-b15')")
+            f"tau_s/50 = {eq.tau_s / 50.0:.3g} s{hint}")
     _count(0, seed=seed)
     return round(t_end / dt)
 
@@ -280,7 +291,8 @@ def single_trajectory(eq: WavepacketEquilibrium, dt: float, t_end: float,
     most 1e7 (about 1.4 GB: 136 B per state, its three floats and its list
     slot included).
     """
-    steps = _grid_steps(eq, dt, t_end, "euler-maruyama", seed)
+    steps = _grid_steps(eq, dt, t_end, "euler-maruyama", seed,
+                        suggest_exact=False)
     if steps > _MAX_PATH_LEN:
         raise ValidationError(
             f"{steps} steps exceed the path limit of {_MAX_PATH_LEN}")

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from cslwalk import quadrature
+from cslwalk._cephes import i1e
 from cslwalk.errors import ConvergenceError
 from cslwalk.quadrature import integrate_1d, integrate_2d
 
@@ -35,6 +37,52 @@ def test_integrate_2d_rejects_a_non_square_domain():
     for box in ((0.0, 1.0, 0.0, 2.0), (0.0, 1.0, 0.5, 1.5), (0.0, 1.0, 1.0, 0.0)):
         with pytest.raises(ValueError, match="square"):
             integrate_2d(lambda x, y: x * y, *box)
+
+
+def _integrate_2d_full_triangle(f, a, b):
+    """integrate_2d as it was before the band: every strip of the upper
+    triangle is evaluated out to the last column."""
+    order = quadrature._ORDER_2D
+
+    def estimate(panels):
+        xn, xw = quadrature._composite_nodes(a, b, panels, order)
+        n = xn.size
+        vals = np.empty((n, n))
+        for s in range(0, n, order):
+            strip = f(xn[s:s + order, None], xn[None, s:])
+            vals[s:s + order, s:] = strip
+            vals[s + order:, s:s + order] = strip[:, order:].T
+        return float(np.einsum("i,j,ij->", xw, xw, vals))
+
+    panels = max(2, min(quadrature._MAX_PANELS_2D // 2, math.ceil(b - a)))
+    return quadrature._refine(estimate, panels, quadrature._MAX_PANELS_2D,
+                              quadrature._REL_TOL_2D, "full triangle")
+
+
+def _face_kernel(r, rp):
+    return r ** 2 * rp ** 2 * np.exp(-((r - rp) ** 2)) * i1e(2.0 * r * rp)
+
+
+def _edge_box_kernel(y, yp):
+    return y * yp * np.exp(-((y - yp) ** 2))
+
+
+@pytest.mark.parametrize("f, a, b, floor", [
+    pytest.param(_face_kernel, 0.0, al, 0.1 * al ** 4, id=f"face-{al:g}")
+    for al in (9.0, 16.0, 30.0, 40.0)
+] + [
+    pytest.param(_edge_box_kernel, -h, h, 0.9 * h ** 3, id=f"edge-box-{h:g}")
+    for h in (9.0, 20.0)
+] + [
+    pytest.param(lambda x, y: np.exp(-((x - y) ** 2)), 0.0, 30.0, 0.0,
+                 id="ridge-30"),
+])
+def test_integrate_2d_band_changes_no_bit(f, a, b, floor):
+    # the pairs more than 8 apart, left out of the band, weigh below
+    # 2^-60 of the estimate, whose floor the docstring's bound assumes
+    got = integrate_2d(f, a, b, a, b)
+    assert got == _integrate_2d_full_triangle(f, a, b)
+    assert got[0] > floor
 
 
 def test_integrate_1d_reports_nonconvergence():

@@ -8,7 +8,8 @@ import pytest
 from cslwalk import (CONSTANTS, ConvergenceError, Sphere,
                      ValidationError, WavepacketEquilibrium, equilibrium_width,
                      f_sphere, growth_coefficients, sigma_closed_form,
-                     sigma_ode_integrate, simulate_ensemble)
+                     sigma_ode_integrate, simulate_ensemble,
+                     single_trajectory)
 from cslwalk import wavepacket
 from cslwalk.wavepacket import packet_width_sq, stats_to_csv
 
@@ -86,6 +87,19 @@ def test_closed_form_gives_a_width_for_every_start(sigma0):
         sigma0 * (1 - em) + sstar * (1 + em))
     assert mid == pytest.approx(want, rel=1e-13, abs=0)
     assert late == pytest.approx(sstar, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("sigma0, t, want", [
+    (1e-6, 1e-12, 9.999990000009998e-07 + 4.999995000006666e-25j),
+    (1e-8, 1e-10, 9.999990000010001e-09 + 4.9999950000066665e-23j),
+    (1e300, 1e-12, 0.9999999999999999 + 1.6666666666666668e-25j),
+], ids=["near-equilibrium", "narrow", "huge"])
+def test_closed_form_keeps_its_digits_far_below_tau_s(sigma0, t, want):
+    # 1 - e^-w is O(t / tau_s) here; formed as 1 minus the exponential it
+    # lost 1.6e-11, 5.9e-14 and 1.6e-5 of the width.  want is the same
+    # formula in 50-digit mpmath, with s_inf = 1e-6 and tau_s = 1
+    (out,) = sigma_closed_form(sigma0, 1e-6, 1.0, [t])
+    assert abs(out - want) <= 4.4e-16 * abs(want)
 
 
 def test_ode_matches_closed_form(grw, eq_ref):
@@ -289,6 +303,16 @@ def test_ensemble_validations(eq_ref):
     for kw, match in bad_calls:
         with pytest.raises(ValidationError, match=match):
             simulate_ensemble(eq_ref, **kw)
+
+
+def test_a_too_large_dt_names_exact_b15_only_where_it_can_be_chosen():
+    eq = WavepacketEquilibrium(1e-6, 1.0)
+    need = r"too large for euler-maruyama; need dt <= tau_s/50 = 0\.02 s"
+    with pytest.raises(ValidationError,
+                       match=need + r" \(or use method='exact-b15'\)$"):
+        simulate_ensemble(eq, n_traj=200, dt=0.5, t_end=1.0)
+    with pytest.raises(ValidationError, match=need + "$"):
+        single_trajectory(eq, dt=0.5, t_end=1.0)
 
 
 @pytest.mark.parametrize("s_inf,tau_s,dt,t_end,method", [
