@@ -29,8 +29,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "core": ("CONSTANTS", "PhysicalConstants", "CslParams", "Sphere", "Disc",
-             "Body", "Environment", "body_derived", "convert_unit"),
+    "core": ("CONSTANTS", "CslParams", "Sphere", "Disc", "Body",
+             "Environment", "convert_unit"),
     "errors": ("CslwalkError", "ValidationError", "ConvergenceError",
                "ValidityWarning"),
     "brownian": ("xi_stokes", "xi_slip_corrected", "xi_molecular",

@@ -186,10 +186,11 @@ def _csl_from(args):
 
 
 def _env_from(args):
-    from .core import N2_MOLECULAR_MASS, Environment
+    from .core import CONSTANTS, N2_MOLECULAR_MASS, Environment
 
     return Environment(
-        temperature=293.15 if args.temperature is None else args.temperature,
+        temperature=(CONSTANTS.room_temperature_T0 if args.temperature is None
+                     else args.temperature),
         pressure=args.pressure,
         gas_molecular_mass=(N2_MOLECULAR_MASS if args.gas_mass is None
                             else args.gas_mass),

@@ -165,12 +165,10 @@ def ge_radiation_threshold() -> float:
     """lambda_inv * a^2 lower bound implied by the measured count limit.
 
     The emission rate scales as lam/a^2, so the canonical limit of
-    0.05 counts/(keV kg day) translates into a floor on lambda_inv a^2 of
-    about 0.4, the quoted bound.
+    0.05 counts/(keV kg day) bounds lam/a^2 by 0.05 over the rate at
+    lam = a = 1, a floor on lambda_inv a^2 of about 0.4, the quoted bound.
     """
-    rate_ref = ge_detector_rate(1.0e-16, 1.0e-5)
-    max_ratio = _GE_COUNT_LIMIT / rate_ref         # on (lam/a^2)/(lam/a^2)_ref
-    return 1.0 / (max_ratio * (1.0e-16 / 1.0e-10))
+    return ge_detector_rate(1.0, 1.0) / _GE_COUNT_LIMIT
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Physical constants, unit conversions, model parameters, body geometry,
 and the CSV text every table and dataset is written as.
 
+The constants are one immutable record, CONSTANTS, with no type to build
+another: every formula reads it, and `cslwalk --constants` prints it.
+
 Everything internal is CGS (cm, g, s, K, erg).  Convenience units used at
 API boundaries (Torr, picoTorr, days, the 1e-5 cm length often written
 "dmu") are converted here and nowhere else.
@@ -9,12 +12,12 @@ API boundaries (Torr, picoTorr, days, the 1e-5 cm length often written
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ValidationError, _in_float_range, _positive
 
 __all__ = [
-    "PhysicalConstants",
     "CONSTANTS",
     "AMU_GRAMS",
     "N2_MOLECULAR_MASS",
@@ -26,7 +29,6 @@ __all__ = [
     "Disc",
     "Body",
     "Environment",
-    "body_derived",
 ]
 
 
@@ -35,27 +37,16 @@ def _csv(header, rows) -> str:
     return "".join(",".join(cells) + "\r\n" for cells in [header, *rows])
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA constants in CGS units, plus the room-temperature convention.
-
-    All attributes are strictly positive and the instance is immutable.
-    Every formula in the package reads the one instance CONSTANTS, which
-    `cslwalk --constants` prints; no function takes another set.
-    """
-
-    hbar: float = 1.0546e-27          # erg s
-    k_boltzmann: float = 1.3807e-16   # erg / K
-    m_nucleon: float = 1.6726e-24     # g (proton and neutron masses taken equal)
-    G: float = 6.674e-8               # cm^3 / (g s^2)
-    c: float = 2.9979e10              # cm / s
-    room_temperature_T0: float = 293.15  # K
-
-    def __post_init__(self):
-        _positive(**vars(self))
-
-
-CONSTANTS = PhysicalConstants()
+# CODATA constants in CGS units, plus the room-temperature convention
+CONSTANTS = namedtuple(
+    "CONSTANTS", "hbar k_boltzmann m_nucleon G c room_temperature_T0")(
+    hbar=1.0546e-27,              # erg s
+    k_boltzmann=1.3807e-16,       # erg / K
+    m_nucleon=1.6726e-24,         # g (proton and neutron masses taken equal)
+    G=6.674e-8,                   # cm^3 / (g s^2)
+    c=2.9979e10,                  # cm / s
+    room_temperature_T0=293.15,   # K
+)
 
 AMU_GRAMS = 1.6605e-24
 N2_MOLECULAR_MASS = 28.0 * AMU_GRAMS   # default gas: molecular nitrogen
@@ -156,10 +147,15 @@ class CslParams:
         return cls(lam=1.0e-16, a=1.0e-5)
 
 
-def _check_nucleon_count(body) -> None:
-    """Reject a body with less than one nucleon or out of the float range."""
-    if body_derived(body)["N"] < 1.0:
+@_in_float_range("body's volume, mass or inertia")
+def _check_nucleon_count(body) -> dict:
+    """Reject a body with less than one nucleon, or one whose volume, mass,
+    nucleon count or inertia (the values returned) leaves the float range."""
+    derived = {"V": body.volume(), "M": body.mass(),
+               "N": body.nucleon_count(), "I": body.moment_of_inertia()}
+    if derived["N"] < 1.0:
         raise ValidationError("body holds less than one nucleon")
+    return derived
 
 
 @dataclass(frozen=True)
@@ -222,17 +218,6 @@ class Disc:
 
 
 Body = Sphere | Disc
-
-
-@_in_float_range("body's volume, mass or inertia")
-def body_derived(body: Body) -> dict:
-    """Derived quantities of a body: volume, mass, nucleon count, inertia."""
-    return {
-        "V": body.volume(),
-        "M": body.mass(),
-        "N": body.nucleon_count(),
-        "I": body.moment_of_inertia(),
-    }
 
 
 @dataclass(frozen=True)

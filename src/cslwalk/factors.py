@@ -206,7 +206,7 @@ def _rot_surface_pieces(aspect: DiscAspect):
     def face_kernel(r, rp):
         return r ** 2 * rp ** 2 * np.exp(-((r - rp) ** 2)) * i1e(2.0 * r * rp)
 
-    f1, e1 = integrate_2d(face_kernel, 0.0, al, 0.0, al)
+    f1, e1 = integrate_2d(face_kernel, 0.0, al)
     f1 *= -math.expm1(-be * be)
     e1 *= -math.expm1(-be * be)
 
@@ -218,7 +218,7 @@ def _rot_surface_pieces(aspect: DiscAspect):
         g = h2 ** 3 * (8.0 / 9.0 - h2 * (16.0 / 15.0 - h2 * 32.0 / 35.0))
         e2 = 256.0 / 405.0 * h2 ** 6
     else:
-        g, e2 = integrate_2d(edge_box_kernel, -h, h, -h, h)
+        g, e2 = integrate_2d(edge_box_kernel, -h, h)
     band = 0.5 * al * al * i1e(2.0 * al * al)
     f2 = band * g
     e2 *= band
@@ -226,12 +226,14 @@ def _rot_surface_pieces(aspect: DiscAspect):
     rint, e3 = integrate_1d(
         lambda r: r ** 2 * np.exp(-((r - al) ** 2)) * i1e(2.0 * al * r),
         0.0, al, rel_tol=_ROT_REL_TOL, initial_panels=max(4, int(al) + 1))
-    if be < 0.1:
+    if be < 0.5:
         # the closed form below is O(h^4) from O(h^2) terms and cancels
-        # (8e-10 off at beta = 1e-3); its series sum_{m>=1} (-1)^{m+1}
-        # 2^{2m+1} m h^{2m+2} / (m! (2m+1)(m+1)) = (4/3) h^4 - (32/15) h^6 ...
+        # (8e-10 off at beta = 1e-3, 2e-14 at 0.25); its series
+        # sum_{m>=1} (-1)^{m+1} 2^{2m+1} m h^{2m+2} / (m! (2m+1)(m+1))
+        # = (4/3) h^4 - (32/15) h^6 ...; at h < 0.25 the first term past
+        # the 12 summed is below 1e-17 of the sum
         yint, term = 0.0, 8.0 * h ** 4
-        for m in range(1, 11):
+        for m in range(1, 13):
             yint += term * m / ((2 * m + 1) * (m + 1))
             term *= -4.0 * h * h / (m + 1)
     else:

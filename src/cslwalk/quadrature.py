@@ -10,8 +10,8 @@ rather than silently accepted.  numpy's float errors raise inside the loop.
 
 The 2-D rule serves the rotation factor's kernels, which are symmetric in
 their two arguments over a square and carry a factor e^{-(x-y)^2}: it
-evaluates the upper half of the node grid within a band of the diagonal
-and mirrors it, and rejects any other domain.
+takes the square as one interval [a, b], and evaluates the upper half of
+the node grid within a band of the diagonal and mirrors it.
 """
 
 from __future__ import annotations
@@ -89,9 +89,8 @@ def integrate_1d(f, a: float, b: float, *, rel_tol: float = 1.0e-9,
                    f"1-D quadrature on [{a}, {b}]")
 
 
-def integrate_2d(f, ax: float, bx: float, ay: float, by: float
-                 ) -> tuple[float, float]:
-    """Tensor-product Gauss-Legendre integral of f(x, y) on a square.
+def integrate_2d(f, a: float, b: float) -> tuple[float, float]:
+    """Tensor-product Gauss-Legendre integral of f(x, y) on [a, b]^2.
 
     The rule is fixed: 24-point panels along each axis, starting at one
     panel per unit width (at least 2, at most 128: the rotation kernels
@@ -101,13 +100,12 @@ def integrate_2d(f, ax: float, bx: float, ay: float, by: float
     (value, error_estimate); raises ConvergenceError when they still
     disagree at 256 panels.
 
-    Precondition: the domain is a square ([ax, bx] == [ay, by]) and f is
-    symmetric to the last bit, f(x, y) == f(y, x) as floats for every node
-    pair; a non-square domain raises ValueError.  Only the node rows of
-    the upper triangle are evaluated, one strip of 24 rows (one panel)
-    at a time on broadcast node vectors, and each strip is mirrored into the
-    lower triangle.  The weighted sum then runs over the full node matrix,
-    so the result does not depend on the halving.
+    Precondition: f is symmetric to the last bit, f(x, y) == f(y, x) as
+    floats for every node pair.  Only the node rows of the upper triangle
+    are evaluated, one strip of 24 rows (one panel) at a time on broadcast
+    node vectors, and each strip is mirrored into the lower triangle.  The
+    weighted sum then runs over the full node matrix, so the result does
+    not depend on the halving.
 
     Premise of the band: f(x, y) = g(x, y) e^{-(x-y)^2} with |g| <= G on the
     square of width W.  A strip evaluates only the columns within 8 (_BAND)
@@ -127,14 +125,11 @@ def integrate_2d(f, ax: float, bx: float, ay: float, by: float
     rounding, so the value and error keep their bits unless a sum lands
     within that share of a rounding boundary.
     """
-    if (ax, bx) != (ay, by):
-        raise ValueError("integrate_2d needs a square domain, got "
-                         f"[{ax}, {bx}] x [{ay}, {by}]")
-    if bx <= ax:
+    if b <= a:
         return 0.0, 0.0
 
     def estimate(panels):
-        xn, xw = _composite_nodes(ax, bx, panels, _ORDER_2D)
+        xn, xw = _composite_nodes(a, b, panels, _ORDER_2D)
         n = xn.size
         vals = np.zeros((n, n))
         for s in range(0, n, _ORDER_2D):
@@ -145,6 +140,6 @@ def integrate_2d(f, ax: float, bx: float, ay: float, by: float
             vals[e:end, s:e] = strip[:, _ORDER_2D:].T
         return float(np.einsum("i,j,ij->", xw, xw, vals))
 
-    panels = max(2, min(_MAX_PANELS_2D // 2, math.ceil(bx - ax)))   # unit width
+    panels = max(2, min(_MAX_PANELS_2D // 2, math.ceil(b - a)))   # unit width
     return _refine(estimate, panels, _MAX_PANELS_2D, _REL_TOL_2D,
-                   f"2-D quadrature on [{ax}, {bx}]^2")
+                   f"2-D quadrature on [{a}, {b}]^2")

@@ -407,22 +407,22 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
             P[j] = hbar_s2 * bI
         Q2 = Q * Q
         P2 = P * P
-        return np.concatenate([Q.sum(1), Q2.sum(1), (Q2 * Q2).sum(1),
-                               P2.sum(1), (P2 * P2).sum(1), (Q2 @ Q2.T).ravel()])
+        return np.concatenate([Q.sum(1), Q2.sum(1), P2.sum(1), (P2 * P2).sum(1),
+                               (Q2 @ Q2.T).ravel()])
 
     hbar_s2 = CONSTANTS.hbar / eq.s_inf ** 2
     sums = np.array(run_blocks(n_traj, _TRAJ_BLOCK, seed, workers, block_sums))
-    sum_q, sum_q2, sum_q4, sum_p2, sum_p4 = sums[:5 * T].reshape(5, T)
-    outer = sums[5 * T:].reshape(T, T)
+    sum_q, sum_q2, sum_p2, sum_p4 = sums[:4 * T].reshape(4, T)
+    outer = sums[4 * T:].reshape(T, T)
 
     n = n_traj
     mean_q = sum_q / n
     mean_q2 = sum_q2 / n
     mean_p2 = sum_p2 / n
     var_q = np.maximum(sum_q2 / n - mean_q ** 2, 0.0) * n / (n - 1)
-    var_q2 = np.maximum(sum_q4 / n - mean_q2 ** 2, 0.0) * n / (n - 1)
     var_p2 = np.maximum(sum_p4 / n - mean_p2 ** 2, 0.0) * n / (n - 1)
-    cov_q2 = (outer / n - np.outer(mean_q2, mean_q2)) * n / (n - 1)
+    # covariance of the mean_sq_Q vector; its diagonal gives se_mean_sq_Q too
+    cov_mean_q2 = (outer / n - np.outer(mean_q2, mean_q2)) * n / (n - 1) / n
 
     return EnsembleStats(
         n_traj=n,
@@ -430,10 +430,10 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
         mean_Q=tuple(mean_q),
         se_mean_Q=tuple(np.sqrt(var_q / n)),
         mean_sq_Q=tuple(mean_q2),
-        se_mean_sq_Q=tuple(np.sqrt(var_q2 / n)),
+        se_mean_sq_Q=tuple(np.sqrt(np.maximum(np.diag(cov_mean_q2), 0.0))),
         mean_sq_P=tuple(mean_p2),
         se_mean_sq_P=tuple(np.sqrt(var_p2 / n)),
-        cov_mean_sq_Q=tuple(map(tuple, cov_q2 / n)),
+        cov_mean_sq_Q=tuple(map(tuple, cov_mean_q2)),
     )
 
 

@@ -159,6 +159,11 @@ def test_detector_rate_and_threshold():
     assert ge_detector_rate(1e-16, 1e-5) == pytest.approx(2.1e-8, rel=0.05)
     # the 0.05 counts/(keV kg day) limit translates to lambda_inv a^2 > ~0.4
     assert ge_radiation_threshold() == pytest.approx(0.4, rel=0.1)
+    # the rate scales as lam / a^2, so every reference point gives the
+    # same floor on lambda_inv a^2: rate(lam, a) a^2 / lam over the limit
+    for lam, a in [(1e-16, 1e-5), (1e-10, 1e-7), (1e-20, 1e-3)]:
+        assert ge_radiation_threshold() == pytest.approx(
+            ge_detector_rate(lam, a) * a ** 2 / (0.05 * lam), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------

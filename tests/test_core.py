@@ -3,23 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from cslwalk import (CONSTANTS, CslParams, Disc, Environment, PhysicalConstants,
-                     Sphere, ValidationError, body_derived, convert_unit)
+from cslwalk import (CONSTANTS, CslParams, Disc, Environment, Sphere,
+                     ValidationError, convert_unit)
 
 
 def test_default_constants_values():
-    c = PhysicalConstants()
+    c = CONSTANTS
     assert c.hbar == 1.0546e-27
     assert c.k_boltzmann == 1.3807e-16
     assert c.m_nucleon == 1.6726e-24
     assert c.G == 6.674e-8
     assert c.c == 2.9979e10
     assert c.room_temperature_T0 == 293.15
-
-
-def test_constants_reject_nonpositive():
-    with pytest.raises(ValidationError):
-        PhysicalConstants(hbar=0.0)
+    for field in c._fields:
+        with pytest.raises(AttributeError):
+            setattr(c, field, 1.0)
+    assert c.hbar == 1.0546e-27
 
 
 @pytest.mark.parametrize("value,src,dst,expected", [
@@ -61,12 +60,12 @@ def test_convert_unit_rejects_cross_dimension():
 
 def test_sphere_derived_quantities():
     body = Sphere(radius=1e-5, density=1.0)
-    d = body_derived(body)
-    assert d["V"] == pytest.approx(4.18879e-15, rel=1e-4, abs=0)
-    assert d["M"] == pytest.approx(4.18879e-15, rel=1e-4, abs=0)
+    assert body.volume() == pytest.approx(4.18879e-15, rel=1e-4, abs=0)
+    assert body.mass() == pytest.approx(4.18879e-15, rel=1e-4, abs=0)
     # N = (4/3) pi R^3 D / m_nucleon
-    assert d["N"] == pytest.approx(2.5044e9, rel=1e-3)
-    assert d["I"] == pytest.approx(0.4 * d["M"] * 1e-10, rel=1e-12, abs=0)
+    assert body.nucleon_count() == pytest.approx(2.5044e9, rel=1e-3)
+    assert body.moment_of_inertia() == pytest.approx(0.4 * body.mass() * 1e-10,
+                                                     rel=1e-12, abs=0)
 
 
 def test_disc_derived_quantities():
@@ -92,7 +91,11 @@ def test_body_scaling_properties():
 def test_derived_quantities_are_pure():
     a = Sphere(radius=3.7e-4, density=2.2)
     b = Sphere(radius=3.7e-4, density=2.2)
-    assert body_derived(a) == body_derived(b)
+
+    def derived(body):
+        return (body.volume(), body.mass(), body.nucleon_count(),
+                body.moment_of_inertia())
+    assert derived(a) == derived(b) == derived(a)
 
 
 def test_invalid_bodies_rejected():

@@ -168,11 +168,12 @@ def test_f_rot_reference_point():
 
 
 def test_f_rot_bit_identical_at_readme_inputs():
-    # (value, est_error) at the README fig1 / diffuse inputs, exactly as
-    # the quadrature has always produced them: its arithmetic is frozen
-    pinned = {0.5: (0.51215279340222, 1.0250400391032846e-15),
-              1.0: (0.3019353157234081, 3.614884937942769e-16),
-              2.0: (0.05700003120766443, 3.328511075411697e-17)}
+    # (value, est_error) at the README fig1 / diffuse inputs: the
+    # quadrature's arithmetic is frozen, and the cross term's yint is its
+    # series below beta 0.5
+    pinned = {0.5: (0.512152793402218, 1.025040039103285e-15),
+              1.0: (0.30193531572340787, 3.614884937942769e-16),
+              2.0: (0.05700003120766442, 3.328511075411697e-17)}
     for alpha, expected in pinned.items():
         res = f_rot_disc(DiscAspect(alpha, 0.25))
         assert (res.value, res.est_error) == expected, alpha
@@ -242,15 +243,21 @@ def test_f_rot_cross_term_is_exact_on_thin_discs():
     # f3 = -2 alpha rint yint, and rint does not depend on beta, so
     # f3(1, beta) / f3(1, 1) = yint(beta/2) / yint(1/2), with
     # yint(h) = h (sqrt(pi)/2) erf(2h) - (1 - e^{-4h^2}) / 2 by mpmath at
-    # 50 digits; the closed form cancels to 3e-13 at beta = 0.05, 8e-8 at 1e-4
+    # 50 digits; the closed form cancels to 3e-13 at beta = 0.05, 8e-8 at
+    # 1e-4, and to 1.4e-13, 2.1e-14 and 3.6e-15 at beta 0.1, 0.25 and 0.45;
+    # a series cut after 10 terms would be 4.3e-15 off at 0.49
     from cslwalk.factors import _rot_surface_pieces
-    mp_ratios = {1e-4: 1.4530206881211754946e-16,
-                 1e-2: 1.452962574662276522e-8,
-                 0.05: 9.0723040358746738266e-6}
+    mp_ratios = {1e-4: (1.4530206881211754946e-16, 1e-13),
+                 1e-2: (1.452962574662276522e-8, 1e-13),
+                 0.05: (9.0723040358746738266e-6, 1e-13),
+                 0.1: (1.4472241470019992862e-4, 2e-15),
+                 0.25: (5.536310565432335656e-3, 2e-15),
+                 0.45: (5.5007865623158227653e-2, 2e-15),
+                 0.49: (7.6211708080407810453e-2, 2e-15)}
     (_, _, f3_one), _ = _rot_surface_pieces(DiscAspect(1.0, 1.0))
-    for beta, expected in mp_ratios.items():
+    for beta, (expected, rel) in mp_ratios.items():
         (_, _, f3), _ = _rot_surface_pieces(DiscAspect(1.0, beta))
-        assert f3 / f3_one == pytest.approx(expected, rel=1e-13, abs=0), beta
+        assert f3 / f3_one == pytest.approx(expected, rel=rel, abs=0), beta
 
 
 def test_f_rot_piece_signs():

@@ -28,14 +28,15 @@ from cslwalk.brownian import (collision_stats, xi_molecular, xi_radiation,
 from cslwalk.constraints import (evaluate_constraints, fu_radiation_rate,
                                  ge_detector_rate, ge_radiation_threshold,
                                  lambda_gravitational, thermal_lambda_inv)
-from cslwalk.core import CslParams, Disc, Environment, PhysicalConstants, Sphere
+from cslwalk.core import CslParams, Disc, Environment, Sphere
 from cslwalk.diffusion import (WavepacketEquilibrium, combined_rms,
                                csl_rms_rotation, csl_rms_translation,
                                energy_gain_rates, equilibrium_series_rms,
                                equilibrium_width, qm_baseline_rotation,
                                qm_baseline_translation, time_to_rotation)
 from cslwalk.errors import ConvergenceError, ValidationError, ValidityWarning
-from cslwalk.factors import DiscAspect, FactorResult, f_sphere
+from cslwalk.factors import (DiscAspect, FactorResult, f_disc_edge, f_disc_perp,
+                             f_rot_disc, f_sphere)
 from cslwalk.oracle import f_mc_oracle, f_mc_oracle_aspect
 from cslwalk.wavepacket import (growth_coefficients, sigma_closed_form,
                                 sigma_ode_integrate, simulate_ensemble,
@@ -77,12 +78,27 @@ def collide_disc(radius, thickness, density):
     return collision_stats(Disc(radius, thickness, density), ENV)
 
 
+def drag_sphere(radius, density, temperature, pressure):
+    """xi_molecular with the sphere and the gas given as scalars"""
+    return xi_molecular(Sphere(radius, density), Environment(temperature, pressure))
+
+
+def drag_disc(radius, thickness, density):
+    """a disc's molecular drags in ENV, both orientations and rotation"""
+    disc = Disc(radius, thickness, density)
+    return (xi_molecular(disc, ENV, "perp"), xi_molecular(disc, ENV, "edge"),
+            xi_rotational(disc, ENV, "molecular"))
+
+
+def disc_factors(alpha, beta):
+    """the three disc factors of one aspect, given as scalars"""
+    aspect = DiscAspect(alpha, beta)
+    return f_disc_perp(aspect), f_disc_edge(aspect), f_rot_disc(aspect)
+
+
 # (callable, valid keyword arguments, {argument: kind}); a kind is a key of
 # BAD or ("count", minimum)
 CONTRACT = [
-    (PhysicalConstants, {},
-     {"hbar": "positive", "k_boltzmann": "positive", "m_nucleon": "positive",
-      "G": "positive", "c": "positive", "room_temperature_T0": "positive"}),
     (CslParams, dict(lam=1e-16, a=1e-5), {"lam": "positive", "a": "positive"}),
     (Sphere, dict(radius=1e-5, density=1.0),
      {"radius": "positive", "density": "positive"}),
@@ -94,6 +110,7 @@ CONTRACT = [
       "gas_molecular_mass": "positive", "gas_viscosity": "positive"}),
     (DiscAspect, dict(alpha=1.0, beta=0.25), {"alpha": "positive", "beta": "positive"}),
     (f_sphere, dict(x=1.0), {"x": "positive"}),
+    (disc_factors, dict(alpha=1.0, beta=0.25), {"alpha": "positive", "beta": "positive"}),
     # the oracle's rotation mean may be slightly negative
     (FactorResult, dict(value=0.5, method="analytic", est_error=0.0),
      {"value": "finite", "est_error": "nonnegative"}),
@@ -105,6 +122,11 @@ CONTRACT = [
      {"radius": "positive", "density": "positive", "temperature": "positive",
       "pressure": "positive"}),
     (collide_disc, dict(radius=2e-5, thickness=5e-6, density=1.0),
+     {"radius": "positive", "thickness": "positive", "density": "positive"}),
+    (drag_sphere, dict(radius=1e-5, density=1.0, temperature=4.2, pressure=1e-10),
+     {"radius": "positive", "density": "positive", "temperature": "positive",
+      "pressure": "positive"}),
+    (drag_disc, dict(radius=2e-5, thickness=5e-6, density=1.0),
      {"radius": "positive", "thickness": "positive", "density": "positive"}),
     (xi_stokes, dict(R=1e-5, eta=1.8e-4), {"R": "positive", "eta": "positive"}),
     (xi_slip_corrected, dict(R=1e-5, eta=1.8e-4, l_m=1e-5),

@@ -377,6 +377,10 @@ def test_ensemble_determinism_and_worker_invariance(eq_ref):
     for method in ("euler-maruyama", "exact-b15"):
         kw = dict(n_traj=9000, dt=tau / 50, t_end=tau, method=method)
         same = simulate_ensemble(eq_ref, seed=3, **kw)
+        # one variance of mean_sq_Q: se_mean_sq_Q is the root of the
+        # covariance's diagonal, not a second reduction of its own
+        for j, se in enumerate(same.se_mean_sq_Q):
+            assert se == math.sqrt(same.cov_mean_sq_Q[j][j]), (method, j)
         for w in (1, 2, 4):
             assert simulate_ensemble(eq_ref, seed=3, workers=w, **kw) == same
         assert simulate_ensemble(eq_ref, seed=4, **kw) != same
@@ -588,7 +592,7 @@ def test_pinned_exact_ensemble_and_euler_path(eq_ref):
         mean_Q=(1.64859151606141e-08, 1.2985745181501355e-09),
         se_mean_Q=(3.2704203146036336e-08, 7.758698456436061e-08),
         mean_sq_Q=(3.200716915204297e-13, 1.7999039982590883e-12),
-        se_mean_sq_Q=(2.6591169545954115e-14, 1.4187596213108137e-13),
+        se_mean_sq_Q=(2.6591169545954112e-14, 1.4187596213108137e-13),
         mean_sq_P=(1.7631604671676916e-42, 4.565152521927032e-42),
         se_mean_sq_P=(1.4761026639767606e-43, 3.709561029738659e-43),
         cov_mean_sq_Q=((7.070902978216774e-28, 1.928734810295426e-27),
