@@ -20,7 +20,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .core import CONSTANTS, ERG_PER_EV, _csv
+from .core import CONSTANTS, ERG_PER_EV, _csv, convert_unit
 from .errors import ValidationError, _in_float_range, _positive
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
 _E_CHARGE_ESU = 4.8032e-10          # electron charge, esu (e^2 in erg cm)
 _GE_ATOMS_PER_KG = 8.29e24
 _GE_FREE_ELECTRONS_PER_ATOM = 4.0
-_SECONDS_PER_DAY = 86400.0
 _GE_COUNT_LIMIT = 0.05              # measured, counts/(keV kg day) at 11 keV
 
 
@@ -158,7 +157,7 @@ def ge_detector_rate(lam: float, a: float) -> float:
     """
     per_electron = fu_radiation_rate(11.0, lam, a)
     return (per_electron * _GE_FREE_ELECTRONS_PER_ATOM * _GE_ATOMS_PER_KG
-            * _SECONDS_PER_DAY)
+            * convert_unit(1.0, "day", "s"))
 
 
 def ge_radiation_threshold() -> float:

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .errors import ValidationError, _in_float_range, _positive
+from .errors import ValidationError, _finite, _in_float_range, _positive
 
 __all__ = [
     "CONSTANTS",
@@ -95,6 +95,7 @@ def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
     dimensions are rejected by name, and so are values that are not finite
     before or after conversion.
     """
+    _finite(value=value)
     src = _canonical_unit(from_unit)
     dst = _canonical_unit(to_unit)
     dim_src, f_src = _UNIT_TABLE[src]

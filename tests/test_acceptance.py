@@ -187,8 +187,7 @@ def test_criterion_8_wavepacket_dynamics():
     #  stochastic drift ensemble reproduces the cubic growth law
     tau = eq.tau_s
     stats = simulate_ensemble(eq, n_traj=10_000, dt=tau / 50.0,
-                              t_end=10.0 * tau, seed=5,
-                              sample_times=[tau, 3 * tau, 10 * tau])
+                              t_end=10.0 * tau, seed=5)
     fit = growth_coefficients(stats, [tau, 3 * tau, 10 * tau])
     s2 = eq.s_inf ** 2
     expected = (s2 / tau, s2 / (2 * tau ** 2), s2 / (12 * tau ** 3))

@@ -28,7 +28,7 @@ from cslwalk.brownian import (collision_stats, xi_molecular, xi_radiation,
 from cslwalk.constraints import (evaluate_constraints, fu_radiation_rate,
                                  ge_detector_rate, ge_radiation_threshold,
                                  lambda_gravitational, thermal_lambda_inv)
-from cslwalk.core import CslParams, Disc, Environment, Sphere
+from cslwalk.core import CslParams, Disc, Environment, Sphere, convert_unit
 from cslwalk.diffusion import (WavepacketEquilibrium, combined_rms,
                                csl_rms_rotation, csl_rms_translation,
                                energy_gain_rates, equilibrium_series_rms,
@@ -100,6 +100,8 @@ def disc_factors(alpha, beta):
 # BAD or ("count", minimum)
 CONTRACT = [
     (CslParams, dict(lam=1e-16, a=1e-5), {"lam": "positive", "a": "positive"}),
+    (convert_unit, dict(value=1.0, from_unit="Torr", to_unit="dyn/cm2"),
+     {"value": "finite"}),
     (Sphere, dict(radius=1e-5, density=1.0),
      {"radius": "positive", "density": "positive"}),
     (Disc, dict(radius=2e-5, thickness=5e-6, density=1.0),

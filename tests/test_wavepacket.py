@@ -287,18 +287,13 @@ def test_ensemble_validations(eq_ref):
         (dict(ok, workers=0), "workers"), (dict(ok, workers=-2), "workers"),
         (dict(ok, t_end=math.inf), "finite"), (dict(ok, t_end=math.nan), "finite"),
         (dict(ok, dt=math.nan), "finite"), (dict(ok, dt=math.inf), "finite"),
-        (dict(ok, sample_times=[]), "empty"),
-        (dict(ok, sample_times=[math.nan]), "grid"),
-        (dict(ok, sample_times=[math.inf]), "grid"),
-        # a string would iterate as its characters, '0', '.' and '5'
-        (dict(ok, sample_times="0.5"), "must be numbers"),
         (dict(ok, dt=1e-300, t_end=1e10, method="exact-b15"), "overflows"),
-        # work n_traj x sample intervals: 5e9 (checked before the covariance)
-        (dict(ok, n_traj=1_000_000, t_end=5000 * tau,
-              sample_times=[k * tau for k in range(1, 5001)]), "work limit"),
-        # 6000 sample times: a 6000 x 6000 covariance per block
-        (dict(ok, t_end=6000 * tau, method="exact-b15", dt=tau,
-              sample_times=[k * tau for k in range(1, 6001)]), "covariance"),
+        # work n_traj x sample intervals: 1e8 x 50 = 5e9 (checked before
+        # the covariance)
+        (dict(ok, n_traj=10 ** 8), "work limit"),
+        # 99 sample times, the most there are: 7325 blocks of 99^2 floats
+        (dict(ok, n_traj=3 * 10 ** 7, dt=tau / 99, t_end=99 * (tau / 99)),
+         "covariance"),
     ]
     for kw, match in bad_calls:
         with pytest.raises(ValidationError, match=match):
@@ -330,13 +325,19 @@ def test_ensemble_rejects_moments_beyond_float_range(s_inf, tau_s, dt, t_end,
                           dt=dt, t_end=t_end, method=method)
 
 
+def _sample_index(stats, t):
+    """The index of the sample time t, to rounding, in stats.times."""
+    j = min(range(len(stats.times)), key=lambda i: abs(stats.times[i] - t))
+    assert stats.times[j] == pytest.approx(t, rel=1e-12, abs=0)
+    return j
+
+
 def test_ensemble_zero_mean_and_growth_law(eq_ref):
     tau, s2 = eq_ref.tau_s, eq_ref.s_inf ** 2
     stats = simulate_ensemble(eq_ref, n_traj=4000, dt=tau / 60,
-                              t_end=10 * tau, seed=21,
-                              sample_times=[tau, 3 * tau, 10 * tau])
-    for j, t in enumerate(stats.times):
-        x = t / tau
+                              t_end=10 * tau, seed=21)
+    for j in (_sample_index(stats, x * tau) for x in (1, 3, 10)):
+        x = stats.times[j] / tau
         expect = s2 * (x + x ** 2 / 2 + x ** 3 / 12)
         assert abs(stats.mean_Q[j]) < 3 * stats.se_mean_Q[j]
         assert abs(stats.mean_sq_Q[j] - expect) < 3 * stats.se_mean_sq_Q[j]
@@ -345,20 +346,20 @@ def test_ensemble_zero_mean_and_growth_law(eq_ref):
 def test_ensemble_momentum_second_moment(eq_ref):
     tau, s = eq_ref.tau_s, eq_ref.s_inf
     stats = simulate_ensemble(eq_ref, n_traj=4000, dt=tau / 60,
-                              t_end=5 * tau, seed=22,
-                              sample_times=[tau, 5 * tau])
-    for j, t in enumerate(stats.times):
+                              t_end=5 * tau, seed=22)
+    for j in (_sample_index(stats, x * tau) for x in (1, 5)):
+        t = stats.times[j]
         expect = CONSTANTS.hbar ** 2 * t / (4 * s ** 2 * tau)
         assert abs(stats.mean_sq_P[j] - expect) < 3 * stats.se_mean_sq_P[j]
 
 
 def test_ensemble_methods_agree(eq_ref):
     tau = eq_ref.tau_s
-    kw = dict(n_traj=4000, dt=tau / 60, t_end=5 * tau,
-              sample_times=[tau, 5 * tau])
+    kw = dict(n_traj=4000, dt=tau / 60, t_end=5 * tau)
     em = simulate_ensemble(eq_ref, seed=31, method="euler-maruyama", **kw)
     ex = simulate_ensemble(eq_ref, seed=32, method="exact-b15", **kw)
-    for j in range(2):
+    assert em.times == ex.times
+    for j in (_sample_index(em, x * tau) for x in (1, 5)):
         err = math.hypot(em.se_mean_sq_Q[j], ex.se_mean_sq_Q[j])
         assert abs(em.mean_sq_Q[j] - ex.mean_sq_Q[j]) < 3 * err
 
@@ -428,8 +429,7 @@ def test_euler_strong_order_against_exact_paths(eq_ref):
 def test_growth_coefficients_recovered(eq_ref):
     tau, s2 = eq_ref.tau_s, eq_ref.s_inf ** 2
     stats = simulate_ensemble(eq_ref, n_traj=10_000, dt=tau / 50,
-                              t_end=10 * tau, seed=5,
-                              sample_times=[tau, 3 * tau, 10 * tau])
+                              t_end=10 * tau, seed=5)
     fit = growth_coefficients(stats, [tau, 3 * tau, 10 * tau])
     expected = (s2 / tau, s2 / (2 * tau ** 2), s2 / (12 * tau ** 3))
     for est, se, truth in zip(fit["coefficients"], fit["std_errors"], expected):
@@ -458,8 +458,6 @@ def test_single_trajectory_paths(eq_ref):
     path = single_trajectory(eq_ref, dt=tau / 60, t_end=2 * tau, seed=4)
     assert path[0] == TrajectoryState(0.0, 0.0, 0.0)
     assert not hasattr(path[0], "__dict__")      # slotted: no per-state dict
-    with pytest.raises(ValidationError, match="finite"):
-        TrajectoryState(math.nan, 0.0, 0.0)
     assert len(path) == 121
     assert path == single_trajectory(eq_ref, dt=tau / 60, t_end=2 * tau, seed=4)
     # statistics sanity on many single paths: Var(b_I(t)) = s^2 t / (4 tau)
@@ -489,14 +487,17 @@ def test_stats_csv_header(eq_ref):
 # ---------------------------------------------------------------------------
 # the shared engine: schemes, streams and limits
 
-def test_exact_ensemble_steps_between_sample_times(eq_ref):
-    # exact-b15 draws one increment per sample interval, whatever dt is
-    tau = eq_ref.tau_s
-    kw = dict(n_traj=5000, t_end=10 * tau, seed=12, method="exact-b15",
-              sample_times=[tau, 3 * tau, 10 * tau])
-    coarse = simulate_ensemble(eq_ref, dt=tau / 60, **kw)
-    fine = simulate_ensemble(eq_ref, dt=tau / 600, **kw)
-    assert coarse == fine
+@pytest.mark.parametrize("steps", [1, 49, 50, 99, 100, 149, 5000])
+def test_ensemble_samples_at_most_99_times_on_the_grid(steps):
+    stats = simulate_ensemble(WavepacketEquilibrium(1e-6, 1.0), n_traj=100,
+                              dt=1.0, t_end=float(steps), method="exact-b15")
+    ks = [int(t) for t in stats.times]
+    assert list(stats.times) == [float(k) for k in ks]    # on the dt grid
+    assert all(a < b for a, b in zip([0] + ks, ks))       # strictly rising
+    assert ks[-1] == steps
+    assert len(ks) <= 99
+    if steps == 99:
+        assert len(ks) == 99
 
 
 def test_euler_maruyama_matches_the_reference_loop(eq_ref):
@@ -529,12 +530,12 @@ def test_euler_maruyama_matches_the_reference_loop(eq_ref):
     resid = np.diff(bR) - bI[:-1] * (dt / tau) - np.diff(bI)
     assert np.abs(resid).max() <= 1e-9 * scale
 
-    # one block of 100 trajectories sampled at every step (one EM step per
-    # interval), compared at 1 and 2 tau
-    stats = simulate_ensemble(eq_ref, n_traj=100, dt=dt, t_end=2 * tau, seed=5,
-                              sample_times=[k * dt for k in range(1, 201)])
-    ref = reference(5, 100, 200)
-    for k in (100, 200):
+    # one block of 100 trajectories over 99 steps, sampled at every step
+    # (one EM step per interval), compared at steps 50 and 99
+    stats = simulate_ensemble(eq_ref, n_traj=100, dt=dt, t_end=99 * dt, seed=5)
+    assert len(stats.times) == 99
+    ref = reference(5, 100, 99)
+    for k in (50, 99):
         q = ref[k][0] + ref[k][1]
         assert stats.mean_sq_Q[k - 1] == pytest.approx(np.mean(q * q),
                                                        rel=1e-12, abs=0)
@@ -580,23 +581,32 @@ def test_m_step_increment_has_the_covariance_of_m_euler_steps():
 
 
 def test_pinned_exact_ensemble_and_euler_path(eq_ref):
-    # values captured before ensembles stepped between sample times: the
-    # exact-b15 ensemble and the Euler-Maruyama path keep every bit
+    # the exact-b15 ensemble at three default sample times (dt = tau), and
+    # the Euler-Maruyama path, whose values were captured before ensembles
+    # stepped between sample times and keep every bit
     from cslwalk.wavepacket import EnsembleStats, TrajectoryState, single_trajectory
     tau = eq_ref.tau_s
-    stats = simulate_ensemble(eq_ref, n_traj=300, dt=tau / 50, t_end=3 * tau,
-                              seed=13, method="exact-b15",
-                              sample_times=[tau, 3 * tau])
+    stats = simulate_ensemble(eq_ref, n_traj=300, dt=tau, t_end=3 * tau,
+                              seed=13, method="exact-b15")
     assert stats == EnsembleStats(
-        n_traj=300, times=(0.7135971251352693, 2.140791375405808),
-        mean_Q=(1.64859151606141e-08, 1.2985745181501355e-09),
-        se_mean_Q=(3.2704203146036336e-08, 7.758698456436061e-08),
-        mean_sq_Q=(3.200716915204297e-13, 1.7999039982590883e-12),
-        se_mean_sq_Q=(2.6591169545954112e-14, 1.4187596213108137e-13),
-        mean_sq_P=(1.7631604671676916e-42, 4.565152521927032e-42),
-        se_mean_sq_P=(1.4761026639767606e-43, 3.709561029738659e-43),
-        cov_mean_sq_Q=((7.070902978216774e-28, 1.928734810295426e-27),
-                       (1.928734810295426e-27, 2.0128788630620035e-26)))
+        n_traj=300,
+        times=(0.7135971251352693, 1.4271942502705386, 2.140791375405808),
+        mean_Q=(1.64859151606141e-08, 9.94608822082503e-09, 3.41886660195207e-08),
+        se_mean_Q=(3.2704203146036336e-08, 5.4431435520573416e-08,
+                   7.809516810580786e-08),
+        mean_sq_Q=(3.200716915204297e-13, 8.859704953471684e-13,
+                   1.824726594045037e-12),
+        se_mean_sq_Q=(2.6591169545954112e-14, 6.977657722154728e-14,
+                      1.4543617203897962e-13),
+        mean_sq_P=(1.7631604671676916e-42, 3.1705328479364026e-42,
+                   4.641090078397803e-42),
+        se_mean_sq_P=(1.4761026639767606e-43, 2.5680181899685603e-43,
+                      3.697499951928853e-43),
+        cov_mean_sq_Q=(
+            (7.070902978216774e-28, 1.2137567700329536e-27, 2.086214498474715e-27),
+            (1.2137567700329536e-27, 4.86877072875455e-27, 8.652095974366867e-27),
+            (2.086214498474715e-27, 8.652095974366867e-27,
+             2.1151680137351678e-26)))
     em = single_trajectory(eq_ref, dt=tau / 60, t_end=2 * tau, seed=4)
     assert em[-1] == TrajectoryState(-2.9753360767791234e-07,
                                      -1.0623581222820287e-07, 1.4271942502705386)
