@@ -246,8 +246,9 @@ def _rot_surface_pieces(aspect: DiscAspect):
 
 # alpha^2 + beta^2 at or below which f_rot_disc is the small-body limit
 _SMALL_BODY_SIZE = 1.0e-8
-# Largest alpha and beta whose kernels the fixed 2-D rule resolves within its
-# cap of 256 panels (a 300-MB grid); past it they need 512 (1.2 GB) or more.
+# Largest alpha and beta f_rot_disc accepts: quadrature.integrate_2d bounds
+# the mass its band leaves out only up to here.  At 128 the 2-D rule stops at
+# 64 panels (a 1536^2 node matrix, ~19 MB); the matrix grows as the width^2.
 _MAX_ROT_SIZE = 128.0
 
 
@@ -261,8 +262,8 @@ def f_rot_disc(aspect: DiscAspect) -> FactorResult:
     in the small-body limit it reduces exactly to
     small_body_rotation_limit, which is returned (method "analytic",
     est_error (4/3)(alpha^2 + beta^2)) when alpha^2 + beta^2 <= 1e-8.
-    alpha or beta above 128 is rejected: the fixed quadrature rule does not
-    resolve the kernels there within its panel budget.
+    alpha or beta above 128 is rejected: the quadrature's band bound is
+    argued only up to there.
     """
     al, be = aspect.alpha, aspect.beta
     pref = _rot_prefactor(al, be)

@@ -10,7 +10,8 @@ Sampling is group-averaged antithetic: sphere and disc are unchanged by
 y -> -y and by reflecting in-plane axis 1, so with y uniform in the body so
 are -y, (y0, -y1, y2) and (-y0, y1, -y2).  Each drawn pair (x, y) gives one
 sample, the mean of the pair integrand over those four images of y: four
-uniform pairs from two sampled points, most of whose cost is the sampling.
+uniform pairs from two sampled points, all four built from one set of
+differences and products of the drawn pair (see ``_quartet_values``).
 The quartet means are iid, so est_error is the standard error over them.
 Quartets are drawn by :func:`cslwalk._blocks.run_blocks`; inside each block
 they are drawn and reduced in sub-blocks of a constant 2^13 quartets, one
@@ -64,29 +65,41 @@ def _sample(geom: dict, rng, n: int):
     return b * rng.random(n) - 0.5 * b, L * u[:n], L * v[:n]
 
 
-def _pair_values(geom: dict, mode: str, x, y) -> np.ndarray:
-    """The integrand at the pairs (x, y), each a tuple of coordinate arrays."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    d0, d1, d2 = x0 - y0, x1 - y1, x2 - y2
-    phi = np.exp((d0 * d0 + d1 * d1 + d2 * d2) * -0.25)
-    if mode == "rotate":
-        # components perpendicular to the rotation axis (axis index 2)
-        dot = x0 * y0 + x1 * y1
-        cross = x0 * y1 - x1 * y0
-        return 2.0 * geom["m_over_i"] ** 2 * (dot - cross * cross * 0.5) * phi
-    d = d1 if mode == "translate-edge" else d0
-    return phi * (1.0 - d * d * 0.5)
-
-
 def _quartet_values(geom: dict, mode: str, rng, m: int) -> np.ndarray:
-    """m quartet means: each drawn (x, y) averaged over four images of y."""
+    """m quartet means: each drawn (x, y) averaged over four images of y.
+
+    The images y, -y, (y0, -y1, y2) and (-y0, y1, -y2) flip signs of y's
+    coordinates only, so every image's differences and products are built
+    from x_i - y_i, x_i + y_i and the products x_i y_j of the drawn pair by
+    exact sign flips: in IEEE arithmetic x - (-y) == x + y and
+    (-u) + (-v) == -(u + v).  The quartet means therefore have the bits of
+    evaluating the pair integrand at each image separately.
+    """
     x = _sample(geom, rng, m)
-    y0, y1, y2 = _sample(geom, rng, m)
-    total = _pair_values(geom, mode, x, (y0, y1, y2))
-    for image in ((-y0, -y1, -y2), (y0, -y1, y2), (-y0, y1, -y2)):
-        total += _pair_values(geom, mode, x, image)
-    return 0.25 * total
+    y = _sample(geom, rng, m)
+    # squared coordinate differences from y and from -y
+    sq_m = [np.square(u - v) for u, v in zip(x, y)]
+    sq_p = [np.square(u + v) for u, v in zip(x, y)]
+    # ... from the images y, -y, (y0, -y1, y2) and (-y0, y1, -y2)
+    images = (sq_m, sq_p, (sq_m[0], sq_p[1], sq_m[2]),
+              (sq_p[0], sq_m[1], sq_p[2]))
+    phis = [np.exp((s0 + s1 + s2) * -0.25) for s0, s1, s2 in images]
+    if mode == "rotate":
+        # components perpendicular to the rotation axis (axis index 2): at
+        # image y', dot = x0 y0' + x1 y1' and cross = x0 y1' - x1 y0'
+        (x0, x1, _), (y0, y1, _) = x, y
+        a, b, c, e = x0 * y0, x1 * y1, x0 * y1, x1 * y0
+        dot, diff = a + b, a - b
+        cross_m, cross_p = np.square(c - e), np.square(c + e)
+        terms = ((dot, cross_m), (-dot, cross_m),
+                 (diff, cross_p), (-diff, cross_p))
+        k = 2.0 * geom["m_over_i"] ** 2
+        vals = [k * (d - c2 * 0.5) * phi for (d, c2), phi in zip(terms, phis)]
+    else:
+        axis = 1 if mode == "translate-edge" else 0
+        vals = [phi * (1.0 - sq[axis] * 0.5) for sq, phi in zip(images, phis)]
+    v0, v1, v2, v3 = vals
+    return 0.25 * (v0 + v1 + v2 + v3)
 
 
 def _run_oracle(geom: dict, mode: str, n_samples: int, seed: int,

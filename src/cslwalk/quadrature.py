@@ -10,8 +10,10 @@ rather than silently accepted.  numpy's float errors raise inside the loop.
 
 The 2-D rule serves the rotation factor's kernels, which are symmetric in
 their two arguments over a square and carry a factor e^{-(x-y)^2}: it
-takes the square as one interval [a, b], and evaluates the upper half of
-the node grid within a band of the diagonal and mirrors it.
+takes the square as one interval [a, b], starts at panels at most 4 wide
+(a 24-point panel that wide already integrates the unit-width ridge to
+rounding), and evaluates the upper half of the node grid within a band of
+the diagonal and mirrors it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ _ORDER_1D = 32         # Gauss-Legendre points per panel
 _ORDER_2D = 24         # points per panel along each axis
 _MAX_PANELS_1D = 4096
 _MAX_PANELS_2D = 256   # a 6144^2 node matrix, ~300 MB
+_START_WIDTH_2D = 4.0  # widest starting 2-D panel
 _REL_TOL_2D = 1.0e-6
 _BAND = 8.0            # 2-D node pairs farther apart than this are not evaluated
 
@@ -48,6 +51,11 @@ def _composite_nodes(a: float, b: float, panels: int, order: int):
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def _start_panels_2d(a: float, b: float) -> int:
+    """integrate_2d's first panel count: panels at most 4 wide, 2 to 128."""
+    return max(2, min(_MAX_PANELS_2D // 2, math.ceil((b - a) / _START_WIDTH_2D)))
 
 
 @np.errstate(divide="raise", over="raise", invalid="raise")
@@ -91,12 +99,17 @@ def integrate_2d(f, a: float, b: float) -> tuple[float, float]:
     """Tensor-product Gauss-Legendre integral of f(x, y) on [a, b]^2, a < b.
 
     The rule is fixed: 24-point panels along each axis, starting at one
-    panel per unit width (at least 2, at most 128: the rotation kernels
-    have O(1) structure along the diagonal, so wide domains start with
-    O(width) panels instead of relying on refinement alone) and doubling
+    panel per 4 units of width (at least 2, at most 128) and doubling
     until two successive estimates agree to 1e-6 relative.  Returns
     (value, error_estimate); raises ConvergenceError when they still
     disagree at 256 panels.
+
+    Premise of the start: the rotation kernels vary on the unit scale of
+    their ridge e^{-(x-y)^2} across the diagonal, and Gauss-Legendre
+    converges geometrically on such analytic kernels, so a 24-point panel
+    at most 4 wide (_START_WIDTH_2D) already integrates the ridge to
+    rounding; tests/test_quadrature.py checks the ridge's exact integral
+    at widths 0.5-128 to 5e-14.
 
     Precondition: f is symmetric to the last bit, f(x, y) == f(y, x) as
     floats for every node pair.  Only the node rows of the upper triangle
@@ -136,6 +149,5 @@ def integrate_2d(f, a: float, b: float) -> tuple[float, float]:
             vals[e:end, s:e] = strip[:, _ORDER_2D:].T
         return float(np.einsum("i,j,ij->", xw, xw, vals))
 
-    panels = max(2, min(_MAX_PANELS_2D // 2, math.ceil(b - a)))   # unit width
-    return _refine(estimate, panels, _MAX_PANELS_2D, _REL_TOL_2D,
-                   f"2-D quadrature on [{a}, {b}]^2")
+    return _refine(estimate, _start_panels_2d(a, b), _MAX_PANELS_2D,
+                   _REL_TOL_2D, f"2-D quadrature on [{a}, {b}]^2")

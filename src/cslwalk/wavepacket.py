@@ -350,8 +350,9 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
     Limits: n_traj x sample intervals at most 4e9, about seven minutes on
     one core; blocks x samples^2 at most 2^25, the 256 MiB of covariance
     sums held until the reduction.  At 99 samples the second binds first,
-    above about 14 million trajectories; a block of 4096 trajectories then
-    needs under 20 MB.
+    above about 14 million trajectories.  A block of 4096 trajectories holds
+    one samples x 4096 matrix of <Q> (3.2 MB at 99 samples) and vectors of
+    4096.
 
     Results are bit-identical for fixed (seed, n_traj, dt, t_end, method)
     for any `workers` count: trajectories run in blocks of 4096 through
@@ -376,21 +377,28 @@ def simulate_ensemble(eq: WavepacketEquilibrium, n_traj: int, dt: float,
 
     @np.errstate(over="raise", invalid="raise")
     def block_sums(rng, nb):
+        # one samples x nb matrix: <Q> per sample time, squared in place
+        # after its sums; <P>^2 and <P>^4 are reduced per sample time
         B = np.zeros(nb)
         IB = np.zeros(nb)
         Q = np.empty((T, nb))
-        P = np.empty((T, nb))
+        sum_p2 = np.empty(T)
+        sum_p4 = np.empty(T)
         for j, (h, m) in enumerate(schedule):
             dB, kick = _increments(rng, h, m, nb)
             IB += B * h + kick
             B += dB
             bR, bI = _center(eq, B, IB)
             Q[j] = bR + bI
-            P[j] = hbar_s2 * bI
-        Q2 = Q * Q
-        P2 = P * P
-        return np.concatenate([Q.sum(1), Q2.sum(1), P2.sum(1), (P2 * P2).sum(1),
-                               (Q2 @ Q2.T).ravel()])
+            p = hbar_s2 * bI
+            p *= p
+            sum_p2[j] = p.sum()
+            p *= p
+            sum_p4[j] = p.sum()
+        sum_q = Q.sum(1)
+        Q *= Q
+        return np.concatenate([sum_q, Q.sum(1), sum_p2, sum_p4,
+                               (Q @ Q.T).ravel()])
 
     hbar_s2 = CONSTANTS.hbar / eq.s_inf ** 2
     sums = np.array(run_blocks(n_traj, _TRAJ_BLOCK, seed, workers, block_sums))

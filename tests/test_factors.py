@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,8 +127,9 @@ def test_disc_translation_factors_reject_alpha_outside_window():
 
 
 def test_rotation_factor_rejects_sizes_beyond_its_quadrature():
-    # past 128 the fixed 2-D rule stops unconverged at its cap of 256 panels
-    # (a 300-MB grid); a 1-cm disc at a = 1e-5 cm has alpha = 5e4
+    # past 128 the 2-D rule's band bound is not argued, and far past it the
+    # rule stops unconverged at its cap of 256 panels (a 300-MB grid); a 1-cm
+    # disc at a = 1e-5 cm has alpha = 5e4
     for alpha, beta in ((128.5, 0.25), (5e4, 0.25), (100.0, 200.0)):
         with pytest.raises(ValidationError, match="at most 128"):
             f_rot_disc(DiscAspect(alpha, beta))
@@ -180,13 +182,34 @@ def test_f_rot_bit_identical_at_readme_inputs():
 
 
 def test_f_rot_bit_identical_on_wide_discs():
-    # the largest-grid cases of the symmetric half-grid quadrature, pinned
-    # before it replaced the full tensor grid
-    pinned = {(8.0, 0.05): (0.0004192052002799384, 3.7898765448372413e-19),
-              (30.0, 1.0): (1.5003842540527616e-06, 2.017544239511405e-21)}
+    # the widest grids at the 2-D rule's start of 4-unit panels; the values
+    # of the earlier start of 1-unit panels (the old pins) bound the shift,
+    # since either start integrates the kernels to rounding
+    pinned = {(8.0, 0.05): (0.00041920520027993925, 2.7070566950127616e-19),
+              (30.0, 1.0): (1.5003842540527614e-06, 1.793389267573305e-21)}
+    unit_panels = {(8.0, 0.05): 0.0004192052002799384,
+                   (30.0, 1.0): 1.5003842540527616e-06}
     for (alpha, beta), expected in pinned.items():
         res = f_rot_disc(DiscAspect(alpha, beta))
         assert (res.value, res.est_error) == expected, (alpha, beta)
+        old = unit_panels[alpha, beta]
+        assert abs(res.value - old) <= 5e-15 * old, (alpha, beta)
+
+
+def test_f_rot_at_the_size_cap_starts_at_4_unit_panels():
+    # alpha = beta = 128: the 2-D rule starts at 32 panels and stops at 64
+    # (a 1536^2 node matrix, 19 MB); one panel per unit width took 128 and
+    # 256 panels and a traced peak of 303 MB
+    tracemalloc.start()
+    try:
+        res = f_rot_disc(DiscAspect(128.0, 128.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert res.method == "quadrature"
+    old = 2.9212120318539045e-13       # the value of the 1-unit start
+    assert abs(res.value - old) <= 5e-15 * old
 
 
 def test_f_rot_small_disc_is_the_small_body_limit():

@@ -90,3 +90,31 @@ def test_oracle_pulls_are_standard_normal(mode):
     assert 0.613 <= within1 <= 0.753, within1
     assert 0.923 <= within2 <= 0.985, within2
     assert sum(p > 3 for p in pulls) <= 4
+
+
+# (value, est_error) as float.hex, captured when each of the four mirror
+# images was evaluated on its own; 50_001 pairs in blocks of 40_000 are a
+# block of two 2^13-quartet sub-blocks and a partial last block
+_QUARTET_PINS = {
+    ("disc", "translate-perp"): ("0x1.d8e6b59db1d7bp-2", "0x1.3762e8a866cb9p-10"),
+    ("disc", "translate-edge"): ("0x1.b44afbdaaba2dp-3", "0x1.e9bca8865af7ap-10"),
+    ("disc", "rotate"): ("0x1.34c3fa15be228p-2", "0x1.1280215582c10p-8"),
+    ("sphere", "translate"): ("0x1.3d5f5738d268cp-1", "0x1.210b3c177d5eep-10"),
+    ("sphere", "rotate"): ("-0x1.654504e3d5c2fp-7", "0x1.282e7699860b9p-8"),
+    ("rod", "translate-perp"): ("0x1.8f142a8a9db8cp-3", "0x1.19d0bb1420975p-9"),
+    ("rod", "translate-edge"): ("0x1.980737b1a6309p-2", "0x1.4803f228d0b4ap-10"),
+    ("rod", "rotate"): ("0x1.f601be4882274p-4", "0x1.19f59d757ae4bp-9"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shape, mode", list(_QUARTET_PINS))
+def test_oracle_quartets_keep_the_bits_of_separate_images(shape, mode, workers):
+    kw = dict(n_samples=50_001, seed=11, block_size=40_000, workers=workers)
+    if shape == "sphere":
+        res = f_mc_oracle(Sphere(1e-5, 1.0), CslParams.grw(), mode, **kw)
+    else:
+        # the rod-like aspect has beta > 2 alpha
+        aspect = DiscAspect(1.0, 0.25) if shape == "disc" else DiscAspect(0.5, 2.0)
+        res = f_mc_oracle_aspect(aspect, mode, **kw)
+    assert (res.value.hex(), res.est_error.hex()) == _QUARTET_PINS[shape, mode]

@@ -23,12 +23,20 @@ def test_integrate_2d_separable():
     val, err = integrate_2d(lambda x, y: x * y, 0.0, 1.0)
     assert val == pytest.approx(0.25, rel=1e-10)
     assert err >= 0.0
-    # ridge kernel over a wide domain, the shape the unit starting panel
-    # width exists for
-    val, _ = integrate_2d(lambda x, y: np.exp(-((x - y) ** 2)), 0.0, 30.0)
-    # int over square ~ sqrt(pi) * L - 1 for L >> 1
-    assert val == pytest.approx(math.sqrt(math.pi) * 30.0 - 1.0, rel=1e-4)
     assert integrate_2d(lambda x, y: x * y, 1.0, 1.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("width", [0.5, 2.0, 3.0, 8.0, 9.0, 16.0, 30.0, 64.0,
+                                   128.0])
+def test_integrate_2d_resolves_the_ridge_from_its_first_panels(width):
+    # the unit-width ridge of the rotation kernels: 24-point panels up to 4
+    # wide integrate it to rounding, so the start of 4-unit panels loses
+    # nothing; exact int_0^W int_0^W e^{-(x-y)^2} = W sqrt(pi) erf(W) + e^{-W^2} - 1
+    val, err = integrate_2d(lambda x, y: np.exp(-((x - y) ** 2)), 0.0, width)
+    exact = (width * math.sqrt(math.pi) * math.erf(width)
+             + math.expm1(-width * width))
+    assert val == pytest.approx(exact, rel=5e-14, abs=0)
+    assert err <= 5e-14 * exact
 
 
 def _integrate_2d_full_triangle(f, a, b):
@@ -46,8 +54,8 @@ def _integrate_2d_full_triangle(f, a, b):
             vals[s + order:, s:s + order] = strip[:, order:].T
         return float(np.einsum("i,j,ij->", xw, xw, vals))
 
-    panels = max(2, min(quadrature._MAX_PANELS_2D // 2, math.ceil(b - a)))
-    return quadrature._refine(estimate, panels, quadrature._MAX_PANELS_2D,
+    return quadrature._refine(estimate, quadrature._start_panels_2d(a, b),
+                              quadrature._MAX_PANELS_2D,
                               quadrature._REL_TOL_2D, "full triangle")
 
 
@@ -61,7 +69,7 @@ def _edge_box_kernel(y, yp):
 
 @pytest.mark.parametrize("f, a, b, floor", [
     pytest.param(_face_kernel, 0.0, al, 0.1 * al ** 4, id=f"face-{al:g}")
-    for al in (9.0, 16.0, 30.0, 40.0)
+    for al in (10.0, 16.0, 30.0, 40.0)
 ] + [
     pytest.param(_edge_box_kernel, -h, h, 0.9 * h ** 3, id=f"edge-box-{h:g}")
     for h in (9.0, 20.0)
@@ -72,9 +80,18 @@ def _edge_box_kernel(y, yp):
 def test_integrate_2d_band_changes_no_bit(f, a, b, floor):
     # the pairs more than 8 apart, left out of the band, weigh below
     # 2^-60 of the estimate, whose floor the docstring's bound assumes
-    got = integrate_2d(f, a, b)
-    assert got == _integrate_2d_full_triangle(f, a, b)
+    band, full = [], []
+
+    def counted(calls):
+        def g(x, y):
+            calls.append(np.broadcast(x, y).size)
+            return f(x, y)
+        return g
+
+    got = integrate_2d(counted(band), a, b)
+    assert got == _integrate_2d_full_triangle(counted(full), a, b)
     assert got[0] > floor
+    assert sum(band) < sum(full)          # the band left pairs out
 
 
 def test_integrate_1d_reports_nonconvergence():

@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -610,3 +613,37 @@ def test_pinned_exact_ensemble_and_euler_path(eq_ref):
     em = single_trajectory(eq_ref, dt=tau / 60, t_end=2 * tau, seed=4)
     assert em[-1] == TrajectoryState(-2.9753360767791234e-07,
                                      -1.0623581222820287e-07, 1.4271942502705386)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pinned_euler_ensemble_over_two_blocks(eq_ref, workers):
+    # 4200 trajectories, a full block of 4096 and a partial one, over
+    # t_end = 101 dt: 51 sample times two steps apart, the last one step
+    # after the one before.  The sha256 of every field's float64 bytes was
+    # captured when each block held <P> and the squares as matrices of
+    # their own.
+    tau = eq_ref.tau_s
+    stats = simulate_ensemble(eq_ref, n_traj=4200, dt=tau / 50,
+                              t_end=101 * (tau / 50), seed=21, workers=workers)
+    assert len(stats.times) == 51
+    assert stats.mean_sq_Q[-1] == 8.199427204598941e-13
+    assert stats.se_mean_sq_P[-1] == 6.627000455759464e-44
+    fields = [np.ravel(np.asarray(getattr(stats, f.name), dtype="<f8"))
+              for f in dataclasses.fields(stats)]
+    assert hashlib.sha256(np.concatenate(fields).tobytes()).hexdigest() == (
+        "1a2f8559e495c278a76bdb47e2874af8cc28d64a82409da5f74178ed39baef63")
+
+
+def test_ensemble_block_holds_one_sample_matrix(eq_ref):
+    # 2e4 trajectories over 1000 steps (50 samples), one worker: a block
+    # holds one 50 x 4096 matrix of <Q> (1.6 MB), where five such matrices
+    # took a traced peak of 8.5 MB
+    tau = eq_ref.tau_s
+    tracemalloc.start()
+    try:
+        simulate_ensemble(eq_ref, n_traj=20_000, dt=tau / 50,
+                          t_end=1000 * (tau / 50), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
