@@ -15,13 +15,14 @@ for table and dataset reproduction.
 
 numpy is the only run-time dependency.  Every public name below is
 resolved from its submodule on first access, so `import cslwalk` does not
-load it.  The closed forms of the reference tables, the sphere factor, the
-drag coefficients and collision statistics (`brownian`) and the constraint
-map run on the standard library alone, apart from `ConstraintMap.mask()`;
-the disc factors, the oracle and the wavepacket ensembles load numpy when
-first called or imported.  Nothing loads scipy: the disc rotation factor's
-i1e is a Cephes port in `cslwalk._cephes`, and the width-ODE cross-check
-steps RK4 itself.
+load it.  The closed forms of the reference tables, the sphere and disc
+translation factors, the drag coefficients and collision statistics
+(`brownian`) and the constraint map run on the standard library alone,
+apart from `ConstraintMap.mask()`.  Of the factors only the disc rotation
+factor loads numpy; the oracle and the wavepacket ensembles load it when
+first called or imported.  Nothing loads scipy: the disc factors' scaled
+Bessel functions i0e and i1e are a Cephes port in `cslwalk._cephes`, and
+the width-ODE cross-check steps RK4 itself.
 """
 
 import importlib

@@ -110,6 +110,55 @@ def damped_rms(kT, xi, inertia, t, csl_rate=0.0) -> float:
         return float((q * tau ** 3 * damped_bracket(t / tau)).sqrt())
 
 
+# The disc translation factors' independent route: the sums over Poisson
+# probabilities that their Bessel closed forms equal.
+
+def poisson_window(x: float) -> tuple[int, np.ndarray]:
+    """Poisson(x) probabilities p_k = e^{-x} x^k / k!, k = lo, lo + 1, ...
+
+    Returns (lo, p) over at most 28 sqrt(x) + 81 terms around the mode
+    m = floor(x); the Poisson mass outside them is below 1e-44.  The terms
+    are built in log space by the ratio recurrence p_k / p_{k-1} = x / k
+    outward from the mode and normalized by their sum.  The log ratios and
+    their running sums are taken in numpy's long double (80 bits on x86-64):
+    in float64 the rounding of each ratio and partial sum adds up over the
+    window, and at x = 1e10 the edge sum ends 1.1e-14 off its 40-digit value.
+    """
+    m = math.floor(x)
+    half = int(14.0 * math.sqrt(x)) + 40
+    lo = max(0, m - half)
+    log_ratio = np.log(x / np.arange(lo + 1, m + half + 1, dtype=np.longdouble))
+    up = np.cumsum(log_ratio[m - lo:])
+    down = -np.cumsum(log_ratio[:m - lo][::-1])[::-1]
+    p = np.exp(np.concatenate([down, [0.0], up])).astype(float)
+    return lo, p / p.sum()
+
+
+def poisson_disc_radial(alpha: float) -> tuple[float, float]:
+    """The radial parts of f_disc_perp and f_disc_edge as Poisson(alpha^2)
+    sums, alpha^-4 sum_{k>=1} P(N >= k)^2 and alpha^-2 sum_k p_k p_{k+1},
+    added pairwise by numpy's sum."""
+    x = alpha * alpha
+    lo, p = poisson_window(x)
+    # P(N >= k) / x for k = lo + 1, ...; every P(N >= k) with k <= lo is 1
+    tail = np.cumsum(p[::-1])[::-1][1:] / x
+    return lo / x / x + float(np.sum(tail * tail)), float(np.sum(p[:-1] * p[1:])) / x
+
+
+def disc_thickness(beta: float) -> tuple[float, float]:
+    """The thickness parts of f_disc_perp and f_disc_edge,
+    (1 - e^{-beta^2}) / beta^2 and
+    [beta sqrt(pi) erf(beta) - 1 + e^{-beta^2}] / beta^2, the second by its
+    series sum_n (-1)^n beta^2n / ((n+1)! (2n+1)) below beta = 0.1."""
+    b2 = beta * beta
+    if beta < 0.1:
+        edge = math.fsum((-b2) ** n / (math.factorial(n + 1) * (2 * n + 1))
+                         for n in range(12))
+    else:
+        edge = (beta * math.sqrt(math.pi) * math.erf(beta) - 1.0 + math.exp(-b2)) / b2
+    return -math.expm1(-b2) / b2, edge
+
+
 def round_1sf(x: float) -> float:
     """Round to one significant figure."""
     if x == 0:

@@ -756,6 +756,27 @@ def test_diffuse_computes_no_unread_disc_factor(argv):
     assert _modules_after(_CLI.format(argv=argv), "numpy") == []
 
 
+# diffuse lines whose geometry factor is a disc translation factor
+DISC_TRANSLATION_LINES = (
+    ["diffuse", "--disc-radius", "2du", "--disc-thickness", ".5du",
+     "--times", "1,100"],
+    ["diffuse", "--disc-radius", "2du", "--disc-thickness", ".5du",
+     "--orientation", "edge", "--times", "1,100"],
+)
+
+
+def test_disc_translation_factors_load_no_numpy():
+    # both are closed forms on the standard library, below and above the
+    # perp factor's switch from its series at alpha = 1; of the factors
+    # only f_rot_disc loads numpy
+    calls = ("from cslwalk import DiscAspect, f_disc_edge, f_disc_perp\n"
+             "for aspect in (DiscAspect(0.5, 0.25), DiscAspect(30.0, 1.0)):\n"
+             "    f_disc_perp(aspect), f_disc_edge(aspect)")
+    assert _modules_after(calls, "numpy") == []
+    for argv in DISC_TRANSLATION_LINES:
+        assert _modules_after(_CLI.format(argv=argv), "numpy") == [], argv
+
+
 # every README "Command line" line
 README_LINES = NUMPY_FREE_README_LINES + (
     ["diffuse", "--mode", "rotation", "--disc-radius", "2du",

@@ -11,6 +11,8 @@ from cslwalk import (CslParams, Disc, DiscAspect, Sphere, ValidationError,
 from cslwalk.factors import fig1_to_csv, small_body_rotation_limit
 from cslwalk.oracle import f_mc_oracle_aspect
 
+from conftest import disc_thickness, poisson_disc_radial
+
 
 # ---------------------------------------------------------------------------
 # sphere translation factor
@@ -79,8 +81,9 @@ def test_disc_factor_reference_point():
 
 
 def test_disc_translation_factors_match_bessel_forms():
-    # the Poisson sums against the scaled-Bessel closed forms; the perp form
-    # alpha^-2 [1 - (i0e + i1e)(2 alpha^2)] cancels below alpha ~ 0.1
+    # the factors against scipy's scaled-Bessel closed forms; the perp form
+    # alpha^-2 [1 - (i0e + i1e)(2 alpha^2)] cancels below alpha ~ 0.1, and
+    # up to alpha = 1 the perp factor sums its Poisson series instead
     from scipy.special import i0e, i1e
     for alpha in np.geomspace(0.1, 1e3, 41):
         x = float(alpha) ** 2
@@ -106,9 +109,52 @@ def test_disc_edge_small_beta_series():
     for beta, expected in mp_values.items():
         assert f_disc_edge(DiscAspect(1.0, beta)).value == pytest.approx(
             expected, rel=1e-12, abs=0), beta
-    # the closed form keeps its bytes from beta = 0.1 up
-    assert f_disc_edge(DiscAspect(1.0, 0.25)).value == 0.21305462085713198
-    assert f_disc_edge(DiscAspect(1.0, 1.0)).value == 0.1854604571103058
+    # the closed form from beta = 0.1 up: its bits, and within 2 ulps of
+    # the 40-digit value
+    for beta, bits, expected in ((0.25, 0.21305462085713212, 0.213054620857132079),
+                                 (1.0, 0.1854604571103059, 0.18546045711030587855)):
+        value = f_disc_edge(DiscAspect(1.0, beta)).value
+        assert value == bits, beta
+        assert abs(value - expected) <= 2 * math.ulp(expected), beta
+
+
+# (alpha, beta): (f_disc_perp, f_disc_edge) from 60-digit mpmath, rounded to
+# 20 digits: the perp factor's radial part as the sum of squared regularized
+# incomplete gammas (P(N >= k) = P(k, alpha^2)) up to alpha = 1 and from
+# besseli above, the edge factor's from besseli; the thickness brackets in
+# closed form
+MPMATH_DISC_FACTORS = {
+    (1e-150, 1.0): (0.6321205588285576784, 0.86152770679629637239),
+    (1e-3, 0.05): (0.99875004226574166111, 0.99958154240911268002),
+    (0.01, 0.05): (0.99865117423419156205, 0.99938364985263848417),
+    (0.3, 1.0): (0.57924157198481120529, 0.7225267810489957684),
+    (2.0, 0.05): (0.18038086118777274611, 0.033521657130260280793),
+    (30.0, 1.0): (0.00068914835922138585131, 8.9993273516720123008e-6),
+    (1e3, 0.25): (9.6884407471681475751e-7, 2.7919257711025434136e-10),
+}
+
+
+def test_disc_translation_factors_match_mpmath_values():
+    for (alpha, beta), (perp, edge) in MPMATH_DISC_FACTORS.items():
+        aspect = DiscAspect(alpha, beta)
+        assert f_disc_perp(aspect).value == pytest.approx(perp, rel=1e-15, abs=0), alpha
+        assert f_disc_edge(aspect).value == pytest.approx(edge, rel=1e-15, abs=0), alpha
+
+
+def test_disc_translation_factors_match_poisson_sums():
+    # the closed forms (and the perp factor's own series up to alpha = 1)
+    # against the Poisson-window sums of conftest, from small bodies to
+    # discs 1e5 times the collapse length
+    for alpha in np.geomspace(1e-3, 1e5, 25):
+        alpha = float(alpha)
+        perp_radial, edge_radial = poisson_disc_radial(alpha)
+        for beta in (1e-9, 0.05, 0.25, 1.0, 20.0):
+            perp_thick, edge_thick = disc_thickness(beta)
+            aspect = DiscAspect(alpha, beta)
+            assert f_disc_perp(aspect).value == pytest.approx(
+                perp_radial * perp_thick, rel=3e-15, abs=0), (alpha, beta)
+            assert f_disc_edge(aspect).value == pytest.approx(
+                edge_radial * edge_thick, rel=3e-15, abs=0), (alpha, beta)
 
 
 def test_disc_translation_factors_reject_alpha_outside_window():
@@ -116,9 +162,11 @@ def test_disc_translation_factors_reject_alpha_outside_window():
         assert 0.0 < f(DiscAspect(1e4, 1.0)).value < 1e-8
         assert f(DiscAspect(1e-150, 1.0)).value == pytest.approx(
             f(DiscAspect(1e-4, 1.0)).value, rel=1e-7)
-        for alpha in (2e4, 1e-200):
-            with pytest.raises(ValidationError, match="alpha"):
-                f(DiscAspect(alpha, 1.0))
+        # no cap above: the closed forms hold for any disc
+        value = f(DiscAspect(2e4, 1.0)).value
+        assert math.isfinite(value) and value > 0.0
+        with pytest.raises(ValidationError, match="alpha"):
+            f(DiscAspect(1e-200, 1.0))
         # beta^2 underflows: the thickness factor takes its beta -> 0 limit
         assert f(DiscAspect(1.0, 1e-200)).value == f(DiscAspect(1.0, 1e-9)).value
     # alpha^4 underflows in the rotation prefactor

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cslwalk import quadrature
-from cslwalk._cephes import i1e
+from cslwalk._cephes import i1e_array
 from cslwalk.errors import ConvergenceError
 from cslwalk.quadrature import integrate_1d, integrate_2d
 
@@ -60,7 +60,7 @@ def _integrate_2d_full_triangle(f, a, b):
 
 
 def _face_kernel(r, rp):
-    return r ** 2 * rp ** 2 * np.exp(-((r - rp) ** 2)) * i1e(2.0 * r * rp)
+    return r ** 2 * rp ** 2 * np.exp(-((r - rp) ** 2)) * i1e_array(2.0 * r * rp)
 
 
 def _edge_box_kernel(y, yp):
